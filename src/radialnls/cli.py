@@ -299,20 +299,23 @@ def _cmd_evolve(cfg: RunConfig, outdir: Path):
     write_csv(outdir / "trace.csv", header, rows)
     outputs = ["trace.csv"]
     grid = datum.grid
-    for i, (t_snap, values) in enumerate(trace.snapshots):
+    snapshots = []
+    for i, snap in enumerate(trace.snapshots):
         name = f"snapshot_{i:03d}.csv"
         write_csv(
             outdir / name,
             ["r", "Re_u", "Im_u"],
-            list(zip(grid.r, values.real, values.imag)),
+            list(zip(grid.r, snap.values.real, snap.values.imag)),
         )
         outputs.append(name)
+        snapshots.append({"file": name, "t_requested": snap.t_requested, "t": snap.t})
     write_json(
         outdir / "result.json",
         {
             "outcome": trace.outcome.value,
             "final_time": trace.final_time,
             "dt_final": trace.dt_final,
+            "snapshots": snapshots,
         },
     )
     outputs.append("result.json")

@@ -9,27 +9,37 @@ on the standing-wave instability, where the quadratic splitting defect
 seeds exponential error growth (half-step defects at dt ~ 1e-4 are
 amplified to O(1) by t = 1 at default parameters).
 
-An optional absorbing layer multiplies by exp(-W(r) dt) once per step, with
-W a cubic ramp supported on the outer shell; it only removes outgoing flux,
-so mass is non-increasing with it enabled.  Conservation is asserted only
-with the layer disabled.
+The stepper factors each Crank-Nicolson matrix Id - i tau/2 Delta_gamma once
+(LAPACK ?gttrf) and does one ?gttrs solve per sub-step.  The rotation keeps
+|u|, so two adjacent half-rotations are one rotation by the summed angle:
+a run of steps is taken with the rotations merged between sub-steps and
+between steps (the first-same-as-last form of Strang splitting), and a
+half-rotation is split back out only at the end of the run.
+
+An optional absorbing layer multiplies by d = exp(-W(r) dt) once per step,
+with W a cubic ramp supported on the outer shell; it only removes outgoing
+flux, so mass is non-increasing with it enabled.  The damping sits between
+the last half-rotation of a step and the first of the next, so the merged
+rotation there turns v by the per-node angle (tau_last + tau_first d^2)/2
+|v|^2 before damping it.  Conservation is asserted only with the layer
+disabled.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field as dataclass_field
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from . import functionals
 from .radial_grid import (
+    CrankNicolson,
     EquationParams,
     RadialField,
     RadialGrid,
     lap_gamma_diagonals,
-    _lap_apply_raw,
 )
 
 #: Yoshida triple-jump coefficients for the order-4 composition
@@ -65,6 +75,10 @@ class EvolutionConfig:
     decay_net_drop: float = 0.98
 
     def validate(self, grid: RadialGrid) -> None:
+        for name in ("dt", "t_end", "absorb_width", "absorb_strength", "min_dt"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not (0.0 < self.dt <= grid.h):
             raise ValueError(
                 f"dt must lie in (0, h]; dt={self.dt}, h={grid.h}"
@@ -79,6 +93,14 @@ class EvolutionConfig:
             )
         if self.splitting_order not in (2, 4):
             raise ValueError("splitting_order must be 2 or 4")
+
+
+class Snapshot(NamedTuple):
+    """State at the first monitor tick at or past a requested time."""
+
+    t_requested: float
+    t: float
+    values: np.ndarray
 
 
 @dataclass
@@ -96,7 +118,7 @@ class EvolutionTrace:
     final_time: float = 0.0
     final_state: RadialField | None = None
     dt_final: float = 0.0
-    snapshots: list = dataclass_field(default_factory=list)  # (t, values) pairs
+    snapshots: list = dataclass_field(default_factory=list)  # Snapshot records
 
     def as_rows(self):
         header = ["t", "mass_drift", "energy_drift", "l4", "grad", "K_gamma", "k_bound_ok"]
@@ -121,47 +143,61 @@ def absorbing_profile(grid: RadialGrid, width: float, strength: float) -> np.nda
     return strength * ramp**3
 
 
+def _rotate(u: np.ndarray, s) -> np.ndarray:
+    """Exact nonlinear flow exp(i s |u|^2) u; s is a scalar or per-node array.
+
+    The phase is cos theta + i sin theta of the real angle theta = s |u|^2.
+    """
+    re, im = u.real, u.imag
+    theta = re * re
+    theta += im * im
+    theta *= s
+    out = np.empty_like(u)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    out *= u
+    return out
+
+
 class _Stepper:
-    """Prebuilt splitting stepper for a fixed (grid, params, dt, order)."""
+    """Prebuilt splitting stepper for a fixed (grid, params, dt, order).
+
+    Crank-Nicolson factors and merged rotation angles are set up once; see
+    the module docstring for the merging rule.
+    """
 
     def __init__(self, grid, params, dt, order=2, absorb_w=None):
-        self.grid = grid
-        self.params = params
-        self.dt = dt
-        self.order = order
-        lower, diag, upper = lap_gamma_diagonals(grid, params.gamma, params.mu)
-        self._L = (lower, diag, upper)
-        if order == 2:
-            self._subs = [dt]
-        else:
-            self._subs = [_W1 * dt, _W0 * dt, _W1 * dt]
-        self._ab = []
-        for tau in self._subs:
-            z = 0.5j * tau
-            ab = np.zeros((3, grid.n), dtype=complex)
-            ab[0, 1:] = -z * upper
-            ab[1, :] = 1.0 - z * diag
-            ab[2, :-1] = -z * lower
-            self._ab.append(ab)
+        lap = lap_gamma_diagonals(grid, params.gamma, params.mu)
+        taus = [dt] if order == 2 else [_W1 * dt, _W0 * dt, _W1 * dt]
+        propagators = {tau: CrankNicolson(lap, tau) for tau in set(taus)}
+        self._cn = [propagators[tau] for tau in taus]
+        half = [0.5 * tau for tau in taus]
+        self._first, self._last = half[0], half[-1]
+        # merged angles between sub-steps of one step
+        self._inner = [a + b for a, b in zip(half[:-1], half[1:])]
+        # merged angle across a step boundary, with the damping in between
         self._damp = None
+        self._seam = self._last + self._first
         if absorb_w is not None:
             self._damp = np.exp(-absorb_w * dt)
+            self._seam = self._last + self._first * self._damp**2
 
-    def _strang(self, u, tau, ab):
-        lower, diag, upper = self._L
-        u = np.exp(0.5j * tau * np.abs(u) ** 2) * u
-        rhs = u + 0.5j * tau * _lap_apply_raw(u, lower, diag, upper)
-        u = solve_banded((1, 1), ab, rhs)
-        return np.exp(0.5j * tau * np.abs(u) ** 2) * u
-
-    def step(self, u: np.ndarray) -> np.ndarray:
-        for tau, ab in zip(self._subs, self._ab):
-            u = self._strang(u, tau, ab)
-        if self._damp is not None:
-            u = self._damp * u
+    def advance(self, u: np.ndarray, n: int) -> np.ndarray:
+        """n steps; raises FlowBlowup if the state leaves floating-point range."""
+        u = _rotate(u, self._first)
+        for k in range(n):
+            u = self._cn[0](u)
+            for angle, cn in zip(self._inner, self._cn[1:]):
+                u = cn(_rotate(u, angle))
+            u = _rotate(u, self._seam if k + 1 < n else self._last)
+            if self._damp is not None:
+                u *= self._damp
         if not np.all(np.isfinite(u)):
             raise FlowBlowup("state left floating-point range")
         return u
+
+    def step(self, u: np.ndarray) -> np.ndarray:
+        return self.advance(u, 1)
 
 
 def step(u: RadialField, dt: float, params: EquationParams) -> RadialField:
@@ -229,16 +265,16 @@ def run(
     it with positive virial, the K_gamma lower bound is monitored at every
     tick and required for decay detection.  `reference` adds per-tick phase
     and modulus-deviation channels against a fixed profile.  Snapshots are
-    taken at the first monitor tick past each requested time.
+    taken at the first monitor tick at or past each requested time and
+    record both times.
     """
     grid = u0.grid
     cfg.validate(grid)
-    params_ok = params  # alias; single params object throughout
 
-    rep0 = functionals.report(u0, params_ok)
+    rep0 = functionals.report(u0, params)
     m0, e0 = rep0.mass, rep0.energy
     S0 = rep0.action
-    K0 = functionals.virial(u0, params_ok)
+    K0 = functionals.virial(u0, params)
     monitor_bound = level is not None and S0 < level and K0 > 0.0
 
     absorb_w = (
@@ -255,7 +291,7 @@ def run(
     grad0 = np.sqrt(rep0.kinetic)
 
     def make_stepper(dt_):
-        return _Stepper(grid, params_ok, dt_, cfg.splitting_order, absorb_w)
+        return _Stepper(grid, params, dt_, cfg.splitting_order, absorb_w)
 
     stepper = make_stepper(dt)
     half_stepper = make_stepper(dt / 2.0)
@@ -264,13 +300,15 @@ def run(
 
     def append_tick(u_vals, t_now):
         while pending_snapshots and t_now >= pending_snapshots[0] - 1e-12:
-            trace.snapshots.append((pending_snapshots.pop(0), u_vals.copy()))
+            trace.snapshots.append(
+                Snapshot(pending_snapshots.pop(0), t_now, u_vals.copy())
+            )
         rep, K, md, ed, l4, grad, phase, amp_dev = _tick(
-            u_vals, grid, params_ok, m0, e0, reference
+            u_vals, grid, params, m0, e0, reference
         )
         k_ok = True
         if monitor_bound:
-            floor = min(level - S0, (2.0 * params_ok.mu / 7.0) * rep.sobolev_gamma_sq)
+            floor = min(level - S0, (2.0 * params.mu / 7.0) * rep.sobolev_gamma_sq)
             k_ok = bool(K >= floor - 1e-6)
         trace.times.append(t_now)
         trace.mass_drift.append(md)
@@ -285,12 +323,6 @@ def run(
 
     append_tick(u, 0.0)
 
-    def advance(u_vals, stp, n_steps):
-        v = u_vals
-        for _ in range(n_steps):
-            v = stp.step(v)
-        return v
-
     outcome = Outcome.RAN_TO_T_END
     while t < cfg.t_end - 1e-14:
         u_save, t_save = u, t
@@ -300,7 +332,7 @@ def run(
         # local error probe by step doubling at the window start
         try:
             u_one = stepper.step(u)
-            u_two = half_stepper.step(half_stepper.step(u))
+            u_two = half_stepper.advance(u, 2)
             err = float(
                 np.sqrt(np.dot(grid.weights, np.abs(u_one - u_two) ** 2))
                 / max(np.sqrt(np.dot(grid.weights, np.abs(u_two) ** 2)), 1e-300)
@@ -319,29 +351,29 @@ def run(
 
         blown = False
         try:
-            u = advance(u, stepper, n_window)
+            u = stepper.advance(u, n_window)
             t = t_save + n_window * dt
         except FlowBlowup:
             blown = True
 
         if not blown:
             grad_now = np.sqrt(
-                functionals.report(RadialField(grid, u), params_ok).kinetic
+                functionals.report(RadialField(grid, u), params).kinetic
             )
             if grad_now > cfg.blowup_grad_factor * grad0:
                 # confirm under dt-refinement from the window start
                 confirmed = True
                 u_ref = None
                 try:
-                    u_ref = advance(u_save, half_stepper, 2 * n_window)
+                    u_ref = half_stepper.advance(u_save, 2 * n_window)
                     grad_ref = np.sqrt(
                         functionals.report(
-                            RadialField(grid, u_ref), params_ok
+                            RadialField(grid, u_ref), params
                         ).kinetic
                     )
                     grad_prev = np.sqrt(
                         functionals.report(
-                            RadialField(grid, u_save), params_ok
+                            RadialField(grid, u_save), params
                         ).kinetic
                     )
                     confirmed = (
@@ -374,9 +406,9 @@ def run(
             # NaN inside the window: refine once from the checkpoint to rule
             # out a step-size artifact, then call it blow-up
             try:
-                u_ref = advance(u_save, half_stepper, 2 * n_window)
+                u_ref = half_stepper.advance(u_save, 2 * n_window)
                 grad_ref = np.sqrt(
-                    functionals.report(RadialField(grid, u_ref), params_ok).kinetic
+                    functionals.report(RadialField(grid, u_ref), params).kinetic
                 )
                 if grad_ref > cfg.blowup_grad_factor * grad0:
                     outcome = Outcome.BLOWUP_DETECTED

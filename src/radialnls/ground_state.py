@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import solve_banded
 
 from . import functionals
 from .functionals import DEFAULT_PAIRS, ScalingPair
@@ -34,10 +33,10 @@ from .radial_grid import (
     EquationParams,
     RadialField,
     RadialGrid,
+    Tridiagonal,
     integrate,
     lap_gamma_diagonals,
     solve_helmholtz,
-    _lap_apply_raw,
 )
 
 #: pairs reported as stationarity residuals by both solvers
@@ -78,8 +77,8 @@ def _quotient_parts(grid, u, params):
 
 def _el_residual(grid, u, params):
     """-omega Q + Delta_gamma Q + Q^3 as a raw array (real input)."""
-    lower, diag, upper = lap_gamma_diagonals(grid, params.gamma, params.mu)
-    return -params.omega * u + _lap_apply_raw(u, lower, diag, upper) + u**3
+    lap = lap_gamma_diagonals(grid, params.gamma, params.mu)
+    return -params.omega * u + lap.apply(u) + u**3
 
 
 def _newton_polish(grid, u, params, steps):
@@ -88,7 +87,8 @@ def _newton_polish(grid, u, params, steps):
     Returns the refined profile, keeping the input if a step degrades the
     residual or breaks positivity of the core.
     """
-    lower, diag, upper = lap_gamma_diagonals(grid, params.gamma, params.mu)
+    lap = lap_gamma_diagonals(grid, params.gamma, params.mu)
+    lower, diag, upper = lap
     w = grid.weights
 
     def res_norm(q):
@@ -97,13 +97,10 @@ def _newton_polish(grid, u, params, steps):
     best, best_res = u, res_norm(u)
     q = u
     for _ in range(steps):
-        F = params.omega * q - _lap_apply_raw(q, lower, diag, upper) - q**3
-        ab = np.zeros((3, grid.n))
-        ab[0, 1:] = -upper
-        ab[1, :] = params.omega - diag - 3.0 * q**2
-        ab[2, :-1] = -lower
+        F = params.omega * q - lap.apply(q) - q**3
+        jacobian = Tridiagonal(-lower, params.omega - diag - 3.0 * q**2, -upper)
         try:
-            dq = solve_banded((1, 1), ab, F)
+            dq = jacobian.factor().solve(F)
         except np.linalg.LinAlgError:
             break
         q_new = q - dq

@@ -18,7 +18,7 @@ agree to round-off.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -310,9 +310,10 @@ def rigidity_probe(
     cutoff = build_cutoff(R, grid)
     C = remainder_bound_constant(params)
 
-    cfg = cfg or EvolutionConfig(dt=min(5e-4, grid.h), t_end=T)
-    cfg.t_end = T
-    cfg.absorb = False  # the identity holds for the conservative flow only
+    # the identity holds for the conservative flow only
+    cfg = replace(
+        cfg or EvolutionConfig(dt=min(5e-4, grid.h), t_end=T), t_end=T, absorb=False
+    )
     cfg.validate(grid)
     stepper = _Stepper(grid, params, cfg.dt, cfg.splitting_order, None)
 

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import get_lapack_funcs
 
 
 @dataclass(frozen=True)
@@ -151,9 +153,54 @@ def gradient_norm_sq(field: RadialField) -> float:
     return float(4.0 * np.pi * grid.h * np.sum(faces**2 * np.abs(du) ** 2))
 
 
+class Tridiagonal(NamedTuple):
+    """Tridiagonal matrix held as its (lower, diag, upper) diagonals."""
+
+    lower: np.ndarray
+    diag: np.ndarray
+    upper: np.ndarray
+
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        """The matrix-vector product."""
+        out = self.diag * u
+        out[:-1] += self.upper * u[1:]
+        out[1:] += self.lower * u[:-1]
+        return out
+
+    def factor(self) -> "TridiagonalLU":
+        """LU factorisation with partial pivoting (LAPACK ?gttrf); n >= 3."""
+        gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (self.diag,))
+        dl, d, du, du2, ipiv, info = gttrf(self.lower, self.diag, self.upper)
+        _check_info(info, "gttrf")
+        return TridiagonalLU(gttrs, (dl, d, du, du2, ipiv))
+
+
+class TridiagonalLU:
+    """Factors of a Tridiagonal; each solve costs one ?gttrs call."""
+
+    def __init__(self, gttrs, factors):
+        self._gttrs = gttrs
+        self._factors = factors
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        if np.iscomplexobj(rhs) and not np.iscomplexobj(self._factors[1]):
+            # a real ?gttrs would drop the imaginary part
+            return self.solve(rhs.real) + 1j * self.solve(rhs.imag)
+        x, info = self._gttrs(*self._factors, rhs)
+        _check_info(info, "gttrs")
+        return x
+
+
+def _check_info(info: int, routine: str) -> None:
+    if info > 0:
+        raise LinAlgError("singular tridiagonal matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {routine}")
+
+
 @lru_cache(maxsize=32)
-def lap_gamma_diagonals(grid: RadialGrid, gamma: float, mu: float):
-    """Tridiagonal (lower, diag, upper) of Delta_gamma = Delta - gamma/r^mu.
+def lap_gamma_diagonals(grid: RadialGrid, gamma: float, mu: float) -> Tridiagonal:
+    """Tridiagonal Delta_gamma = Delta - gamma/r^mu.
 
     Flux form of u'' + (2/r) u' on the staggered grid; symmetric under the
     quadrature weights and negative semidefinite.
@@ -168,24 +215,26 @@ def lap_gamma_diagonals(grid: RadialGrid, gamma: float, mu: float):
     lower.setflags(write=False)
     diag.setflags(write=False)
     upper.setflags(write=False)
-    return lower, diag, upper
+    return Tridiagonal(lower, diag, upper)
 
 
 def apply_lap_gamma(field: RadialField, params: EquationParams) -> RadialField:
     """Apply the discrete Delta_gamma to a field."""
-    lower, diag, upper = lap_gamma_diagonals(field.grid, params.gamma, params.mu)
-    u = field.values
-    out = diag * u
-    out[:-1] += upper * u[1:]
-    out[1:] += lower * u[:-1]
-    return RadialField(field.grid, out)
+    lap = lap_gamma_diagonals(field.grid, params.gamma, params.mu)
+    return RadialField(field.grid, lap.apply(field.values))
 
 
-def _lap_apply_raw(u: np.ndarray, lower, diag, upper) -> np.ndarray:
-    out = diag * u
-    out[:-1] += upper * u[1:]
-    out[1:] += lower * u[:-1]
-    return out
+class CrankNicolson:
+    """Crank-Nicolson propagator v = (Id - zL)^{-1} (Id + zL) u, z = i tau/2,
+    of L = Delta_gamma, with Id - zL factored once at construction."""
+
+    def __init__(self, lap: Tridiagonal, tau: float):
+        self._lap = lap
+        self._z = z = 0.5j * tau
+        self._lu = Tridiagonal(-z * lap.lower, 1.0 - z * lap.diag, -z * lap.upper).factor()
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        return self._lu.solve(u + self._z * self._lap.apply(u))
 
 
 def solve_cn(u_rhs: RadialField, tau: float, params: EquationParams) -> RadialField:
@@ -196,21 +245,8 @@ def solve_cn(u_rhs: RadialField, tau: float, params: EquationParams) -> RadialFi
     """
     if tau == 0.0:
         raise ValueError("tau must be nonzero")
-    grid = u_rhs.grid
-    lower, diag, upper = lap_gamma_diagonals(grid, params.gamma, params.mu)
-    z = 0.5j * tau
-    rhs = u_rhs.values + z * _lap_apply_raw(u_rhs.values, lower, diag, upper)
-    ab = np.zeros((3, grid.n), dtype=complex)
-    ab[0, 1:] = -z * upper
-    ab[1, :] = 1.0 - z * diag
-    ab[2, :-1] = -z * lower
-    try:
-        v = solve_banded((1, 1), ab, rhs)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - not reachable
-        raise RuntimeError(
-            "internal error: Crank-Nicolson tridiagonal solve failed"
-        ) from exc
-    return RadialField(grid, v)
+    lap = lap_gamma_diagonals(u_rhs.grid, params.gamma, params.mu)
+    return RadialField(u_rhs.grid, CrankNicolson(lap, tau)(u_rhs.values))
 
 
 def solve_helmholtz(
@@ -218,11 +254,8 @@ def solve_helmholtz(
 ) -> np.ndarray:
     """Solve (omega - Delta_gamma) x = rhs; the operator is positive definite."""
     lower, diag, upper = lap_gamma_diagonals(grid, params.gamma, params.mu)
-    ab = np.zeros((3, grid.n), dtype=rhs.dtype)
-    ab[0, 1:] = -upper
-    ab[1, :] = params.omega - diag
-    ab[2, :-1] = -lower
-    return solve_banded((1, 1), ab, rhs)
+    op = Tridiagonal(-lower, params.omega - diag, -upper)
+    return op.factor().solve(rhs)
 
 
 def interpolant(field: RadialField):

@@ -130,6 +130,19 @@ class TestEvolveCommand:
         assert (out / "snapshot_000.csv").exists()
         result = json.loads((out / "result.json").read_text())
         assert result["outcome"] == "ran_to_t_end"
+        # ticks fall every 0.01, so the requested time is a tick time
+        (snap,) = result["snapshots"]
+        assert snap["file"] == "snapshot_000.csv"
+        assert snap["t_requested"] == 0.05
+        assert snap["t"] == pytest.approx(0.05)
+
+    def test_infinite_t_end_exits_one(self, tmp_path, capsys):
+        rc = main([
+            "evolve", "--family", "gaussian", "--n", "512", "--r-max", "16",
+            "--t-end", "inf", "--out", str(tmp_path / "ev"),
+        ])
+        assert rc == 1
+        assert "t_end must be finite" in capsys.readouterr().err
 
 
 class TestClassifyCommand:

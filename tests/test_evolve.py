@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from radialnls import (
     EquationParams,
@@ -17,6 +18,7 @@ from radialnls import (
     step,
     virial,
 )
+from radialnls.evolve import Snapshot, _Stepper, absorbing_profile
 from radialnls.fields import gaussian, random_smooth_field
 
 
@@ -70,6 +72,87 @@ class TestStep:
         e2 = np.sqrt(integrate(grid, np.abs(evolve_to(1e-3) - ref) ** 2))
         assert 2.8 < e1 / e2 < 5.5
 
+    def test_global_fourth_order(self, params):
+        # halving dt reduces the fixed-time error by about 16 (fourth order).
+        # The order is asymptotic in dt |Delta_gamma|, so the grid is coarse
+        # enough (h = 1/4) for it to show at these step sizes
+        grid = build_grid(64, 16.0)
+        ground = minimize_quotient(params, grid)
+        u0 = RadialField(grid, 0.9 * ground.profile.values)
+        t_final = 0.5
+
+        def evolve_to(dt):
+            cfg = EvolutionConfig(dt=dt, t_end=t_final, monitor_every=40,
+                                  splitting_order=4, local_error_tol=np.inf,
+                                  decay_window=np.inf)
+            trace = run(u0, cfg, params)
+            assert trace.final_time == pytest.approx(t_final)
+            assert trace.dt_final == dt
+            return trace.final_state.values
+
+        ref = evolve_to(t_final / 5120)
+        e1 = np.sqrt(integrate(grid, np.abs(evolve_to(t_final / 160) - ref) ** 2))
+        e2 = np.sqrt(integrate(grid, np.abs(evolve_to(t_final / 320) - ref) ** 2))
+        assert 12.0 < e1 / e2 < 20.0
+        assert np.log2(e1 / e2) >= 3.5
+
+
+def _l2(grid, u):
+    return np.sqrt(integrate(grid, np.abs(u) ** 2))
+
+
+class TestFusedAdvance:
+    # the absorbing layer covers most of the domain, so the damped seam
+    # between steps acts where the data lives
+    grid = build_grid(256, 8.0)
+    absorb_w = absorbing_profile(grid, 6.0, 50.0)
+
+    def datum(self, seed, amplitude):
+        rng = np.random.default_rng(seed)
+        return amplitude * random_smooth_field(
+            self.grid, rng, complex_phase=True).values
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        amplitude=st.floats(0.1, 3.0),
+        n_steps=st.integers(1, 12),
+        dt=st.floats(1e-4, 1e-2),
+        order=st.sampled_from([2, 4]),
+        absorb=st.booleans(),
+    )
+    def test_matches_repeated_step(self, params, seed, amplitude, n_steps,
+                                   dt, order, absorb):
+        stepper = _Stepper(self.grid, params, dt, order,
+                           self.absorb_w if absorb else None)
+        u = self.datum(seed, amplitude)
+        stepwise = u
+        for _ in range(n_steps):
+            stepwise = stepper.step(stepwise)
+        fused = stepper.advance(u, n_steps)
+        assert _l2(self.grid, fused - stepwise) <= 1e-12 * _l2(self.grid, stepwise)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        amplitude=st.floats(0.1, 3.0),
+        n_steps=st.integers(1, 50),
+        dt=st.floats(1e-4, 1e-2),
+        order=st.sampled_from([2, 4]),
+    )
+    def test_conserves_mass(self, params, seed, amplitude, n_steps, dt, order):
+        stepper = _Stepper(self.grid, params, dt, order)
+        u = self.datum(seed, amplitude)
+        m0 = integrate(self.grid, np.abs(u) ** 2)
+        m1 = integrate(self.grid, np.abs(stepper.advance(u, n_steps)) ** 2)
+        assert m1 == pytest.approx(m0, rel=1e-12)
+
+    def test_does_not_mutate_input(self, params):
+        u = self.datum(7, 1.0)
+        before = u.copy()
+        _Stepper(self.grid, params, 1e-3, 4, self.absorb_w).advance(u, 3)
+        assert np.array_equal(u, before)
+
 
 class TestConservation:
     def test_drift_small_over_short_run(self, ground_small_state, params):
@@ -107,6 +190,17 @@ class TestStandingWave:
         phases = np.unwrap(trace.phase)
         rate = np.polyfit(trace.times, phases, 1)[0]
         assert rate == pytest.approx(params.omega, rel=0.01)
+
+
+class TestValidation:
+    @pytest.mark.parametrize(
+        "name", ["dt", "t_end", "absorb_width", "absorb_strength", "min_dt"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_rejected(self, name, value):
+        cfg = EvolutionConfig(dt=1e-3, t_end=1.0)
+        setattr(cfg, name, value)
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            cfg.validate(build_grid(2048, 16.0))
 
 
 class TestAbsorbingLayer:
@@ -179,6 +273,21 @@ class TestDetectors:
         trace = run(u0, cfg, params, snapshot_times=(0.05, 0.1))
         assert len(trace.snapshots) == 2
         assert trace.snapshots[0][0] == pytest.approx(0.05)
+
+    def test_snapshot_records_tick_time(self, ground_small_state, params):
+        # ticks fall every 0.02: the snapshot asked for at 0.13 holds the
+        # state of the tick at 0.14 and says so
+        grid = ground_small_state.profile.grid
+        u0 = RadialField(grid, 0.5 * ground_small_state.profile.values)
+        cfg = EvolutionConfig(dt=1e-3, t_end=0.2, monitor_every=20,
+                              decay_window=np.inf)
+        (snap,) = run(u0, cfg, params, snapshot_times=(0.13,)).snapshots
+        assert isinstance(snap, Snapshot)
+        assert snap.t_requested == 0.13
+        assert snap.t == pytest.approx(0.14)
+        cfg.t_end = 0.14
+        state = run(u0, cfg, params).final_state.values
+        assert np.array_equal(snap.values, state)
 
 
 class TestMonitorKBound:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from radialnls import (
     EquationParams,
@@ -12,7 +13,7 @@ from radialnls import (
     solve_cn,
 )
 from radialnls.fields import random_smooth_field
-from radialnls.radial_grid import inner_product
+from radialnls.radial_grid import Tridiagonal, inner_product
 
 
 def gaussian_field(grid, width=1.0):
@@ -178,6 +179,37 @@ class TestSolveCN:
         f = RadialField(grid_small, np.zeros(grid_small.n, dtype=complex))
         with pytest.raises(ValueError):
             solve_cn(f, 0.0, params_default)
+
+
+class TestTridiagonal:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        n=st.integers(3, 300),
+        seed=st.integers(0, 2**32 - 1),
+        complex_matrix=st.booleans(),
+        complex_vector=st.booleans(),
+    )
+    def test_solve_inverts_apply(self, n, seed, complex_matrix, complex_vector):
+        rng = np.random.default_rng(seed)
+
+        def draw(size, complex_entries):
+            x = rng.uniform(-1.0, 1.0, size)
+            if complex_entries:
+                x = x + 1j * rng.uniform(-1.0, 1.0, size)
+            return x
+
+        # diagonal dominance keeps the condition number below ~5
+        lower, upper = draw(n - 1, complex_matrix), draw(n - 1, complex_matrix)
+        diag = draw(n, complex_matrix) + 3.0 * np.sign(rng.uniform(-1.0, 1.0, n))
+        op = Tridiagonal(lower, diag, upper)
+        x = draw(n, complex_vector)
+        y = op.factor().solve(op.apply(x))
+        assert np.linalg.norm(y - x) <= 1e-12 * np.linalg.norm(x)
+
+    def test_singular_raises(self):
+        op = Tridiagonal(np.zeros(3), np.zeros(4), np.zeros(3))
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            op.factor()
 
 
 class TestFieldValidation:

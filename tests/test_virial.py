@@ -184,6 +184,14 @@ class TestRigidityProbe:
         assert rep.remainder_bound_ok
         assert rep.second_diff_max_rel_err <= 1e-3
 
+    def test_caller_config_unchanged(self, ground32, params):
+        grid = ground32.profile.grid
+        u0 = RadialField(grid, 0.9 * ground32.profile.values)
+        cfg = EvolutionConfig(dt=5e-4, t_end=9.0, monitor_every=50, absorb=True)
+        rigidity_probe(u0, params, ground32.level, 0.1, cfg)
+        assert cfg.t_end == 9.0
+        assert cfg.absorb is True
+
     def test_smaller_datum_more_convex(self, ground32, params):
         grid = ground32.profile.grid
         cfg = EvolutionConfig(dt=5e-4, t_end=1.0, monitor_every=50,
