@@ -19,7 +19,7 @@ import numpy as np
 from . import evolve, functionals
 from .evolve import EvolutionConfig, Outcome
 from .fields import gaussian
-from .functionals import DEFAULT_PAIRS, ScalingPair
+from .functionals import DEFAULT_PAIRS, VIRIAL_PAIR, ScalingPair
 from .ground_state import GroundStateResult
 from .radial_grid import (
     EquationParams,
@@ -102,14 +102,13 @@ def classify(
     """
     if not ground.converged:
         raise ValueError("ground state result did not converge")
-    s_value = functionals.report(u0, params).action
-    below = s_value < ground.level
-    k_values = {p: functionals.k_alpha_beta(u0, p, params) for p in pairs}
+    rep = functionals.report(u0, params)
+    below = rep.action < ground.level
+    k_values = {p: rep.k(p, params) for p in pairs}
     k_signs = {p: (1 if v >= 0.0 else -1) for p, v in k_values.items()}
-    k_vir = functionals.virial(u0, params)
     if not below:
         predicted = Predicted.OUT_OF_SCOPE
-    elif k_vir >= 0.0:
+    elif rep.k(VIRIAL_PAIR, params) >= 0.0:
         predicted = Predicted.SCATTER
     else:
         predicted = Predicted.BLOWUP
@@ -117,7 +116,7 @@ def classify(
     if q10 is not None:
         me = mass_energy_criterion(u0, params, q10)
     return ClassificationVerdict(
-        s_value=s_value,
+        s_value=rep.action,
         below_threshold=below,
         k_signs=k_signs,
         k_values=k_values,
@@ -164,7 +163,7 @@ def mass_energy_criterion(
         me_product_below=me_below,
         grad_product_below=prod_grad < thr_grad,
         grad_product_above=(not negative) and prod_grad > thr_grad,
-        k_gamma_nonneg=functionals.virial(u0, params) >= 0.0,
+        k_gamma_nonneg=rep.k(VIRIAL_PAIR, params) >= 0.0,
         negative_energy=negative,
         boundary_case=boundary,
     )
@@ -202,16 +201,15 @@ def sign_splitting_check(
     """
     entries = []
     for i, f in enumerate(family):
-        s_value = functionals.report(f, params).action
-        if not (s_value < ground.level):
+        rep = functionals.report(f, params)
+        if not (rep.action < ground.level):
             entries.append(
-                SignSplittingEntry(i, s_value, True, {}, True)
+                SignSplittingEntry(i, rep.action, True, {}, True)
             )
             continue
-        values = {p: functionals.k_alpha_beta(f, p, params) for p in pairs}
-        signs = {p: (1 if v >= 0.0 else -1) for p, v in values.items()}
+        signs = {p: (1 if rep.k(p, params) >= 0.0 else -1) for p in pairs}
         unanimous = len(set(signs.values())) == 1
-        entries.append(SignSplittingEntry(i, s_value, False, signs, unanimous))
+        entries.append(SignSplittingEntry(i, rep.action, False, signs, unanimous))
     active = [e for e in entries if not e.skipped]
     return SignSplittingReport(
         entries=entries,
@@ -293,34 +291,15 @@ SWEEP_HEADER = ["c", "w", "S", "below_threshold", "K_gamma", "predicted", "empir
 
 def _sweep_row(task):
     """One sweep row; module-level so worker processes can pickle it."""
-    (label, u0, params, ground_level, pairs, cfg_dict, do_verify) = task
-    verdict_like = None
-    s_value = functionals.report(u0, params).action
-    k_vir = functionals.virial(u0, params)
-    below = s_value < ground_level
-    if not below:
-        predicted = Predicted.OUT_OF_SCOPE
-    elif k_vir >= 0.0:
-        predicted = Predicted.SCATTER
-    else:
-        predicted = Predicted.BLOWUP
-    empirical = Empirical.INCONCLUSIVE
+    (label, u0, params, ground, cfg, do_verify) = task
+    verdict = classify(u0, params, ground, pairs=(VIRIAL_PAIR,))
+    predicted = verdict.predicted
     if do_verify and predicted is not Predicted.OUT_OF_SCOPE:
-        verdict_like = ClassificationVerdict(
-            s_value=s_value,
-            below_threshold=below,
-            k_signs={},
-            k_values={},
-            predicted=predicted,
-            empirical=Empirical.INCONCLUSIVE,
-            threshold_level=ground_level,
-        )
-        cfg = EvolutionConfig(**cfg_dict)
         try:
-            verdict_like = verify_empirically(verdict_like, u0, cfg, params)
-            empirical = verdict_like.empirical
+            verdict = verify_empirically(verdict, u0, cfg, params)
         except (RuntimeError, ValueError):
-            empirical = Empirical.INCONCLUSIVE
+            pass
+    empirical = verdict.empirical
     if predicted is Predicted.OUT_OF_SCOPE:
         agree = ""
     else:
@@ -329,7 +308,9 @@ def _sweep_row(task):
             or (predicted is Predicted.BLOWUP and empirical is Empirical.BLOWUP)
         )
     c, w = label
-    return [c, w, s_value, below, k_vir, predicted.value, empirical.value, agree]
+    k_vir = verdict.k_values[VIRIAL_PAIR]
+    return [c, w, verdict.s_value, verdict.below_threshold, k_vir,
+            predicted.value, empirical.value, agree]
 
 
 def sweep(
@@ -337,7 +318,6 @@ def sweep(
     params: EquationParams,
     ground: GroundStateResult,
     cfg: EvolutionConfig,
-    pairs: tuple[ScalingPair, ...] = DEFAULT_PAIRS,
     verify: bool = True,
     workers: int = 1,
 ):
@@ -348,11 +328,9 @@ def sweep(
     """
     if not ground.converged:
         raise ValueError("ground state result did not converge")
-    fam = family_fields(spec, ground)
-    cfg_dict = dict(cfg.__dict__)
     tasks = [
-        (label, u0, params, ground.level, pairs, cfg_dict, verify)
-        for label, u0 in fam
+        (label, u0, params, ground, cfg, verify)
+        for label, u0 in family_fields(spec, ground)
     ]
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -16,6 +16,7 @@ import sys
 import time
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -56,7 +57,6 @@ class RunConfig:
     decay_window: float = 2.0
     splitting_order: int = 2
     out: str = "out"
-    seed: int = 0
     family: str = "cQ"
     amplitude: float = 0.9
     width: float = 1.0
@@ -75,17 +75,12 @@ class RunConfig:
         return build_grid(self.n, self.R_max)
 
     def evolution(self) -> EvolutionConfig:
-        return EvolutionConfig(
-            dt=self.dt,
-            t_end=self.t_end,
-            monitor_every=self.monitor_every,
-            absorb=self.absorb,
-            absorb_width=self.absorb_width,
-            absorb_strength=self.absorb_strength,
-            blowup_grad_factor=self.blowup_grad_factor,
-            decay_window=self.decay_window,
-            splitting_order=self.splitting_order,
-        )
+        """EvolutionConfig from every field RunConfig shares with it."""
+        own = {f.name for f in dataclass_fields(self)}
+        return EvolutionConfig(**{
+            f.name: getattr(self, f.name)
+            for f in dataclass_fields(EvolutionConfig) if f.name in own
+        })
 
 
 def _parse_bool(text: str) -> bool:
@@ -113,15 +108,7 @@ _PARSERS = {
 }
 
 _FIELD_TYPES = {
-    "gamma": float, "mu": float, "omega": float, "R_max": float, "dt": float,
-    "t_end": float, "absorb_width": float, "absorb_strength": float,
-    "blowup_grad_factor": float, "decay_window": float, "amplitude": float,
-    "width": float, "t_probe": float,
-    "n": int, "monitor_every": int, "seed": int, "workers": int,
-    "splitting_order": int,
-    "absorb": bool, "verify": bool, "with_oracle": bool,
-    "out": str, "family": str,
-    "amplitudes": tuple, "widths": tuple, "snapshot_times": tuple,
+    name: tp for name, tp in get_type_hints(RunConfig).items() if name != "command"
 }
 
 
@@ -378,7 +365,6 @@ def _add_common(sub):
     sub.add_argument("--n", type=int)
     sub.add_argument("--r-max", dest="R_max", type=float)
     sub.add_argument("--out")
-    sub.add_argument("--seed", type=int)
 
 
 def _add_evolution(sub):

@@ -34,6 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import functionals
+from .functionals import VIRIAL_PAIR
 from .radial_grid import (
     CrankNicolson,
     EquationParams,
@@ -45,6 +46,14 @@ from .radial_grid import (
 #: Yoshida triple-jump coefficients for the order-4 composition
 _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 _W0 = 1.0 - 2.0 * _W1
+
+#: decay test: a rise of the L^4 norm over its running minimum by more than
+#: this factor breaks decay, and the window must end this far below its start
+DECAY_RIPPLE = 1.05
+DECAY_NET_DROP = 0.98
+
+#: slack of the run-time K_gamma lower bound
+K_BOUND_TOL = 1e-6
 
 
 class Outcome(enum.Enum):
@@ -71,8 +80,6 @@ class EvolutionConfig:
     splitting_order: int = 2
     local_error_tol: float = 1e-6
     min_dt: float = 1e-12
-    decay_ripple: float = 1.05
-    decay_net_drop: float = 0.98
 
     def validate(self, grid: RadialGrid) -> None:
         for name in ("dt", "t_end", "absorb_width", "absorb_strength", "min_dt"):
@@ -215,7 +222,7 @@ def monitor_k_bound(
     S0: float,
     level: float,
     params: EquationParams,
-    tol: float = 1e-6,
+    tol: float = K_BOUND_TOL,
 ) -> bool:
     """Run-time lower bound on the virial functional.
 
@@ -224,31 +231,13 @@ def monitor_k_bound(
     """
     if not (S0 < level):
         raise ValueError("bound applies only to data strictly below the threshold")
-    rep = functionals.report(u_t, params)
-    K = functionals.virial(u_t, params)
+    return _k_bound_ok(functionals.report(u_t, params), S0, level, params, tol)
+
+
+def _k_bound_ok(rep, S0, level, params, tol=K_BOUND_TOL) -> bool:
+    """The monitor_k_bound test on the report of u(t)."""
     floor = min(level - S0, (2.0 * params.mu / 7.0) * rep.sobolev_gamma_sq)
-    return bool(K >= floor - tol)
-
-
-def _tick(u_vals, grid, params, m0, e0, reference):
-    f = RadialField(grid, u_vals)
-    rep = functionals.report(f, params)
-    K = functionals.virial(f, params)
-    mass_drift = (rep.mass - m0) / m0 if m0 > 0 else rep.mass
-    energy_drift = (rep.energy - e0) / abs(e0) if abs(e0) > 1e-300 else rep.energy
-    l4 = rep.quartic**0.25
-    grad = np.sqrt(rep.kinetic)
-    phase = 0.0
-    amp_dev = 0.0
-    if reference is not None:
-        qv = reference.values
-        ip = np.dot(grid.weights, np.conj(qv) * u_vals)
-        phase = float(np.angle(ip))
-        qnorm = np.sqrt(np.dot(grid.weights, np.abs(qv) ** 2))
-        amp_dev = float(
-            np.sqrt(np.dot(grid.weights, (np.abs(u_vals) - np.abs(qv)) ** 2)) / qnorm
-        )
-    return rep, K, mass_drift, energy_drift, l4, float(grad), phase, amp_dev
+    return bool(rep.k(VIRIAL_PAIR, params) >= floor - tol)
 
 
 def run(
@@ -267,15 +256,29 @@ def run(
     and modulus-deviation channels against a fixed profile.  Snapshots are
     taken at the first monitor tick at or past each requested time and
     record both times.
+
+    The flow advances in windows of `monitor_every` steps, and one rule
+    refines them.  A step-doubling error probe above local_error_tol at the
+    window start halves dt and doubles the cadence before the window runs.
+    A window that leaves floating-point range, or ends with a gradient norm
+    above blowup_grad_factor times the initial one, is run again from its
+    start at dt/2.  Blow-up is confirmed when that re-run leaves
+    floating-point range too, or ends with a gradient norm above the limit
+    and above the window start's.  Otherwise the spike was a step-size
+    artifact: the re-run state is adopted and dt is halved.  A halving that
+    takes dt below min_dt aborts.  Every window that adopts a state records
+    its monitor tick, so trace.times[-1] == trace.final_time on every
+    outcome.
     """
     grid = u0.grid
     cfg.validate(grid)
 
-    rep0 = functionals.report(u0, params)
-    m0, e0 = rep0.mass, rep0.energy
-    S0 = rep0.action
-    K0 = functionals.virial(u0, params)
-    monitor_bound = level is not None and S0 < level and K0 > 0.0
+    rep = functionals.report(u0, params)
+    m0, e0, S0 = rep.mass, rep.energy, rep.action
+    monitor_bound = (
+        level is not None and S0 < level and rep.k(VIRIAL_PAIR, params) > 0.0
+    )
+    grad_limit = cfg.blowup_grad_factor * np.sqrt(rep.kinetic)
 
     absorb_w = (
         absorbing_profile(grid, cfg.absorb_width, cfg.absorb_strength)
@@ -288,7 +291,6 @@ def run(
     trace = EvolutionTrace()
     u = u0.values.astype(complex)
     t = 0.0
-    grad0 = np.sqrt(rep0.kinetic)
 
     def make_stepper(dt_):
         return _Stepper(grid, params, dt_, cfg.splitting_order, absorb_w)
@@ -296,36 +298,60 @@ def run(
     stepper = make_stepper(dt)
     half_stepper = make_stepper(dt / 2.0)
 
+    def refine():
+        """Halve dt and double the cadence; False once dt is below min_dt."""
+        nonlocal dt, every, stepper, half_stepper
+        dt /= 2.0
+        every *= 2
+        if dt < cfg.min_dt:
+            return False
+        stepper = make_stepper(dt)
+        half_stepper = make_stepper(dt / 2.0)
+        return True
+
+    def rerun_halved(u_start, n):
+        """(state, report) after the n-step window from u_start redone at
+        dt/2, or (None, None) if it leaves floating-point range."""
+        try:
+            u_ref = half_stepper.advance(u_start, 2 * n)
+        except FlowBlowup:
+            return None, None
+        return u_ref, functionals.report(RadialField(grid, u_ref), params)
+
     pending_snapshots = sorted(snapshot_times)
 
-    def append_tick(u_vals, t_now):
+    def append_tick(u_vals, t_now, rep):
         while pending_snapshots and t_now >= pending_snapshots[0] - 1e-12:
             trace.snapshots.append(
                 Snapshot(pending_snapshots.pop(0), t_now, u_vals.copy())
             )
-        rep, K, md, ed, l4, grad, phase, amp_dev = _tick(
-            u_vals, grid, params, m0, e0, reference
-        )
-        k_ok = True
-        if monitor_bound:
-            floor = min(level - S0, (2.0 * params.mu / 7.0) * rep.sobolev_gamma_sq)
-            k_ok = bool(K >= floor - 1e-6)
+        phase = amp_dev = 0.0
+        if reference is not None:
+            qv = reference.values
+            ip = np.dot(grid.weights, np.conj(qv) * u_vals)
+            phase = float(np.angle(ip))
+            qnorm = np.sqrt(np.dot(grid.weights, np.abs(qv) ** 2))
+            dev = (np.abs(u_vals) - np.abs(qv)) ** 2
+            amp_dev = float(np.sqrt(np.dot(grid.weights, dev)) / qnorm)
         trace.times.append(t_now)
-        trace.mass_drift.append(md)
-        trace.energy_drift.append(ed)
-        trace.l4_norm.append(l4)
-        trace.grad_norm.append(grad)
-        trace.virial_K.append(K)
-        trace.k_lower_bound_ok.append(k_ok)
+        trace.mass_drift.append((rep.mass - m0) / m0 if m0 > 0 else rep.mass)
+        trace.energy_drift.append(
+            (rep.energy - e0) / abs(e0) if abs(e0) > 1e-300 else rep.energy
+        )
+        trace.l4_norm.append(rep.quartic**0.25)
+        trace.grad_norm.append(float(np.sqrt(rep.kinetic)))
+        trace.virial_K.append(rep.k(VIRIAL_PAIR, params))
+        trace.k_lower_bound_ok.append(
+            not monitor_bound or _k_bound_ok(rep, S0, level, params)
+        )
         trace.phase.append(phase)
         trace.ref_amp_dev.append(amp_dev)
-        return grad
 
-    append_tick(u, 0.0)
+    append_tick(u, t, rep)
 
-    outcome = Outcome.RAN_TO_T_END
-    while t < cfg.t_end - 1e-14:
-        u_save, t_save = u, t
+    outcome = None
+    while outcome is None and t < cfg.t_end - 1e-14:
+        u_save, t_save, rep_save = u, t, rep
         steps_left = int(np.ceil((cfg.t_end - t) / dt - 1e-9))
         n_window = min(every, max(steps_left, 1))
 
@@ -340,99 +366,42 @@ def run(
         except FlowBlowup:
             err = np.inf
         if err > cfg.local_error_tol:
-            dt /= 2.0
-            every *= 2
-            if dt < cfg.min_dt:
+            if not refine():
                 outcome = Outcome.ABORTED
-                break
-            stepper = make_stepper(dt)
-            half_stepper = make_stepper(dt / 2.0)
             continue
 
-        blown = False
+        t = t_save + n_window * dt
         try:
             u = stepper.advance(u, n_window)
-            t = t_save + n_window * dt
+            rep = functionals.report(RadialField(grid, u), params)
         except FlowBlowup:
-            blown = True
-
-        if not blown:
-            grad_now = np.sqrt(
-                functionals.report(RadialField(grid, u), params).kinetic
-            )
-            if grad_now > cfg.blowup_grad_factor * grad0:
-                # confirm under dt-refinement from the window start
-                confirmed = True
-                u_ref = None
-                try:
-                    u_ref = half_stepper.advance(u_save, 2 * n_window)
-                    grad_ref = np.sqrt(
-                        functionals.report(
-                            RadialField(grid, u_ref), params
-                        ).kinetic
-                    )
-                    grad_prev = np.sqrt(
-                        functionals.report(
-                            RadialField(grid, u_save), params
-                        ).kinetic
-                    )
-                    confirmed = (
-                        grad_ref > cfg.blowup_grad_factor * grad0
-                        and grad_ref > grad_prev
-                    )
-                except FlowBlowup:
-                    pass
-                if confirmed:
-                    if u_ref is not None and np.all(np.isfinite(u_ref)):
-                        u = u_ref
-                    append_tick(u, t)
-                    outcome = Outcome.BLOWUP_DETECTED
-                    break
-                # transient: adopt the refined step size and state
-                u = u_ref
-                dt /= 2.0
-                every *= 2
-                if dt < cfg.min_dt:
-                    append_tick(u, t)
-                    outcome = Outcome.ABORTED
-                    break
-                stepper = make_stepper(dt)
-                half_stepper = make_stepper(dt / 2.0)
-            append_tick(u, t)
-            if _decay_detected(trace, cfg, monitor_bound):
-                outcome = Outcome.DECAY_DETECTED
-                break
-        else:
-            # NaN inside the window: refine once from the checkpoint to rule
-            # out a step-size artifact, then call it blow-up
-            try:
-                u_ref = half_stepper.advance(u_save, 2 * n_window)
-                grad_ref = np.sqrt(
-                    functionals.report(RadialField(grid, u_ref), params).kinetic
-                )
-                if grad_ref > cfg.blowup_grad_factor * grad0:
-                    outcome = Outcome.BLOWUP_DETECTED
-                    u, t = u_ref, t_save + n_window * dt
-                    break
-                u, t = u_ref, t_save + n_window * dt
-                dt /= 2.0
-                every *= 2
-                if dt < cfg.min_dt:
-                    outcome = Outcome.ABORTED
-                    break
-                stepper = make_stepper(dt)
-                half_stepper = make_stepper(dt / 2.0)
-                append_tick(u, t)
-            except FlowBlowup:
+            u = rep = None
+        if rep is None or np.sqrt(rep.kinetic) > grad_limit:
+            # non-finite or spiking window: confirm from its start at dt/2
+            u_ref, rep_ref = rerun_halved(u_save, n_window)
+            if rep_ref is None or (
+                np.sqrt(rep_ref.kinetic) > grad_limit
+                and np.sqrt(rep_ref.kinetic) > np.sqrt(rep_save.kinetic)
+            ):
                 outcome = Outcome.BLOWUP_DETECTED
-                u, t = u_save, t_save
-                break
+                if u_ref is not None:
+                    u, rep = u_ref, rep_ref
+                elif u is None:
+                    # both runs left floating-point range: nothing to adopt
+                    u, t, rep = u_save, t_save, rep_save
+                    break
+            else:
+                u, rep = u_ref, rep_ref
+                if not refine():
+                    outcome = Outcome.ABORTED
+        append_tick(u, t, rep)
+        if outcome is None and _decay_detected(trace, cfg, monitor_bound):
+            outcome = Outcome.DECAY_DETECTED
 
-    trace.outcome = outcome
+    trace.outcome = outcome or Outcome.RAN_TO_T_END
     trace.final_time = t
     trace.dt_final = dt
-    if np.all(np.isfinite(u)):
-        trace.final_state = RadialField(grid, u)
+    trace.final_state = RadialField(grid, u)
     return trace
 
 
@@ -462,7 +431,7 @@ def _decay_detected(trace, cfg, monitor_bound):
     l4 = [trace.l4_norm[i] for i in idx]
     running_min = l4[0]
     for v in l4[1:]:
-        if v > cfg.decay_ripple * running_min:
+        if v > DECAY_RIPPLE * running_min:
             return False
         running_min = min(running_min, v)
-    return l4[-1] <= cfg.decay_net_drop * l4[0]
+    return l4[-1] <= DECAY_NET_DROP * l4[0]

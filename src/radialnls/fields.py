@@ -15,10 +15,6 @@ def gaussian(
     return RadialField(grid, vals.astype(complex))
 
 
-def scaled(field: RadialField, c: float) -> RadialField:
-    return RadialField(field.grid, c * field.values)
-
-
 def random_smooth_field(
     grid: RadialGrid,
     rng: np.random.Generator,

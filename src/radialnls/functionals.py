@@ -27,6 +27,7 @@ from .radial_grid import (
     gradient_norm_sq,
     integrate,
     interpolant,
+    node_gradient,
 )
 
 
@@ -84,21 +85,27 @@ class FunctionalReport:
             "h1_omega_gamma_sq": self.h1_omega_gamma_sq,
         }
 
+    def k(self, pair: ScalingPair, params: EquationParams) -> float:
+        """K^{alpha,beta} of the reported field: its four integrals dotted
+        with k_coefficients, so no quadrature is repeated."""
+        cm, ck, cp, cq = k_coefficients(pair, params.mu)
+        return (
+            cm * params.omega * self.mass
+            + ck * self.kinetic
+            + cp * self.potential_term
+            + cq * self.quartic
+        )
 
-def _parts(f: RadialField, params: EquationParams):
-    """(mass, kinetic, potential_term, quartic) with the grid quadrature."""
+
+def report(f: RadialField, params: EquationParams) -> FunctionalReport:
+    """Evaluate the four integrals (mass, kinetic, potential, quartic) once,
+    and the energy, action and norms derived from them."""
     grid, u = f.grid, f.values
     dens = np.abs(u) ** 2
     mass = integrate(grid, dens)
     kinetic = gradient_norm_sq(f)
     potential = integrate(grid, params.gamma / grid.r**params.mu * dens)
     quartic = integrate(grid, dens**2)
-    return mass, kinetic, potential, quartic
-
-
-def report(f: RadialField, params: EquationParams) -> FunctionalReport:
-    """Evaluate mass, energy, action and the derived norms on one field."""
-    mass, kinetic, potential, quartic = _parts(f, params)
     energy = 0.5 * kinetic + 0.5 * potential - 0.25 * quartic
     action = 0.5 * params.omega * mass + energy
     sobolev = kinetic + potential
@@ -127,9 +134,7 @@ def k_coefficients(pair: ScalingPair, mu: float):
 
 def k_alpha_beta(f: RadialField, pair: ScalingPair, params: EquationParams) -> float:
     """K^{alpha,beta}(f), the action derivative along the (alpha,beta) scaling."""
-    cm, ck, cp, cq = k_coefficients(pair, params.mu)
-    mass, kinetic, potential, quartic = _parts(f, params)
-    return cm * params.omega * mass + ck * kinetic + cp * potential + cq * quartic
+    return report(f, params).k(pair, params)
 
 
 def nehari(f: RadialField, params: EquationParams) -> float:
@@ -145,7 +150,7 @@ def virial(f: RadialField, params: EquationParams) -> float:
 def t_alpha_beta(f: RadialField, pair: ScalingPair, params: EquationParams) -> float:
     """T^{alpha,beta} = S - K^{alpha,beta} / (2 alpha - beta)."""
     rep = report(f, params)
-    return rep.action - k_alpha_beta(f, pair, params) / (2.0 * pair.alpha - pair.beta)
+    return rep.action - rep.k(pair, params) / (2.0 * pair.alpha - pair.beta)
 
 
 def rescaled_field(f: RadialField, lam: float, pair: ScalingPair) -> RadialField:
@@ -196,12 +201,7 @@ def radial_sobolev_ratio(f: RadialField, R: float) -> float:
     dens = np.abs(f.values) ** 2
     l4 = integrate(grid, np.where(mask, dens**2, 0.0))
     l2 = integrate(grid, np.where(mask, dens, 0.0))
-    # node-centered derivative restricted to the tail (diagnostic quadrature)
-    u = f.values
-    du = np.empty(grid.n, dtype=u.dtype)
-    du[1:-1] = (u[2:] - u[:-2]) / (2.0 * grid.h)
-    du[0] = (u[1] - u[0]) / (2.0 * grid.h)
-    du[-1] = (0.0 - u[-2]) / (2.0 * grid.h)
+    du = node_gradient(grid, f.values)
     grad = integrate(grid, np.where(mask, np.abs(du) ** 2, 0.0))
     denom = R**-2.0 * l2**1.5 * np.sqrt(grad)
     if denom <= 0.0 or not np.isfinite(denom) or denom < 1e-300:

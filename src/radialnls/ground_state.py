@@ -65,14 +65,18 @@ class GroundStateResult:
     grad_norm: float = 0.0
     shoot_amplitude: float | None = None
 
-    def h1_norm_sq(self) -> float:
-        return functionals.report(self.profile, self.params).h1_omega_gamma_sq
-
 
 def _quotient_parts(grid, u, params):
-    f = RadialField(grid, u.astype(complex))
-    rep = functionals.report(f, params)
+    """(||u||^2_{H^1_{omega,gamma}}, ||u||_4^4), the quotient's numerator and
+    denominator parts, from one functional report."""
+    rep = functionals.report(RadialField(grid, u.astype(complex)), params)
     return rep.h1_omega_gamma_sq, rep.quartic
+
+
+def _residuals(profile, params):
+    """The level and the K^{alpha,beta} residuals of a profile, from one report."""
+    rep = functionals.report(profile, params)
+    return rep.action, {p: rep.k(p, params) for p in RESIDUAL_PAIRS}
 
 
 def _el_residual(grid, u, params):
@@ -132,23 +136,18 @@ def minimize_quotient(
     r = grid.r
     u = np.exp(-(r**2))
 
-    def A_of(q):
-        return _quotient_parts(grid, q, params)[0]
-
-    def B_of(q):
-        return _quotient_parts(grid, q, params)[1]
-
-    A, B = A_of(u), B_of(u)
+    A, B = _quotient_parts(grid, u, params)
     if B <= 0.0 or A <= 0.0:
         raise RuntimeError("initial iterate degenerate; cannot start descent")
     u = u * np.sqrt(A / B)
-    J = A_of(u) ** 2 / (4.0 * B_of(u))
+    # A, B always hold the parts of the current iterate u
+    A, B = _quotient_parts(grid, u, params)
+    J = A**2 / (4.0 * B)
     grad_rel = np.inf
     iterations = 0
     converged = False
     for it in range(opts.max_iter):
         iterations = it + 1
-        A, B = A_of(u), B_of(u)
         if B < 1e-280 or A < 1e-280:
             raise RuntimeError(
                 "iterate collapsed to the zero field; reduce the descent step "
@@ -164,9 +163,8 @@ def minimize_quotient(
         accepted = False
         for _ in range(40):
             v = np.abs(u - step * g)
-            Bv = B_of(v)
+            Av, Bv = _quotient_parts(grid, v, params)
             if Bv > 0.0:
-                Av = A_of(v)
                 Jv = Av**2 / (4.0 * Bv)
                 if Jv < J:
                     u = v * np.sqrt(Av / Bv)
@@ -177,7 +175,8 @@ def minimize_quotient(
             # line search exhausted: J is at its round-off floor
             converged = True
             break
-        J_new = A_of(u) ** 2 / (4.0 * B_of(u))
+        A, B = _quotient_parts(grid, u, params)
+        J_new = A**2 / (4.0 * B)
         if abs(J - J_new) <= opts.j_rel_tol * abs(J):
             J = J_new
             converged = True
@@ -186,13 +185,10 @@ def minimize_quotient(
 
     u, res = _newton_polish(grid, u, params, opts.newton_steps)
     profile = RadialField(grid, u.astype(complex))
-    rep = functionals.report(profile, params)
-    k_res = {
-        p: functionals.k_alpha_beta(profile, p, params) for p in RESIDUAL_PAIRS
-    }
+    level, k_res = _residuals(profile, params)
     return GroundStateResult(
         profile=profile,
-        level=rep.action,
+        level=level,
         ode_residual=res,
         k_residuals=k_res,
         iterations=iterations,
@@ -299,16 +295,13 @@ def shoot_ode(
     q[inside] = sol.sol(grid.r[inside])[0]
     q = _tail_fill(grid, q, a, params)
     profile = RadialField(grid, q.astype(complex))
-    rep = functionals.report(profile, params)
     res = float(
         np.sqrt(np.dot(grid.weights, _el_residual(grid, q, params) ** 2))
     )
-    k_res = {
-        p: functionals.k_alpha_beta(profile, p, params) for p in RESIDUAL_PAIRS
-    }
+    level, k_res = _residuals(profile, params)
     return GroundStateResult(
         profile=profile,
-        level=rep.action,
+        level=level,
         ode_residual=res,
         k_residuals=k_res,
         iterations=iterations,
@@ -361,7 +354,5 @@ def validate_pohozaev(
     """K^{alpha,beta}(Q) for each pair; all vanish for the true ground state."""
     if not result.converged:
         raise ValueError("ground state result did not converge")
-    return {
-        p: functionals.k_alpha_beta(result.profile, p, result.params)
-        for p in pairs
-    }
+    rep = functionals.report(result.profile, result.params)
+    return {p: rep.k(p, result.params) for p in pairs}

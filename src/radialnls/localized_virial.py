@@ -26,7 +26,13 @@ import numpy as np
 
 from . import functionals
 from .evolve import EvolutionConfig, _Stepper, FlowBlowup
-from .radial_grid import EquationParams, RadialField, RadialGrid, integrate
+from .radial_grid import (
+    EquationParams,
+    RadialField,
+    RadialGrid,
+    integrate,
+    node_gradient,
+)
 
 #: degree-7 bridge coefficients on [1, 3] (ascending powers), exact rationals
 _BRIDGE = tuple(
@@ -135,16 +141,6 @@ def build_cutoff(R: float, grid: RadialGrid) -> VirialCutoff:
     )
 
 
-def _node_gradient(u: np.ndarray, grid: RadialGrid) -> np.ndarray:
-    """Node-centered d_r u with even extension at r = 0, Dirichlet at R_max."""
-    h = grid.h
-    du = np.empty(grid.n, dtype=u.dtype)
-    du[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
-    du[0] = (u[1] - u[0]) / (2.0 * h)
-    du[-1] = (0.0 - u[-2]) / (2.0 * h)
-    return du
-
-
 def I_value(u: RadialField, cutoff: VirialCutoff) -> float:
     """I = int chi_R |u|^2 dx."""
     return integrate(u.grid, cutoff.w0 * np.abs(u.values) ** 2)
@@ -153,7 +149,7 @@ def I_value(u: RadialField, cutoff: VirialCutoff) -> float:
 def I_prime(u: RadialField, cutoff: VirialCutoff, params: EquationParams) -> float:
     """I' = 2 Im int (chi_R'(r)/r) conj(u) (r d_r u) dx."""
     grid = u.grid
-    du = _node_gradient(u.values, grid)
+    du = node_gradient(grid, u.values)
     dens = np.imag(np.conj(u.values) * du)
     return 2.0 * integrate(grid, cutoff.w1 * dens)
 
@@ -178,7 +174,7 @@ def I_double_prime(
     grid = u.grid
     r = grid.r
     gamma, mu = params.gamma, params.mu
-    du2 = np.abs(_node_gradient(u.values, grid)) ** 2
+    du2 = np.abs(node_gradient(grid, u.values)) ** 2
     uu2 = np.abs(u.values) ** 2
     uu4 = uu2**2
     w1_over_r = cutoff.w1 / r
@@ -223,7 +219,7 @@ def tail_integral(u: RadialField, R: float, params: EquationParams) -> float:
     """int_{r>=R} (|grad u|^2 + |u|^4 + R^-mu |u|^2) dx (node-centered gradient)."""
     grid = u.grid
     mask = grid.r >= R
-    du2 = np.abs(_node_gradient(u.values, grid)) ** 2
+    du2 = np.abs(node_gradient(grid, u.values)) ** 2
     uu2 = np.abs(u.values) ** 2
     dens = du2 + uu2**2 + R ** (-params.mu) * uu2
     return integrate(grid, np.where(mask, dens, 0.0))
@@ -303,7 +299,7 @@ def rigidity_probe(
     rep0 = functionals.report(u0, params)
     if not (rep0.action < level):
         raise ValueError("rigidity probe requires S(u0) < level")
-    if not (functionals.virial(u0, params) > 0.0):
+    if not (rep0.k(functionals.VIRIAL_PAIR, params) > 0.0):
         raise ValueError("rigidity probe requires positive initial virial")
     delta0 = level - rep0.action
     R = select_cutoff_radius(u0, params, delta0)

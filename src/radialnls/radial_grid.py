@@ -57,6 +57,8 @@ def build_grid(n: int, r_max: float) -> RadialGrid:
         raise ValueError(f"n too small: need n >= 16, got {n}")
     if not (r_max > 1.0):
         raise ValueError(f"R_max must exceed 1, got {r_max}")
+    if not np.isfinite(r_max):
+        raise ValueError(f"R_max must be finite, got {r_max}")
     return RadialGrid(n=int(n), h=float(r_max) / int(n))
 
 
@@ -83,6 +85,10 @@ class EquationParams:
             raise ValueError(f"mu must lie in (0, 2), got {self.mu}")
         if not (self.omega > 0.0):
             raise ValueError(f"omega must be positive, got {self.omega}")
+        for name in ("gamma", "omega"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if (self.d, self.p) != (3, 3):
             raise ValueError("only d = p = 3 is supported")
 
@@ -109,18 +115,6 @@ class RadialField:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field contains non-finite entries")
 
-    def copy(self) -> "RadialField":
-        return RadialField(self.grid, self.values.copy())
-
-    @property
-    def real_values(self) -> np.ndarray:
-        return self.values.real
-
-
-def field_from_function(grid: RadialGrid, fn) -> RadialField:
-    """Sample a callable f(r) at the grid nodes."""
-    return RadialField(grid, np.asarray(fn(grid.r), dtype=complex))
-
 
 def integrate(grid: RadialGrid, samples: np.ndarray) -> float:
     """Integral over R^3 of a radial sample set: 4 pi h sum g_j r_j^2."""
@@ -135,10 +129,6 @@ def inner_product(grid: RadialGrid, u: np.ndarray, v: np.ndarray) -> complex:
     return complex(np.dot(grid.weights, np.conj(u) * v))
 
 
-def norm_l2(grid: RadialGrid, u: np.ndarray) -> float:
-    return float(np.sqrt(integrate(grid, np.abs(u) ** 2)))
-
-
 def gradient_norm_sq(field: RadialField) -> float:
     """int |d_r u|^2 dx with face-centered differences.
 
@@ -151,6 +141,16 @@ def gradient_norm_sq(field: RadialField) -> float:
     du[:-1] = (u[1:] - u[:-1]) / grid.h
     du[-1] = (0.0 - u[-1]) / grid.h
     return float(4.0 * np.pi * grid.h * np.sum(faces**2 * np.abs(du) ** 2))
+
+
+def node_gradient(grid: RadialGrid, u: np.ndarray) -> np.ndarray:
+    """Node-centered d_r u with even extension at r = 0, Dirichlet at R_max."""
+    h = grid.h
+    du = np.empty(grid.n, dtype=u.dtype)
+    du[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
+    du[0] = (u[1] - u[0]) / (2.0 * h)
+    du[-1] = (0.0 - u[-2]) / (2.0 * h)
+    return du
 
 
 class Tridiagonal(NamedTuple):

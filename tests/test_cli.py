@@ -46,6 +46,24 @@ class TestParseConfig:
         assert parse_config(path).gamma == 0.5
 
 
+    def test_seed_key_unknown(self, tmp_path):
+        path = write_cfg(tmp_path, BASE + "seed = 3\n")
+        with pytest.raises(ConfigError, match=r"run.cfg:6: unknown key 'seed'"):
+            parse_config(path)
+
+    def test_evolution_carries_every_shared_field(self, tmp_path):
+        path = write_cfg(tmp_path, BASE + (
+            "dt = 5e-4\nt_end = 3\nmonitor_every = 7\nabsorb = true\n"
+            "absorb_width = 2.5\nabsorb_strength = 4\nblowup_grad_factor = 6\n"
+            "decay_window = 1.5\nsplitting_order = 4\n"
+        ))
+        evo = parse_config(path).evolution()
+        assert (evo.dt, evo.t_end, evo.monitor_every, evo.absorb) == (5e-4, 3.0, 7, True)
+        assert (evo.absorb_width, evo.absorb_strength) == (2.5, 4.0)
+        assert (evo.blowup_grad_factor, evo.decay_window) == (6.0, 1.5)
+        assert evo.splitting_order == 4
+
+
 class TestExitCodes:
     def test_bad_constraint_exits_one(self, tmp_path, capsys):
         rc = main(["functionals", "--mu", "2.5", "--out", str(tmp_path / "o")])
@@ -56,6 +74,19 @@ class TestExitCodes:
         path = write_cfg(tmp_path, "nonsense = 3\n")
         rc = main(["functionals", "--config", path, "--out", str(tmp_path / "o")])
         assert rc == 1
+
+
+    @pytest.mark.parametrize(
+        "flag,name", [("--r-max", "R_max"), ("--gamma", "gamma"), ("--omega", "omega")])
+    def test_infinite_parameter_exits_one(self, tmp_path, capsys, flag, name):
+        out = tmp_path / "fn"
+        rc = main([
+            "functionals", "--family", "gaussian", "--n", "512", "--r-max", "16",
+            flag, "inf", "--out", str(out),
+        ])
+        assert rc == 1
+        assert f"validation error: {name} must be finite" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
 
 class TestGroundStateCommand:

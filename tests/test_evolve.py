@@ -1,3 +1,6 @@
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +21,8 @@ from radialnls import (
     step,
     virial,
 )
-from radialnls.evolve import Snapshot, _Stepper, absorbing_profile
+from radialnls import functionals
+from radialnls.evolve import FlowBlowup, Snapshot, _Stepper, absorbing_profile
 from radialnls.fields import gaussian, random_smooth_field
 
 
@@ -309,3 +313,83 @@ class TestMonitorKBound:
         s0 = report(u0, params).action
         assert virial(u0, params) > 0.0
         assert monitor_k_bound(u0, s0, ground_small_state.level, params)
+
+
+#: one cheap Gaussian run per outcome: (n, R_max, amplitude, config)
+OUTCOME_RUNS = {
+    Outcome.RAN_TO_T_END: (512, 16.0, 0.3, dict(dt=1e-3, t_end=0.1)),
+    Outcome.DECAY_DETECTED: (512, 16.0, 0.5, dict(
+        dt=1e-3, t_end=6.0, monitor_every=50, absorb=True, absorb_width=3.0,
+        decay_window=1.0)),
+    Outcome.BLOWUP_DETECTED: (512, 8.0, 5.0, dict(dt=1e-3, t_end=1.0)),
+    Outcome.ABORTED: (512, 16.0, 1.0, dict(
+        dt=1e-3, t_end=1.0, local_error_tol=1e-30, min_dt=1e-5)),
+}
+
+
+def _fail_advance(monkeypatch, fail):
+    """Make _Stepper.advance raise FlowBlowup on its k-th call with n steps
+    whenever fail(n, k) holds."""
+    original = _Stepper.advance
+    calls = Counter()
+
+    def advance(self, u, n):
+        calls[n] += 1
+        if fail(n, calls[n]):
+            raise FlowBlowup("injected")
+        return original(self, u, n)
+
+    monkeypatch.setattr(_Stepper, "advance", advance)
+
+
+class TestRefinementPath:
+    u0 = gaussian(build_grid(512, 16.0), 0.3, 1.0)
+    # a loose error tolerance keeps the probe quiet: only injected failures refine
+    cfg = EvolutionConfig(dt=1e-3, t_end=0.1, monitor_every=20,
+                          decay_window=np.inf, local_error_tol=1.0)
+
+    @pytest.mark.parametrize("outcome", list(OUTCOME_RUNS), ids=lambda o: o.value)
+    def test_last_tick_is_final_time(self, params, outcome):
+        n, r_max, amplitude, kwargs = OUTCOME_RUNS[outcome]
+        u0 = gaussian(build_grid(n, r_max), amplitude, 1.0)
+        trace = run(u0, EvolutionConfig(**{"decay_window": np.inf, **kwargs}), params)
+        assert trace.outcome is outcome
+        assert trace.times[-1] == trace.final_time
+
+    def test_one_report_per_tick(self, params, monkeypatch):
+        calls = Counter()
+        for name in ("report", "k_alpha_beta"):
+            def counted(*args, _name=name, _fn=getattr(functionals, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(functionals, name, counted)
+        trace = run(self.u0, self.cfg, params)
+        assert calls == {"report": len(trace.times)}
+
+    @pytest.mark.parametrize("min_dt,outcome", [
+        (1e-12, Outcome.RAN_TO_T_END), (6e-4, Outcome.ABORTED)])
+    def test_nan_window_rerun_is_adopted(self, params, monkeypatch, min_dt, outcome):
+        # the first window leaves floating-point range and its re-run at dt/2
+        # does not: the run goes on exactly as one begun at dt/2 with doubled
+        # cadence, unless dt/2 is below min_dt, which aborts on the re-run state
+        cfg = replace(self.cfg, min_dt=min_dt)
+        t_end = 0.1 if outcome is Outcome.RAN_TO_T_END else 0.02
+        ref = run(self.u0, replace(self.cfg, dt=5e-4, monitor_every=40, t_end=t_end),
+                  params)
+        _fail_advance(monkeypatch, lambda n, k: n == 20 and k == 1)
+        trace = run(self.u0, cfg, params)
+        assert trace.outcome is outcome
+        assert trace.dt_final == 5e-4
+        assert trace.times == ref.times
+        assert trace.times[-1] == trace.final_time == ref.final_time
+        assert np.array_equal(trace.final_state.values, ref.final_state.values)
+
+    def test_nan_window_and_rerun_confirm_blowup(self, params, monkeypatch):
+        # the third window and its re-run both leave floating-point range:
+        # blow-up, holding the state and time of the last finite tick
+        ref = run(self.u0, replace(self.cfg, t_end=0.04), params)
+        _fail_advance(monkeypatch, lambda n, k: (n == 20 and k >= 3) or n == 40)
+        trace = run(self.u0, self.cfg, params)
+        assert trace.outcome is Outcome.BLOWUP_DETECTED
+        assert trace.times[-1] == trace.final_time == ref.final_time
+        assert np.array_equal(trace.final_state.values, ref.final_state.values)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from radialnls import (
+    EquationParams,
     RadialField,
     ScalingPair,
     build_grid,
@@ -14,7 +16,7 @@ from radialnls import (
     virial,
 )
 from radialnls.fields import gaussian, random_smooth_field
-from radialnls.functionals import DEFAULT_PAIRS
+from radialnls.functionals import DEFAULT_PAIRS, NEHARI_PAIR, VIRIAL_PAIR
 
 # closed forms for f = e^{-r^2} at gamma = mu = omega = 1
 MASS_EXACT = (np.pi / 2.0) ** 1.5
@@ -113,6 +115,37 @@ class TestKFamilies:
         f = RadialField(fine_grid, np.zeros(fine_grid.n, dtype=complex))
         assert nehari(f, params_default) == 0.0
         assert virial(f, params_default) == 0.0
+
+
+class TestKFromReport:
+    grid = build_grid(256, 16.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        complex_phase=st.booleans(),
+        alpha=st.floats(0.01, 5.0),
+        beta_frac=st.floats(0.0, 1.0),
+        gamma=st.floats(0.0, 4.0),
+        mu=st.floats(0.05, 1.95),
+        omega=st.floats(0.05, 4.0),
+    )
+    def test_matches_k_alpha_beta(self, seed, complex_phase, alpha, beta_frac,
+                                  gamma, mu, omega):
+        params = EquationParams(gamma=gamma, mu=mu, omega=omega)
+        # beta < 2 alpha / 3 keeps the pair admissible through rounding
+        pair = ScalingPair(alpha, 0.6 * beta_frac * alpha)
+        f = random_smooth_field(self.grid, np.random.default_rng(seed),
+                                complex_phase=complex_phase)
+        rep = report(f, params)
+        assert rep.k(pair, params) == k_alpha_beta(f, pair, params)
+        # K is linear in the pair: K^{a,b} = a K^{1,0} + b (K^{3,2} - 3 K^{1,0}) / 2
+        k10, k32 = rep.k(NEHARI_PAIR, params), rep.k(VIRIAL_PAIR, params)
+        scale = (pair.alpha + pair.beta) * (
+            omega * rep.mass + rep.kinetic + rep.potential_term + rep.quartic)
+        assert rep.k(pair, params) == pytest.approx(
+            pair.alpha * k10 + pair.beta * (k32 - 3.0 * k10) / 2.0,
+            rel=1e-12, abs=1e-12 * scale)
 
 
 class TestTFunctional:

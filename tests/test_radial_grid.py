@@ -31,6 +31,10 @@ class TestBuildGrid:
         with pytest.raises(ValueError):
             build_grid(100, -3.0)
 
+    def test_rejects_infinite_rmax(self):
+        with pytest.raises(ValueError, match="R_max must be finite"):
+            build_grid(64, np.inf)
+
     def test_node_layout(self):
         g = build_grid(100, 10.0)
         assert g.h == pytest.approx(0.1)
@@ -43,6 +47,14 @@ class TestBuildGrid:
         assert g.h == pytest.approx(0.03125)
         assert g.r[0] == pytest.approx(0.015625)
         assert g.r_max == pytest.approx(64.0)
+
+
+class TestEquationParams:
+    @pytest.mark.parametrize("name", ["gamma", "omega"])
+    def test_rejects_infinite(self, name):
+        values = {"gamma": 1.0, "mu": 1.0, "omega": 1.0, name: np.inf}
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            EquationParams(**values)
 
 
 class TestIntegrate:
