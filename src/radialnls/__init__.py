@@ -29,7 +29,6 @@ from .functionals import (
     virial,
 )
 from .ground_state import (
-    GroundStateOptions,
     GroundStateResult,
     minimize_quotient,
     shoot_ode,
@@ -83,7 +82,6 @@ __all__ = [
     "report",
     "t_alpha_beta",
     "virial",
-    "GroundStateOptions",
     "GroundStateResult",
     "minimize_quotient",
     "shoot_ode",

@@ -30,6 +30,10 @@ from .radial_grid import (
 
 S_CRITICAL = 0.5  # s_c = d/2 - 2/(p-1) at d = p = 3
 
+#: relative distance of the mass-energy product from its threshold that
+#: flags a datum as a boundary case
+BOUNDARY_RTOL = 1e-6
+
 
 class Predicted(enum.Enum):
     SCATTER = "scatter"
@@ -59,9 +63,6 @@ class MassEnergyCriterion:
     negative_energy: bool
     boundary_case: bool
 
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 @dataclass
 class ClassificationVerdict:
@@ -73,18 +74,6 @@ class ClassificationVerdict:
     empirical: Empirical
     threshold_level: float
     me_criterion: MassEnergyCriterion | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "s_value": self.s_value,
-            "below_threshold": self.below_threshold,
-            "k_signs": {f"({p.alpha:g},{p.beta:g})": s for p, s in self.k_signs.items()},
-            "k_values": {f"({p.alpha:g},{p.beta:g})": v for p, v in self.k_values.items()},
-            "predicted": self.predicted.value,
-            "empirical": self.empirical.value,
-            "threshold_level": self.threshold_level,
-            "me_criterion": None if self.me_criterion is None else self.me_criterion.as_dict(),
-        }
 
 
 def classify(
@@ -131,7 +120,6 @@ def mass_energy_criterion(
     u0: RadialField,
     params: EquationParams,
     q10: GroundStateResult,
-    boundary_rtol: float = 1e-6,
 ) -> MassEnergyCriterion:
     """Mass-energy products of the datum against the free ground state.
 
@@ -153,7 +141,7 @@ def mass_energy_criterion(
     prod_grad = float((rep.mass * rep.kinetic) ** 0.25)
     prod_grad_gamma = float((rep.mass * rep.sobolev_gamma_sq) ** 0.25)
     me_below = (not negative) and prod_me < thr_me
-    boundary = (not negative) and abs(prod_me - thr_me) <= boundary_rtol * thr_me
+    boundary = (not negative) and abs(prod_me - thr_me) <= BOUNDARY_RTOL * thr_me
     return MassEnergyCriterion(
         product_ME=prod_me,
         product_grad=prod_grad,

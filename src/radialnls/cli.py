@@ -2,19 +2,25 @@
 
 Configuration is a line-oriented ``key = value`` file with flag overrides;
 unknown keys and constraint violations are reported with their line number.
-Every command writes its results plus a manifest into the output directory.
-Data files carry no timestamps and floats are printed at 17 significant
-digits, so identical configs give byte-identical outputs.
+A command's options are declared in one place, the ``_COMMANDS`` table: each
+entry names the ``RunConfig`` fields the command accepts, and every flag is
+built from that list (``R_max`` becomes ``--r-max``).  Every command writes
+its results plus a manifest into the output directory.  This module is the
+only one that knows how results look from outside: JSON files are written
+from the result dataclasses by the one rule in ``_json_ready``.  Data files
+carry no timestamps and floats are printed at 17 significant digits, so
+identical configs give byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
+import enum
 import json
 import sys
 import time
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass, fields as dataclass_fields, is_dataclass
 from pathlib import Path
 from typing import get_type_hints
 
@@ -31,6 +37,7 @@ from .classify import (
 from .localized_virial import rigidity_probe
 from .evolve import EvolutionConfig, Outcome, run as run_evolution
 from .fields import gaussian
+from .functionals import ScalingPair
 from .ground_state import minimize_quotient, shoot_ode
 from .radial_grid import EquationParams, RadialField, build_grid
 
@@ -184,9 +191,19 @@ def write_csv(path: Path, header, rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _json_key(key) -> str:
+    if isinstance(key, ScalingPair):
+        return f"({key.alpha:g},{key.beta:g})"
+    return str(key)
+
+
 def _json_ready(obj):
+    """The one JSON rule: dataclasses by their fields, ScalingPair keys as
+    "(alpha,beta)", enums by value, floats at 17 significant digits."""
     if isinstance(obj, dict):
-        return {str(k): _json_ready(v) for k, v in obj.items()}
+        return {_json_key(k): _json_ready(v) for k, v in obj.items()}
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: _json_ready(getattr(obj, f.name)) for f in dataclass_fields(obj)}
     if isinstance(obj, (list, tuple)):
         return [_json_ready(v) for v in obj]
     if isinstance(obj, (bool, np.bool_)):
@@ -197,8 +214,8 @@ def _json_ready(obj):
         return float("%.17g" % float(obj))
     if isinstance(obj, np.ndarray):
         return [_json_ready(v) for v in obj.tolist()]
-    if hasattr(obj, "value") and obj.__class__.__module__ != "builtins":
-        return obj.value  # enums
+    if isinstance(obj, enum.Enum):
+        return obj.value
     return obj
 
 
@@ -208,26 +225,16 @@ def write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
-def _config_echo(cfg: RunConfig) -> dict:
-    out = {}
-    for f in dataclass_fields(cfg):
-        value = getattr(cfg, f.name)
-        out[f.name] = list(value) if isinstance(value, tuple) else value
-    return out
-
-
-def _pair_key(pair) -> str:
-    return f"({pair.alpha:g},{pair.beta:g})"
-
-
 def _ground(cfg: RunConfig):
     return minimize_quotient(cfg.params(), cfg.grid())
 
 
-def _datum(cfg: RunConfig, ground):
+def _datum(cfg: RunConfig):
+    """The datum and, for family cQ, the ground state it scales (else None)."""
     if cfg.family == "cQ":
-        return RadialField(ground.profile.grid, cfg.amplitude * ground.profile.values)
-    return gaussian(cfg.grid(), cfg.amplitude, cfg.width)
+        ground = _ground(cfg)
+        return RadialField(ground.profile.grid, cfg.amplitude * ground.profile.values), ground
+    return gaussian(cfg.grid(), cfg.amplitude, cfg.width), None
 
 
 def _cmd_ground_state(cfg: RunConfig, outdir: Path):
@@ -241,7 +248,7 @@ def _cmd_ground_state(cfg: RunConfig, outdir: Path):
     payload = {
         "level": res.level,
         "ode_residual": res.ode_residual,
-        "k_residuals": {_pair_key(p): v for p, v in res.k_residuals.items()},
+        "k_residuals": res.k_residuals,
         "iterations": res.iterations,
         "converged": res.converged,
         "method": res.method,
@@ -259,27 +266,16 @@ def _cmd_ground_state(cfg: RunConfig, outdir: Path):
 
 
 def _cmd_functionals(cfg: RunConfig, outdir: Path):
-    if cfg.family == "cQ":
-        ground = _ground(cfg)
-        datum = _datum(cfg, ground)
-    else:
-        datum = gaussian(cfg.grid(), cfg.amplitude, cfg.width)
-    rep = functionals.report(datum, cfg.params())
-    write_json(outdir / "report.json", rep.as_dict())
+    datum, _ = _datum(cfg)
+    write_json(outdir / "report.json", functionals.report(datum, cfg.params()))
     return 0, ["report.json"]
 
 
 def _cmd_evolve(cfg: RunConfig, outdir: Path):
-    params = cfg.params()
-    level = None
-    if cfg.family == "cQ":
-        ground = _ground(cfg)
-        datum = _datum(cfg, ground)
-        level = ground.level
-    else:
-        datum = gaussian(cfg.grid(), cfg.amplitude, cfg.width)
+    datum, ground = _datum(cfg)
     trace = run_evolution(
-        datum, cfg.evolution(), params, level=level,
+        datum, cfg.evolution(), cfg.params(),
+        level=None if ground is None else ground.level,
         snapshot_times=cfg.snapshot_times,
     )
     header, rows = trace.as_rows()
@@ -299,7 +295,7 @@ def _cmd_evolve(cfg: RunConfig, outdir: Path):
     write_json(
         outdir / "result.json",
         {
-            "outcome": trace.outcome.value,
+            "outcome": trace.outcome,
             "final_time": trace.final_time,
             "dt_final": trace.dt_final,
             "snapshots": snapshots,
@@ -311,12 +307,13 @@ def _cmd_evolve(cfg: RunConfig, outdir: Path):
 
 def _cmd_classify(cfg: RunConfig, outdir: Path):
     params = cfg.params()
-    ground = _ground(cfg)
-    datum = _datum(cfg, ground)
+    datum, ground = _datum(cfg)
+    if ground is None:
+        ground = _ground(cfg)
     verdict = classify_datum(datum, params, ground)
     if cfg.verify and verdict.predicted is not Predicted.OUT_OF_SCOPE:
         verdict = verify_empirically(verdict, datum, cfg.evolution(), params)
-    write_json(outdir / "verdict.json", verdict.as_dict())
+    write_json(outdir / "verdict.json", verdict)
     return 0, ["verdict.json"]
 
 
@@ -343,93 +340,58 @@ def _cmd_virial_check(cfg: RunConfig, outdir: Path):
     report = rigidity_probe(
         u0, params, ground.level, cfg.t_probe, cfg.evolution()
     )
-    write_json(outdir / "probe.json", report.as_dict())
+    write_json(outdir / "probe.json", report)
     return 0, ["probe.json"]
 
 
+_COMMON = ("gamma", "mu", "omega", "n", "R_max", "out")
+_EVOLUTION = (
+    "dt", "t_end", "monitor_every", "absorb", "absorb_width",
+    "blowup_grad_factor", "decay_window", "splitting_order",
+)
+_FAMILY = ("family", "amplitude", "width")
+
+#: command -> (handler, help, the RunConfig fields it takes as flags)
 _COMMANDS = {
-    "ground-state": _cmd_ground_state,
-    "functionals": _cmd_functionals,
-    "evolve": _cmd_evolve,
-    "classify": _cmd_classify,
-    "sweep": _cmd_sweep,
-    "virial-check": _cmd_virial_check,
+    "ground-state": (_cmd_ground_state, "compute Q and the threshold level",
+                     _COMMON + ("with_oracle",)),
+    "functionals": (_cmd_functionals, "evaluate the functional report on a datum",
+                    _COMMON + _FAMILY),
+    "evolve": (_cmd_evolve, "time-evolve a datum and record the trace",
+               _COMMON + _EVOLUTION + _FAMILY + ("snapshot_times",)),
+    "classify": (_cmd_classify, "variational verdict for a datum",
+                 _COMMON + _EVOLUTION + _FAMILY + ("verify",)),
+    "sweep": (_cmd_sweep, "classify a family and write a CSV table",
+              _COMMON + _EVOLUTION + ("family", "amplitudes", "widths", "workers", "verify")),
+    "virial-check": (_cmd_virial_check, "rigidity convexity probe",
+                     _COMMON + _EVOLUTION + ("amplitude", "t_probe")),
 }
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="key = value configuration file")
-    sub.add_argument("--gamma", type=float)
-    sub.add_argument("--mu", type=float)
-    sub.add_argument("--omega", type=float)
-    sub.add_argument("--n", type=int)
-    sub.add_argument("--r-max", dest="R_max", type=float)
-    sub.add_argument("--out")
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, like every other bad input; 2 means a numerical failure."""
 
-
-def _add_evolution(sub):
-    sub.add_argument("--dt", type=float)
-    sub.add_argument("--t-end", dest="t_end", type=float)
-    sub.add_argument("--monitor-every", dest="monitor_every", type=int)
-    sub.add_argument("--absorb", action=argparse.BooleanOptionalAction, default=None)
-    sub.add_argument("--absorb-width", dest="absorb_width", type=float)
-    sub.add_argument("--blowup-grad-factor", dest="blowup_grad_factor", type=float)
-    sub.add_argument("--decay-window", dest="decay_window", type=float)
-    sub.add_argument("--splitting-order", dest="splitting_order", type=int)
-
-
-def _add_family(sub):
-    sub.add_argument("--family", choices=("cQ", "gaussian"))
-    sub.add_argument("--amplitude", type=float)
-    sub.add_argument("--width", type=float)
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="radialnls",
         description="Radial cubic NLS lab: ground states, functionals, "
         "evolution, and the scattering/blow-up dichotomy",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    gs = subs.add_parser("ground-state", help="compute Q and the threshold level")
-    _add_common(gs)
-    gs.add_argument("--with-oracle", dest="with_oracle",
-                    action=argparse.BooleanOptionalAction, default=None)
-
-    fn = subs.add_parser("functionals", help="evaluate the functional report on a datum")
-    _add_common(fn)
-    _add_family(fn)
-
-    ev = subs.add_parser("evolve", help="time-evolve a datum and record the trace")
-    _add_common(ev)
-    _add_evolution(ev)
-    _add_family(ev)
-    ev.add_argument(
-        "--snapshot-times", dest="snapshot_times",
-        type=_parse_float_list,
-    )
-
-    cl = subs.add_parser("classify", help="variational verdict for a datum")
-    _add_common(cl)
-    _add_evolution(cl)
-    _add_family(cl)
-    cl.add_argument("--verify", action=argparse.BooleanOptionalAction, default=None)
-
-    sw = subs.add_parser("sweep", help="classify a family and write a CSV table")
-    _add_common(sw)
-    _add_evolution(sw)
-    sw.add_argument("--family", choices=("cQ", "gaussian"))
-    sw.add_argument("--amplitudes", type=_parse_float_list)
-    sw.add_argument("--widths", type=_parse_float_list)
-    sw.add_argument("--workers", type=int)
-    sw.add_argument("--verify", action=argparse.BooleanOptionalAction, default=None)
-
-    vc = subs.add_parser("virial-check", help="rigidity convexity probe")
-    _add_common(vc)
-    _add_evolution(vc)
-    vc.add_argument("--amplitude", type=float)
-    vc.add_argument("--t-probe", dest="t_probe", type=float)
+    for command, (_, help_text, names) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=help_text)
+        sub.add_argument("--config", help="key = value configuration file")
+        for name in names:
+            flag = "--" + name.lower().replace("_", "-")
+            if _FIELD_TYPES[name] is bool:
+                sub.add_argument(flag, dest=name, action=argparse.BooleanOptionalAction)
+            else:
+                sub.add_argument(flag, dest=name, type=_PARSERS[_FIELD_TYPES[name]])
     return parser
 
 
@@ -448,7 +410,7 @@ def main(argv=None) -> int:
         cfg.command = args.command
         outdir = Path(cfg.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        rc, outputs = _COMMANDS[args.command](cfg, outdir)
+        rc, outputs = _COMMANDS[args.command][0](cfg, outdir)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
@@ -460,7 +422,7 @@ def main(argv=None) -> int:
         return 2
     manifest = {
         "command": args.command,
-        "config": _config_echo(cfg),
+        "config": cfg,
         "versions": {
             "radialnls": __version__,
             "numpy": np.__version__,

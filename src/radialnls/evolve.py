@@ -82,10 +82,20 @@ class EvolutionConfig:
     min_dt: float = 1e-12
 
     def validate(self, grid: RadialGrid) -> None:
-        for name in ("dt", "t_end", "absorb_width", "absorb_strength", "min_dt"):
+        for name in ("dt", "t_end", "absorb_width", "absorb_strength", "min_dt",
+                     "blowup_grad_factor"):
             value = getattr(self, name)
             if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        if not (self.blowup_grad_factor > 0.0):
+            raise ValueError(
+                f"blowup_grad_factor must be positive, got {self.blowup_grad_factor}"
+            )
+        # +inf is allowed and turns the error probe off
+        if not (self.local_error_tol > 0.0):
+            raise ValueError(
+                f"local_error_tol must be positive, got {self.local_error_tol}"
+            )
         if not (0.0 < self.dt <= grid.h):
             raise ValueError(
                 f"dt must lie in (0, h]; dt={self.dt}, h={grid.h}"
@@ -222,22 +232,21 @@ def monitor_k_bound(
     S0: float,
     level: float,
     params: EquationParams,
-    tol: float = K_BOUND_TOL,
 ) -> bool:
     """Run-time lower bound on the virial functional.
 
     Checks K_gamma(u(t)) >= min(level - S0, (2 mu/7) ||(-Delta_gamma)^{1/2}
-    u(t)||^2) - tol, the bound available strictly below the threshold.
+    u(t)||^2) - K_BOUND_TOL, the bound available strictly below the threshold.
     """
     if not (S0 < level):
         raise ValueError("bound applies only to data strictly below the threshold")
-    return _k_bound_ok(functionals.report(u_t, params), S0, level, params, tol)
+    return _k_bound_ok(functionals.report(u_t, params), S0, level, params)
 
 
-def _k_bound_ok(rep, S0, level, params, tol=K_BOUND_TOL) -> bool:
+def _k_bound_ok(rep, S0, level, params) -> bool:
     """The monitor_k_bound test on the report of u(t)."""
     floor = min(level - S0, (2.0 * params.mu / 7.0) * rep.sobolev_gamma_sq)
-    return bool(rep.k(VIRIAL_PAIR, params) >= floor - tol)
+    return bool(rep.k(VIRIAL_PAIR, params) >= floor - K_BOUND_TOL)
 
 
 def run(

@@ -73,18 +73,6 @@ class FunctionalReport:
     sobolev_gamma_sq: float
     h1_omega_gamma_sq: float
 
-    def as_dict(self) -> dict:
-        return {
-            "mass": self.mass,
-            "kinetic": self.kinetic,
-            "potential_term": self.potential_term,
-            "quartic": self.quartic,
-            "energy": self.energy,
-            "action": self.action,
-            "sobolev_gamma_sq": self.sobolev_gamma_sq,
-            "h1_omega_gamma_sq": self.h1_omega_gamma_sq,
-        }
-
     def k(self, pair: ScalingPair, params: EquationParams) -> float:
         """K^{alpha,beta} of the reported field: its four integrals dotted
         with k_coefficients, so no quadrature is repeated."""

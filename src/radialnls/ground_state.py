@@ -42,14 +42,18 @@ from .radial_grid import (
 #: pairs reported as stationarity residuals by both solvers
 RESIDUAL_PAIRS = tuple(DEFAULT_PAIRS[:4])
 
+#: descent stops after MAX_ITER iterations, at a relative quotient change of
+#: J_REL_TOL, or at a relative Sobolev gradient of GRAD_TOL; NEWTON_STEPS
+#: Newton steps then polish the profile
+MAX_ITER = 2000
+J_REL_TOL = 1e-12
+GRAD_TOL = 1e-10
+NEWTON_STEPS = 6
 
-@dataclass(frozen=True)
-class GroundStateOptions:
-    max_iter: int = 2000
-    j_rel_tol: float = 1e-12
-    grad_tol: float = 1e-10
-    newton_steps: int = 6
-    tol_k: float = 1e-4  # relative to the H^1_{omega,gamma} norm of Q
+#: DOP853 tolerances of the shooting integration and the bisection cap
+SHOOT_RTOL = 1e-12
+SHOOT_ATOL = 1e-14
+MAX_BISECT = 200
 
 
 @dataclass
@@ -85,7 +89,7 @@ def _el_residual(grid, u, params):
     return -params.omega * u + lap.apply(u) + u**3
 
 
-def _newton_polish(grid, u, params, steps):
+def _newton_polish(grid, u, params):
     """Newton iteration on the stationary equation; tridiagonal Jacobian.
 
     Returns the refined profile, keeping the input if a step degrades the
@@ -100,7 +104,7 @@ def _newton_polish(grid, u, params, steps):
 
     best, best_res = u, res_norm(u)
     q = u
-    for _ in range(steps):
+    for _ in range(NEWTON_STEPS):
         F = params.omega * q - lap.apply(q) - q**3
         jacobian = Tridiagonal(-lower, params.omega - diag - 3.0 * q**2, -upper)
         try:
@@ -121,18 +125,13 @@ def _newton_polish(grid, u, params, steps):
     return best, best_res
 
 
-def minimize_quotient(
-    params: EquationParams,
-    grid: RadialGrid,
-    opts: GroundStateOptions | None = None,
-) -> GroundStateResult:
+def minimize_quotient(params: EquationParams, grid: RadialGrid) -> GroundStateResult:
     """Compute the ground state by Nehari-quotient descent.
 
     The iterate stays real and positive (modulus projection never increases
     the quotient) and is renormalized to the Nehari set each step, so the
     reported level is the action at the minimizer.
     """
-    opts = opts or GroundStateOptions()
     r = grid.r
     u = np.exp(-(r**2))
 
@@ -146,7 +145,7 @@ def minimize_quotient(
     grad_rel = np.inf
     iterations = 0
     converged = False
-    for it in range(opts.max_iter):
+    for it in range(MAX_ITER):
         iterations = it + 1
         if B < 1e-280 or A < 1e-280:
             raise RuntimeError(
@@ -156,7 +155,7 @@ def minimize_quotient(
         # Sobolev gradient of J: (A/B) u - (A/B)^2 H^{-1}(u^3)
         g = (A / B) * u - (A / B) ** 2 * solve_helmholtz(grid, u**3, params)
         grad_rel = float(np.sqrt(integrate(grid, g**2)) / np.sqrt(integrate(grid, u**2)))
-        if grad_rel < opts.grad_tol:
+        if grad_rel < GRAD_TOL:
             converged = True
             break
         step = 1.0
@@ -177,13 +176,13 @@ def minimize_quotient(
             break
         A, B = _quotient_parts(grid, u, params)
         J_new = A**2 / (4.0 * B)
-        if abs(J - J_new) <= opts.j_rel_tol * abs(J):
+        if abs(J - J_new) <= J_REL_TOL * abs(J):
             J = J_new
             converged = True
             break
         J = J_new
 
-    u, res = _newton_polish(grid, u, params, opts.newton_steps)
+    u, res = _newton_polish(grid, u, params)
     profile = RadialField(grid, u.astype(complex))
     level, k_res = _residuals(profile, params)
     return GroundStateResult(
@@ -199,15 +198,15 @@ def minimize_quotient(
     )
 
 
-def _shoot_classify(params, r0, r_end, a, rtol, atol):
+def _shoot_classify(params, r0, r_end, a):
     """+1 when the profile stays positive / turns back up, -1 when it crosses zero."""
-    sol = _shoot_integrate(params, r0, r_end, a, rtol, atol, dense=False)
+    sol = _shoot_integrate(params, r0, r_end, a, dense=False)
     if sol.t_events[0].size:
         return -1
     return +1
 
 
-def _shoot_integrate(params, r0, r_end, a, rtol, atol, dense):
+def _shoot_integrate(params, r0, r_end, a, dense):
     gamma, mu, omega = params.gamma, params.mu, params.omega
 
     def rhs(r, y):
@@ -241,8 +240,8 @@ def _shoot_integrate(params, r0, r_end, a, rtol, atol, dense):
         (q0, dq0),
         method="DOP853",
         events=(ev_cross, ev_turn),
-        rtol=rtol,
-        atol=atol,
+        rtol=SHOOT_RTOL,
+        atol=SHOOT_ATOL,
         dense_output=dense,
     )
 
@@ -251,9 +250,6 @@ def shoot_ode(
     params: EquationParams,
     a0_bracket: tuple[float, float],
     grid: RadialGrid,
-    rtol: float = 1e-12,
-    atol: float = 1e-14,
-    max_bisect: int = 200,
 ) -> GroundStateResult:
     """Shooting/bisection oracle for the ground state.
 
@@ -267,8 +263,8 @@ def shoot_ode(
         raise ValueError(f"invalid bracket {a0_bracket}")
     r0 = grid.h / 2.0
     r_end = grid.r_max
-    c_lo = _shoot_classify(params, r0, r_end, lo, rtol, atol)
-    c_hi = _shoot_classify(params, r0, r_end, hi, rtol, atol)
+    c_lo = _shoot_classify(params, r0, r_end, lo)
+    c_hi = _shoot_classify(params, r0, r_end, hi)
     if c_lo == c_hi:
         raise ValueError(
             f"no sign change of the shooting functional in bracket {a0_bracket}; "
@@ -277,17 +273,17 @@ def shoot_ode(
     if c_lo < 0:  # orient: lo undershoots, hi overshoots
         lo, hi = hi, lo
     iterations = 0
-    for _ in range(max_bisect):
+    for _ in range(MAX_BISECT):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
         iterations += 1
-        if _shoot_classify(params, r0, r_end, mid, rtol, atol) > 0:
+        if _shoot_classify(params, r0, r_end, mid) > 0:
             lo = mid
         else:
             hi = mid
     a = 0.5 * (lo + hi)
-    sol = _shoot_integrate(params, r0, r_end, a, rtol, atol, dense=True)
+    sol = _shoot_integrate(params, r0, r_end, a, dense=True)
 
     q = np.zeros(grid.n)
     r_stop = sol.t[-1]

@@ -230,6 +230,7 @@ class RigidityReport:
     R: float
     delta0: float
     min_Ipp: float
+    bound_ok: bool  # ipp_floor_ok and remainder_bound_ok
     ipp_floor_ok: bool
     remainder_bound_ok: bool
     bound_constant: float
@@ -239,23 +240,6 @@ class RigidityReport:
     forms_max_rel_gap: float
     times: list
     terms: dict
-
-    def as_dict(self) -> dict:
-        return {
-            "R": self.R,
-            "delta0": self.delta0,
-            "min_Ipp": self.min_Ipp,
-            "bound_ok": self.ipp_floor_ok and self.remainder_bound_ok,
-            "ipp_floor_ok": self.ipp_floor_ok,
-            "remainder_bound_ok": self.remainder_bound_ok,
-            "bound_constant": self.bound_constant,
-            "Iprime_max": self.Iprime_max,
-            "iprime_linear_ratio": self.iprime_linear_ratio,
-            "second_diff_max_rel_err": self.second_diff_max_rel_err,
-            "forms_max_rel_gap": self.forms_max_rel_gap,
-            "times": self.times,
-            "terms": self.terms,
-        }
 
 
 def select_cutoff_radius(
@@ -393,12 +377,14 @@ def rigidity_probe(
             errs.append(abs(d2_num - ipp_k) / max(abs(ipp_k), 1e-300))
     sd_err = float(max(errs)) if errs else float("nan")
 
+    ipp_ok = bool(min_ipp >= 0.5 * delta0)
     return RigidityReport(
         R=R,
         delta0=delta0,
         min_Ipp=min_ipp,
-        ipp_floor_ok=bool(min_ipp >= 0.5 * delta0),
-        remainder_bound_ok=bool(rem_ok),
+        bound_ok=ipp_ok and rem_ok,
+        ipp_floor_ok=ipp_ok,
+        remainder_bound_ok=rem_ok,
         bound_constant=C,
         Iprime_max=ipm,
         iprime_linear_ratio=lin_ratio,

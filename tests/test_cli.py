@@ -1,9 +1,13 @@
+import argparse
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from radialnls.cli import ConfigError, main, parse_config
+from radialnls import ClassificationVerdict, FunctionalReport
+from radialnls.cli import ConfigError, _build_parser, main, parse_config
+from radialnls.localized_virial import RigidityReport
 
 
 BASE = "gamma = 1.0\nmu = 1.0\nomega = 1.0\nn = 512\nR_max = 16\n"
@@ -87,6 +91,86 @@ class TestExitCodes:
         assert rc == 1
         assert f"validation error: {name} must be finite" in capsys.readouterr().err
         assert not (out / "report.json").exists()
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["functionals", "--n", "abc"],
+        ["functionals", "--bogus"],
+        [],
+    ])
+    def test_usage_error_exits_one(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["functionals", "--help"])
+        assert exc.value.code == 0
+
+    def test_unknown_family_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "fn"
+        rc = main(["functionals", "--family", "foo", "--out", str(out)])
+        assert rc == 1
+        assert "family must be 'cQ' or 'gaussian'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_blowup_factor_exits_one(self, tmp_path, capsys):
+        rc = main([
+            "evolve", "--family", "gaussian", "--n", "512", "--r-max", "16",
+            "--t-end", "0.1", "--blowup-grad-factor=nan",
+            "--out", str(tmp_path / "ev"),
+        ])
+        assert rc == 1
+        assert "validation error: blowup_grad_factor" in capsys.readouterr().err
+
+
+_COMMON_FLAGS = ["--config", "--gamma", "--mu", "--omega", "--n", "--r-max", "--out"]
+_EVOLUTION_FLAGS = [
+    "--dt", "--t-end", "--monitor-every", "--absorb", "--no-absorb", "--absorb-width",
+    "--blowup-grad-factor", "--decay-window", "--splitting-order",
+]
+_FAMILY_FLAGS = ["--family", "--amplitude", "--width"]
+
+#: the option strings of every subcommand, in help order
+COMMAND_FLAGS = {
+    "ground-state": _COMMON_FLAGS + ["--with-oracle", "--no-with-oracle"],
+    "functionals": _COMMON_FLAGS + _FAMILY_FLAGS,
+    "evolve": _COMMON_FLAGS + _EVOLUTION_FLAGS + _FAMILY_FLAGS + ["--snapshot-times"],
+    "classify": _COMMON_FLAGS + _EVOLUTION_FLAGS + _FAMILY_FLAGS + ["--verify", "--no-verify"],
+    "sweep": _COMMON_FLAGS + _EVOLUTION_FLAGS + [
+        "--family", "--amplitudes", "--widths", "--workers", "--verify", "--no-verify",
+    ],
+    "virial-check": _COMMON_FLAGS + _EVOLUTION_FLAGS + ["--amplitude", "--t-probe"],
+}
+
+
+class TestCommandSurface:
+    def test_flags_per_command(self):
+        (subs,) = [a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+        surface = {
+            name: [s for a in sub._actions for s in a.option_strings
+                   if s not in ("-h", "--help")]
+            for name, sub in subs.choices.items()
+        }
+        assert surface == COMMAND_FLAGS
+
+    @pytest.mark.parametrize("argv,fname,cls", [
+        (["functionals", "--family", "gaussian", "--n", "512", "--r-max", "16"],
+         "report.json", FunctionalReport),
+        (["classify", "--family", "cQ", "--amplitude", "1.1", "--n", "512",
+          "--r-max", "16"], "verdict.json", ClassificationVerdict),
+        (["virial-check", "--amplitude", "0.9", "--t-probe", "0.2", "--n", "1024",
+          "--r-max", "32"], "probe.json", RigidityReport),
+    ])
+    def test_json_keys_are_dataclass_fields(self, tmp_path, argv, fname, cls):
+        out = tmp_path / "o"
+        assert main(argv + ["--out", str(out)]) == 0
+        data = json.loads((out / fname).read_text())
+        assert set(data) == {f.name for f in fields(cls)}
 
 
 class TestGroundStateCommand:

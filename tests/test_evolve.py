@@ -198,12 +198,23 @@ class TestStandingWave:
 
 class TestValidation:
     @pytest.mark.parametrize(
-        "name", ["dt", "t_end", "absorb_width", "absorb_strength", "min_dt"])
+        "name", ["dt", "t_end", "absorb_width", "absorb_strength", "min_dt",
+                 "blowup_grad_factor"])
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     def test_non_finite_rejected(self, name, value):
         cfg = EvolutionConfig(dt=1e-3, t_end=1.0)
         setattr(cfg, name, value)
         with pytest.raises(ValueError, match=f"{name} must be finite"):
+            cfg.validate(build_grid(2048, 16.0))
+
+    # a NaN tolerance would switch its detector off (every comparison with
+    # NaN is false), a non-positive one would fire on every window
+    @pytest.mark.parametrize("name", ["blowup_grad_factor", "local_error_tol"])
+    @pytest.mark.parametrize("value", [np.nan, 0.0, -1.0])
+    def test_tolerance_not_positive_rejected(self, name, value):
+        cfg = EvolutionConfig(dt=1e-3, t_end=1.0)
+        setattr(cfg, name, value)
+        with pytest.raises(ValueError, match=name):
             cfg.validate(build_grid(2048, 16.0))
 
 
