@@ -28,8 +28,6 @@ from .radial_grid import (
     embed_field,
 )
 
-S_CRITICAL = 0.5  # s_c = d/2 - 2/(p-1) at d = p = 3
-
 #: relative distance of the mass-energy product from its threshold that
 #: flags a datum as a boundary case
 BOUNDARY_RTOL = 1e-6
@@ -80,7 +78,6 @@ def classify(
     u0: RadialField,
     params: EquationParams,
     ground: GroundStateResult,
-    pairs: tuple[ScalingPair, ...] = DEFAULT_PAIRS,
     q10: GroundStateResult | None = None,
 ) -> ClassificationVerdict:
     """Predict the fate of a datum from the variational functionals.
@@ -93,7 +90,7 @@ def classify(
         raise ValueError("ground state result did not converge")
     rep = functionals.report(u0, params)
     below = rep.action < ground.level
-    k_values = {p: rep.k(p, params) for p in pairs}
+    k_values = {p: rep.k(p, params) for p in DEFAULT_PAIRS}
     k_signs = {p: (1 if v >= 0.0 else -1) for p, v in k_values.items()}
     if not below:
         predicted = Predicted.OUT_OF_SCOPE
@@ -280,7 +277,7 @@ SWEEP_HEADER = ["c", "w", "S", "below_threshold", "K_gamma", "predicted", "empir
 def _sweep_row(task):
     """One sweep row; module-level so worker processes can pickle it."""
     (label, u0, params, ground, cfg, do_verify) = task
-    verdict = classify(u0, params, ground, pairs=(VIRIAL_PAIR,))
+    verdict = classify(u0, params, ground)
     predicted = verdict.predicted
     if do_verify and predicted is not Predicted.OUT_OF_SCOPE:
         try:

@@ -3,13 +3,13 @@
 Configuration is a line-oriented ``key = value`` file with flag overrides;
 unknown keys and constraint violations are reported with their line number.
 A command's options are declared in one place, the ``_COMMANDS`` table: each
-entry names the ``RunConfig`` fields the command accepts, and every flag is
-built from that list (``R_max`` becomes ``--r-max``).  Every command writes
-its results plus a manifest into the output directory.  This module is the
-only one that knows how results look from outside: JSON files are written
-from the result dataclasses by the one rule in ``_json_ready``.  Data files
-carry no timestamps and floats are printed at 17 significant digits, so
-identical configs give byte-identical outputs.
+entry names the ``RunConfig`` fields its handler reads, and no others, and
+every flag is built from that list (``R_max`` becomes ``--r-max``).  Every
+command writes its results plus a manifest into the output directory.  This
+module is the only one that knows how results look from outside: JSON files
+are written from the result dataclasses by the one rule in ``_json_ready``.
+Data files carry no timestamps and floats are printed at 17 significant
+digits, so identical configs give byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -349,6 +349,10 @@ _EVOLUTION = (
     "dt", "t_end", "monitor_every", "absorb", "absorb_width",
     "blowup_grad_factor", "decay_window", "splitting_order",
 )
+#: verify_empirically chooses the absorber from the prediction
+_VERIFY = tuple(name for name in _EVOLUTION if name != "absorb")
+#: rigidity_probe runs conservatively to t_probe with fixed steps
+_PROBE = ("dt", "monitor_every", "splitting_order")
 _FAMILY = ("family", "amplitude", "width")
 
 #: command -> (handler, help, the RunConfig fields it takes as flags)
@@ -360,11 +364,11 @@ _COMMANDS = {
     "evolve": (_cmd_evolve, "time-evolve a datum and record the trace",
                _COMMON + _EVOLUTION + _FAMILY + ("snapshot_times",)),
     "classify": (_cmd_classify, "variational verdict for a datum",
-                 _COMMON + _EVOLUTION + _FAMILY + ("verify",)),
+                 _COMMON + _VERIFY + _FAMILY + ("verify",)),
     "sweep": (_cmd_sweep, "classify a family and write a CSV table",
-              _COMMON + _EVOLUTION + ("family", "amplitudes", "widths", "workers", "verify")),
+              _COMMON + _VERIFY + ("family", "amplitudes", "widths", "workers", "verify")),
     "virial-check": (_cmd_virial_check, "rigidity convexity probe",
-                     _COMMON + _EVOLUTION + ("amplitude", "t_probe")),
+                     _COMMON + _PROBE + ("amplitude", "t_probe")),
 }
 
 

@@ -104,9 +104,9 @@ class EvolutionConfig:
             raise ValueError("t_end must be positive")
         if self.monitor_every < 1:
             raise ValueError("monitor_every must be >= 1")
-        if self.absorb and not (0.0 < self.absorb_width < grid.r_max / 4.0):
+        if self.absorb and not (0.0 < self.absorb_width <= grid.r_max / 4.0):
             raise ValueError(
-                f"absorb_width must lie in (0, R_max/4); got {self.absorb_width}"
+                f"absorb_width must lie in (0, R_max/4]; got {self.absorb_width}"
             )
         if self.splitting_order not in (2, 4):
             raise ValueError("splitting_order must be 2 or 4")

@@ -51,6 +51,9 @@ _BRIDGE = tuple(
 #: plateau value chi(3) = 23/7
 PLATEAU = float(Fraction(23, 7))
 
+#: the remainder terms of the decomposed I'', supported in r >= R
+REMAINDER_TERMS = ("R1", "R2", "R3", "R4")
+
 
 def _bridge_deriv(d: int, x: np.ndarray) -> np.ndarray:
     out = np.zeros_like(x)
@@ -207,10 +210,7 @@ def I_double_prime(
             "F2": t_bilap,
             "F3": t_quart,
             "potential": t_pot,
-            "R1": r1,
-            "R2": r2,
-            "R3": r3,
-            "R4": r4,
+            **dict(zip(REMAINDER_TERMS, (r1, r2, r3, r4))),
         },
     )
 
@@ -273,13 +273,23 @@ def rigidity_probe(
     T: float,
     cfg: EvolutionConfig | None = None,
 ) -> RigidityReport:
-    """Run the flow to time T and certify strict convexity of I(t).
+    """Run the flow for round(T/dt) steps and certify strict convexity of I(t).
 
     delta0 is the action gap level - S(u0); R is chosen by tail smallness of
     the initial datum.  I is recorded every step so the discrete second
-    difference can be compared against the assembled I''.
+    difference can be compared against the assembled I''.  Of cfg only dt,
+    monitor_every and splitting_order shape the run: it is conservative and
+    T is its horizon, which must be finite and at least dt.
     """
     grid = u0.grid
+    cfg = cfg or EvolutionConfig(dt=min(5e-4, grid.h), t_end=T)
+    if not (np.isfinite(T) and T >= cfg.dt):
+        raise ValueError(
+            f"probe horizon T must be finite and at least dt; got T={T}, dt={cfg.dt}"
+        )
+    # the identity holds for the conservative flow only
+    cfg = replace(cfg, t_end=T, absorb=False)
+    cfg.validate(grid)
     rep0 = functionals.report(u0, params)
     if not (rep0.action < level):
         raise ValueError("rigidity probe requires S(u0) < level")
@@ -289,12 +299,6 @@ def rigidity_probe(
     R = select_cutoff_radius(u0, params, delta0)
     cutoff = build_cutoff(R, grid)
     C = remainder_bound_constant(params)
-
-    # the identity holds for the conservative flow only
-    cfg = replace(
-        cfg or EvolutionConfig(dt=min(5e-4, grid.h), t_end=T), t_end=T, absorb=False
-    )
-    cfg.validate(grid)
     stepper = _Stepper(grid, params, cfg.dt, cfg.splitting_order, None)
 
     n_steps = int(round(T / cfg.dt))
@@ -303,29 +307,7 @@ def rigidity_probe(
     u = u0.values.astype(complex)
     I_series[0] = I_value(RadialField(grid, u), cutoff)
 
-    times = []
-    tick_steps = []
-    terms = {
-        k: []
-        for k in [
-            "I",
-            "Iprime",
-            "Ipp",
-            "Ipp_decomposed",
-            "F1",
-            "grad",
-            "F2",
-            "F3",
-            "potential",
-            "R1",
-            "R2",
-            "R3",
-            "R4",
-            "remainder_sum",
-            "remainder_bound",
-            "h1_norm_sq",
-        ]
-    }
+    ticks = {}  # step index -> the quantities recorded at that monitor tick
     try:
         for k in range(1, n_steps + 1):
             u = stepper.step(u)
@@ -333,26 +315,24 @@ def rigidity_probe(
             I_series[k] = I_value(f, cutoff)
             if k % every == 0 or k == n_steps:
                 d2 = I_double_prime(f, cutoff, params)
-                rem = sum(d2.terms[key] for key in ("R1", "R2", "R3", "R4"))
-                times.append(k * cfg.dt)
-                tick_steps.append(k)
-                terms["I"].append(I_series[k])
-                terms["Iprime"].append(I_prime(f, cutoff, params))
-                terms["Ipp"].append(d2.total)
-                terms["Ipp_decomposed"].append(d2.total_decomposed)
-                for key in ("F1", "grad", "F2", "F3", "potential", "R1", "R2", "R3", "R4"):
-                    terms[key].append(d2.terms[key])
-                terms["remainder_sum"].append(rem)
-                terms["remainder_bound"].append(C * tail_integral(f, R, params))
-                terms["h1_norm_sq"].append(
-                    functionals.report(f, params).h1_omega_gamma_sq
-                )
+                ticks[k] = {
+                    "I": I_series[k],
+                    "Iprime": I_prime(f, cutoff, params),
+                    "Ipp": d2.total,
+                    "Ipp_decomposed": d2.total_decomposed,
+                    **d2.terms,
+                    "remainder_sum": sum(d2.terms[key] for key in REMAINDER_TERMS),
+                    "remainder_bound": C * tail_integral(f, R, params),
+                    "h1_norm_sq": functionals.report(f, params).h1_omega_gamma_sq,
+                }
     except FlowBlowup as exc:
         raise RuntimeError(
             "rigidity probe flow left floating-point range; the datum does "
             "not satisfy the convexity hypotheses numerically"
         ) from exc
 
+    tick_steps = list(ticks)
+    terms = {key: [row[key] for row in ticks.values()] for key in ticks[tick_steps[0]]}
     ipp = np.array(terms["Ipp"])
     ipp_dec = np.array(terms["Ipp_decomposed"])
     forms_gap = float(
@@ -390,6 +370,6 @@ def rigidity_probe(
         iprime_linear_ratio=lin_ratio,
         second_diff_max_rel_err=sd_err,
         forms_max_rel_gap=forms_gap,
-        times=times,
+        times=[k * cfg.dt for k in tick_steps],
         terms=terms,
     )

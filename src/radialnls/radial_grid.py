@@ -75,9 +75,6 @@ class EquationParams:
     mu: float
     omega: float
 
-    d: int = 3
-    p: int = 3
-
     def __post_init__(self) -> None:
         if not (self.gamma >= 0.0):
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
@@ -89,8 +86,6 @@ class EquationParams:
             value = getattr(self, name)
             if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if (self.d, self.p) != (3, 3):
-            raise ValueError("only d = p = 3 is supported")
 
 
 @dataclass

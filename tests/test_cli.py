@@ -126,12 +126,31 @@ class TestUsageErrors:
         assert rc == 1
         assert "validation error: blowup_grad_factor" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("width", [["--width", "0"], ["--width=-1"]])
+    def test_nonpositive_width_exits_one(self, tmp_path, capsys, width):
+        out = tmp_path / "fn"
+        rc = main(["functionals", "--family", "gaussian", "--n", "512", "--r-max", "16",
+                   *width, "--out", str(out)])
+        assert rc == 1
+        assert "validation error: width" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("t_probe", ["1e-4", "inf"])
+    def test_probe_horizon_checked(self, tmp_path, capsys, t_probe):
+        out = tmp_path / "vc"
+        rc = main(["virial-check", "--n", "512", "--r-max", "16", "--dt", "1e-3",
+                   "--t-probe", t_probe, "--out", str(out)])
+        assert rc == 1
+        assert "validation error: probe horizon" in capsys.readouterr().err
+        assert not (out / "probe.json").exists()
+
 
 _COMMON_FLAGS = ["--config", "--gamma", "--mu", "--omega", "--n", "--r-max", "--out"]
 _EVOLUTION_FLAGS = [
     "--dt", "--t-end", "--monitor-every", "--absorb", "--no-absorb", "--absorb-width",
     "--blowup-grad-factor", "--decay-window", "--splitting-order",
 ]
+_VERIFY_FLAGS = [f for f in _EVOLUTION_FLAGS if f not in ("--absorb", "--no-absorb")]
 _FAMILY_FLAGS = ["--family", "--amplitude", "--width"]
 
 #: the option strings of every subcommand, in help order
@@ -139,11 +158,12 @@ COMMAND_FLAGS = {
     "ground-state": _COMMON_FLAGS + ["--with-oracle", "--no-with-oracle"],
     "functionals": _COMMON_FLAGS + _FAMILY_FLAGS,
     "evolve": _COMMON_FLAGS + _EVOLUTION_FLAGS + _FAMILY_FLAGS + ["--snapshot-times"],
-    "classify": _COMMON_FLAGS + _EVOLUTION_FLAGS + _FAMILY_FLAGS + ["--verify", "--no-verify"],
-    "sweep": _COMMON_FLAGS + _EVOLUTION_FLAGS + [
+    "classify": _COMMON_FLAGS + _VERIFY_FLAGS + _FAMILY_FLAGS + ["--verify", "--no-verify"],
+    "sweep": _COMMON_FLAGS + _VERIFY_FLAGS + [
         "--family", "--amplitudes", "--widths", "--workers", "--verify", "--no-verify",
     ],
-    "virial-check": _COMMON_FLAGS + _EVOLUTION_FLAGS + ["--amplitude", "--t-probe"],
+    "virial-check": _COMMON_FLAGS + ["--dt", "--monitor-every", "--splitting-order",
+                                     "--amplitude", "--t-probe"],
 }
 
 
@@ -290,6 +310,24 @@ class TestVirialCheckCommand:
             assert key in probe
         assert probe["delta0"] > 0.0
         assert probe["min_Ipp"] > 0.0
+
+    def test_probe_terms_columns(self, tmp_path):
+        out = tmp_path / "vc"
+        rc = main([
+            "virial-check", "--amplitude", "0.9", "--t-probe", "0.2", "--n", "1024",
+            "--r-max", "32", "--dt", "1e-3", "--monitor-every", "7",
+            "--splitting-order", "4", "--out", str(out),
+        ])
+        assert rc == 0
+        probe = json.loads((out / "probe.json").read_text())
+        assert set(probe["terms"]) == {
+            "I", "Iprime", "Ipp", "Ipp_decomposed", "F1", "grad", "F2", "F3",
+            "potential", "R1", "R2", "R3", "R4", "remainder_sum",
+            "remainder_bound", "h1_norm_sq",
+        }
+        # ticks every 7 steps of 200, plus the last step
+        assert probe["times"] == pytest.approx([k * 1e-3 for k in [*range(7, 200, 7), 200]])
+        assert all(len(column) == 29 for column in probe["terms"].values())
 
 
 class TestSweepCommand:

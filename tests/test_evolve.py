@@ -237,6 +237,10 @@ class TestAbsorbingLayer:
         with pytest.raises(ValueError, match="absorb_width"):
             run(f, cfg, params)
 
+    def test_default_width_validates_on_default_grid(self):
+        # the default width is exactly R_max/4 on the default grid
+        EvolutionConfig(dt=1e-3, t_end=0.1, absorb=True).validate(build_grid(4096, 32.0))
+
 
 class TestDetectors:
     def test_blowup_above_threshold(self, ground_small_state, params):
