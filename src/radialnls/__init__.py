@@ -9,12 +9,10 @@ from .radial_grid import (
     EquationParams,
     RadialField,
     RadialGrid,
-    apply_lap_gamma,
     build_grid,
     embed_field,
     gradient_norm_sq,
     integrate,
-    solve_cn,
 )
 from .functionals import (
     DEFAULT_PAIRS,
@@ -38,9 +36,7 @@ from .evolve import (
     EvolutionConfig,
     EvolutionTrace,
     Outcome,
-    monitor_k_bound,
     run,
-    step,
 )
 from .localized_virial import (
     VirialCutoff,
@@ -66,12 +62,10 @@ __all__ = [
     "EquationParams",
     "RadialField",
     "RadialGrid",
-    "apply_lap_gamma",
     "build_grid",
     "embed_field",
     "gradient_norm_sq",
     "integrate",
-    "solve_cn",
     "DEFAULT_PAIRS",
     "FunctionalReport",
     "ScalingPair",
@@ -89,9 +83,7 @@ __all__ = [
     "EvolutionConfig",
     "EvolutionTrace",
     "Outcome",
-    "monitor_k_bound",
     "run",
-    "step",
     "VirialCutoff",
     "I_double_prime",
     "I_prime",

@@ -1,10 +1,14 @@
 """Command-line entry point: config parsing, run orchestration, serialization.
 
-Configuration is a line-oriented ``key = value`` file with flag overrides;
-unknown keys and constraint violations are reported with their line number.
+Configuration is a line-oriented ``key = value`` file with flag overrides.
 A command's options are declared in one place, the ``_COMMANDS`` table: each
-entry names the ``RunConfig`` fields its handler reads, and no others, and
-every flag is built from that list (``R_max`` becomes ``--r-max``).  Every
+entry names the ``RunConfig`` fields its handler reads, and no others.  Every
+flag is built from that list (``R_max`` becomes ``--r-max``), a config file
+may hold only those keys, and the manifest echoes only those keys.  Values
+are checked by the library objects that use them (``build_grid``,
+``EquationParams``, ``EvolutionConfig.validate``).  A file line with an
+unknown key, a malformed value or a value those objects reject is reported
+with its line number.  Every
 command writes its results plus a manifest into the output directory.  This
 module is the only one that knows how results look from outside: JSON files
 are written from the result dataclasses by the one rule in ``_json_ready``.
@@ -48,7 +52,6 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    command: str = ""
     gamma: float = 1.0
     mu: float = 1.0
     omega: float = 1.0
@@ -59,7 +62,6 @@ class RunConfig:
     monitor_every: int = 20
     absorb: bool = False
     absorb_width: float = 8.0
-    absorb_strength: float = 5.0
     blowup_grad_factor: float = 10.0
     decay_window: float = 2.0
     splitting_order: int = 2
@@ -114,17 +116,21 @@ _PARSERS = {
     tuple: _parse_float_list,
 }
 
-_FIELD_TYPES = {
-    name: tp for name, tp in get_type_hints(RunConfig).items() if name != "command"
-}
+_FIELD_TYPES = get_type_hints(RunConfig)
 
 
-def parse_config(path: str | None, overrides: dict | None = None) -> RunConfig:
-    """Build a RunConfig from an optional key=value file plus flag overrides.
+def parse_config(
+    command: str, path: str | None = None, overrides: dict | None = None
+) -> RunConfig:
+    """Build the RunConfig of `command` from an optional key=value file plus
+    flag overrides.
 
-    Overrides win over file values; unknown keys and malformed numbers are
-    rejected with the offending line number.
+    Overrides win over file values.  A key the command does not read and a
+    malformed value are rejected with the offending line number, and so is a
+    file value that the grid, the equation parameters or, for commands that
+    evolve, the evolution config rejects.
     """
+    reads = _COMMANDS[command][2]
     cfg = RunConfig()
     lines = {}
     if path is not None:
@@ -136,8 +142,8 @@ def parse_config(path: str | None, overrides: dict | None = None) -> RunConfig:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in _FIELD_TYPES:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            if key not in reads:
+                raise ConfigError(f"{path}:{lineno}: unknown key {key!r} for {command}")
             try:
                 parsed = _PARSERS[_FIELD_TYPES[key]](value)
             except ValueError as exc:
@@ -147,32 +153,25 @@ def parse_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     for key, value in (overrides or {}).items():
         if value is None:
             continue
-        if key not in _FIELD_TYPES:
-            raise ConfigError(f"unknown configuration key {key!r}")
+        if key not in reads:
+            raise ConfigError(f"unknown key {key!r} for {command}")
         setattr(cfg, key, value)
         lines.pop(key, None)  # flag overrides trump file provenance
 
-    def _where(key):
-        return f"{path}:{lines[key]}: " if key in lines else ""
-
-    if not (cfg.gamma >= 0.0):
-        raise ConfigError(f"{_where('gamma')}gamma must be >= 0, got {cfg.gamma}")
-    if not (0.0 < cfg.mu < 2.0):
-        raise ConfigError(f"{_where('mu')}mu must satisfy 0 < mu < 2, got {cfg.mu}")
-    if not (cfg.omega > 0.0):
-        raise ConfigError(f"{_where('omega')}omega must be positive, got {cfg.omega}")
-    if cfg.n < 16:
-        raise ConfigError(f"{_where('n')}n must be >= 16, got {cfg.n}")
-    if not (cfg.R_max > 1.0):
-        raise ConfigError(f"{_where('R_max')}R_max must exceed 1, got {cfg.R_max}")
-    if not (cfg.dt > 0.0):
-        raise ConfigError(f"{_where('dt')}dt must be positive, got {cfg.dt}")
-    if cfg.splitting_order not in (2, 4):
-        raise ConfigError(
-            f"{_where('splitting_order')}splitting_order must be 2 or 4"
-        )
+    # every message these raise begins with the name of the offending field
+    try:
+        grid = cfg.grid()
+        cfg.params()
+        if "dt" in reads:
+            cfg.evolution().validate(grid)
+    except ValueError as exc:
+        key = str(exc).split(" ", 1)[0]
+        if key in lines:
+            raise ConfigError(f"{path}:{lines[key]}: {exc}") from exc
+        raise
     if cfg.family not in ("cQ", "gaussian"):
-        raise ConfigError(f"{_where('family')}family must be 'cQ' or 'gaussian'")
+        where = f"{path}:{lines['family']}: " if "family" in lines else ""
+        raise ConfigError(f"{where}family must be 'cQ' or 'gaussian'")
     return cfg
 
 
@@ -410,8 +409,7 @@ def main(argv=None) -> int:
             for k, v in vars(args).items()
             if k not in ("command", "config") and v is not None
         }
-        cfg = parse_config(args.config, overrides)
-        cfg.command = args.command
+        cfg = parse_config(args.command, args.config, overrides)
         outdir = Path(cfg.out)
         outdir.mkdir(parents=True, exist_ok=True)
         rc, outputs = _COMMANDS[args.command][0](cfg, outdir)
@@ -426,7 +424,7 @@ def main(argv=None) -> int:
         return 2
     manifest = {
         "command": args.command,
-        "config": cfg,
+        "config": {name: getattr(cfg, name) for name in _COMMANDS[args.command][2]},
         "versions": {
             "radialnls": __version__,
             "numpy": np.__version__,

@@ -217,34 +217,13 @@ class _Stepper:
         return self.advance(u, 1)
 
 
-def step(u: RadialField, dt: float, params: EquationParams) -> RadialField:
-    """One Strang step of the full flow (no absorbing layer).
-
-    NaN appearance signals numerical blow-up; run() converts it into a trace
-    outcome rather than letting it crash.
-    """
-    stepper = _Stepper(u.grid, params, dt, order=2)
-    return RadialField(u.grid, stepper.step(u.values.astype(complex)))
-
-
-def monitor_k_bound(
-    u_t: RadialField,
-    S0: float,
-    level: float,
-    params: EquationParams,
-) -> bool:
-    """Run-time lower bound on the virial functional.
+def _k_bound_ok(rep, S0, level, params) -> bool:
+    """Run-time lower bound on the virial functional, from the report of u(t).
 
     Checks K_gamma(u(t)) >= min(level - S0, (2 mu/7) ||(-Delta_gamma)^{1/2}
-    u(t)||^2) - K_BOUND_TOL, the bound available strictly below the threshold.
+    u(t)||^2) - K_BOUND_TOL, the bound available strictly below the threshold
+    (S0 < level), which run checks before it monitors the bound.
     """
-    if not (S0 < level):
-        raise ValueError("bound applies only to data strictly below the threshold")
-    return _k_bound_ok(functionals.report(u_t, params), S0, level, params)
-
-
-def _k_bound_ok(rep, S0, level, params) -> bool:
-    """The monitor_k_bound test on the report of u(t)."""
     floor = min(level - S0, (2.0 * params.mu / 7.0) * rep.sobolev_gamma_sq)
     return bool(rep.k(VIRIAL_PAIR, params) >= floor - K_BOUND_TOL)
 
@@ -263,8 +242,8 @@ def run(
     it with positive virial, the K_gamma lower bound is monitored at every
     tick and required for decay detection.  `reference` adds per-tick phase
     and modulus-deviation channels against a fixed profile.  Snapshots are
-    taken at the first monitor tick at or past each requested time and
-    record both times.
+    taken at the first monitor tick at or past each requested time, which
+    must be finite and >= 0, and record both times.
 
     The flow advances in windows of `monitor_every` steps, and one rule
     refines them.  A step-doubling error probe above local_error_tol at the
@@ -281,6 +260,8 @@ def run(
     """
     grid = u0.grid
     cfg.validate(grid)
+    if not all(0.0 <= t < np.inf for t in snapshot_times):
+        raise ValueError(f"snapshot_times must be finite and >= 0, got {snapshot_times}")
 
     rep = functionals.report(u0, params)
     m0, e0, S0 = rep.mass, rep.energy, rep.action

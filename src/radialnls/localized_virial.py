@@ -18,7 +18,7 @@ agree to round-off.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -278,8 +278,9 @@ def rigidity_probe(
     delta0 is the action gap level - S(u0); R is chosen by tail smallness of
     the initial datum.  I is recorded every step so the discrete second
     difference can be compared against the assembled I''.  Of cfg only dt,
-    monitor_every and splitting_order shape the run: it is conservative and
-    T is its horizon, which must be finite and at least dt.
+    monitor_every and splitting_order shape the run, and only they are
+    validated: the run is conservative and T is its horizon, which must be
+    finite and at least dt.
     """
     grid = u0.grid
     cfg = cfg or EvolutionConfig(dt=min(5e-4, grid.h), t_end=T)
@@ -287,9 +288,11 @@ def rigidity_probe(
         raise ValueError(
             f"probe horizon T must be finite and at least dt; got T={T}, dt={cfg.dt}"
         )
-    # the identity holds for the conservative flow only
-    cfg = replace(cfg, t_end=T, absorb=False)
-    cfg.validate(grid)
+    # the identity holds for the conservative flow only, so absorb stays off
+    EvolutionConfig(
+        dt=cfg.dt, t_end=T, monitor_every=cfg.monitor_every,
+        splitting_order=cfg.splitting_order,
+    ).validate(grid)
     rep0 = functionals.report(u0, params)
     if not (rep0.action < level):
         raise ValueError("rigidity probe requires S(u0) < level")

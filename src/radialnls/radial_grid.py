@@ -79,7 +79,7 @@ class EquationParams:
         if not (self.gamma >= 0.0):
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
         if not (0.0 < self.mu < 2.0):
-            raise ValueError(f"mu must lie in (0, 2), got {self.mu}")
+            raise ValueError(f"mu must satisfy 0 < mu < 2, got {self.mu}")
         if not (self.omega > 0.0):
             raise ValueError(f"omega must be positive, got {self.omega}")
         for name in ("gamma", "omega"):
@@ -213,12 +213,6 @@ def lap_gamma_diagonals(grid: RadialGrid, gamma: float, mu: float) -> Tridiagona
     return Tridiagonal(lower, diag, upper)
 
 
-def apply_lap_gamma(field: RadialField, params: EquationParams) -> RadialField:
-    """Apply the discrete Delta_gamma to a field."""
-    lap = lap_gamma_diagonals(field.grid, params.gamma, params.mu)
-    return RadialField(field.grid, lap.apply(field.values))
-
-
 class CrankNicolson:
     """Crank-Nicolson propagator v = (Id - zL)^{-1} (Id + zL) u, z = i tau/2,
     of L = Delta_gamma, with Id - zL factored once at construction."""
@@ -230,18 +224,6 @@ class CrankNicolson:
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         return self._lu.solve(u + self._z * self._lap.apply(u))
-
-
-def solve_cn(u_rhs: RadialField, tau: float, params: EquationParams) -> RadialField:
-    """One Crank-Nicolson step of the linear flow exp(i tau Delta_gamma).
-
-    Solves (Id - i tau/2 Delta_gamma) v = (Id + i tau/2 Delta_gamma) u.
-    Unitary in the quadrature norm because Delta_gamma is self-adjoint.
-    """
-    if tau == 0.0:
-        raise ValueError("tau must be nonzero")
-    lap = lap_gamma_diagonals(u_rhs.grid, params.gamma, params.mu)
-    return RadialField(u_rhs.grid, CrankNicolson(lap, tau)(u_rhs.values))
 
 
 def solve_helmholtz(

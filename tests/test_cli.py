@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from radialnls import ClassificationVerdict, FunctionalReport
-from radialnls.cli import ConfigError, _build_parser, main, parse_config
+from radialnls.cli import (
+    _COMMANDS, ConfigError, RunConfig, _build_parser, main, parse_config,
+)
 from radialnls.localized_virial import RigidityReport
 
 
@@ -22,50 +24,67 @@ def write_cfg(tmp_path, text, name="run.cfg"):
 class TestParseConfig:
     def test_valid_file(self, tmp_path):
         path = write_cfg(tmp_path, "gamma = 1.0\nmu = 1.0\nomega = 1.0\nn = 4096\nR_max = 32")
-        cfg = parse_config(path)
+        cfg = parse_config("functionals", path)
         assert cfg.gamma == 1.0 and cfg.n == 4096 and cfg.R_max == 32.0
 
     def test_mu_constraint_cites_line(self, tmp_path):
         path = write_cfg(tmp_path, "gamma = 1.0\nmu = 2.5\n")
         with pytest.raises(ConfigError, match=r":2: mu must satisfy 0 < mu < 2"):
-            parse_config(path)
+            parse_config("functionals", path)
 
     def test_unknown_key_cites_line(self, tmp_path):
         path = write_cfg(tmp_path, "gamma = 1.0\nomeg = 1.0\n")
         with pytest.raises(ConfigError, match=r":2: unknown key 'omeg'"):
-            parse_config(path)
+            parse_config("functionals", path)
 
     def test_malformed_number(self, tmp_path):
         path = write_cfg(tmp_path, "gamma = squid\n")
         with pytest.raises(ConfigError, match=r":1: bad value"):
-            parse_config(path)
+            parse_config("functionals", path)
 
     def test_flag_overrides_file(self, tmp_path):
         path = write_cfg(tmp_path, "omega = 1.0\n")
-        cfg = parse_config(path, {"omega": 2.0})
+        cfg = parse_config("functionals", path, {"omega": 2.0})
         assert cfg.omega == 2.0
 
     def test_comments_and_blanks(self, tmp_path):
         path = write_cfg(tmp_path, "# comment\n\ngamma = 0.5  # trailing\n")
-        assert parse_config(path).gamma == 0.5
+        assert parse_config("functionals", path).gamma == 0.5
 
 
     def test_seed_key_unknown(self, tmp_path):
         path = write_cfg(tmp_path, BASE + "seed = 3\n")
         with pytest.raises(ConfigError, match=r"run.cfg:6: unknown key 'seed'"):
-            parse_config(path)
+            parse_config("functionals", path)
 
     def test_evolution_carries_every_shared_field(self, tmp_path):
         path = write_cfg(tmp_path, BASE + (
             "dt = 5e-4\nt_end = 3\nmonitor_every = 7\nabsorb = true\n"
-            "absorb_width = 2.5\nabsorb_strength = 4\nblowup_grad_factor = 6\n"
+            "absorb_width = 2.5\nblowup_grad_factor = 6\n"
             "decay_window = 1.5\nsplitting_order = 4\n"
         ))
-        evo = parse_config(path).evolution()
+        evo = parse_config("evolve", path).evolution()
         assert (evo.dt, evo.t_end, evo.monitor_every, evo.absorb) == (5e-4, 3.0, 7, True)
-        assert (evo.absorb_width, evo.absorb_strength) == (2.5, 4.0)
+        assert evo.absorb_width == 2.5
         assert (evo.blowup_grad_factor, evo.decay_window) == (6.0, 1.5)
         assert evo.splitting_order == 4
+
+    def test_every_field_is_read_by_some_command(self):
+        read = {name for _, _, names in _COMMANDS.values() for name in names}
+        assert read == {f.name for f in fields(RunConfig)}
+
+    @pytest.mark.parametrize("command,line", [
+        ("evolve", "dt = 1"),
+        ("classify", "dt = 1"),
+        ("functionals", "R_max = inf"),
+        ("ground-state", "omega = 0"),
+        ("virial-check", "splitting_order = 3"),
+    ])
+    def test_file_value_rejected_with_its_line(self, tmp_path, command, line):
+        key = line.split()[0]
+        path = write_cfg(tmp_path, BASE + line + "\n")
+        with pytest.raises(ConfigError, match=rf"run.cfg:6: {key} must"):
+            parse_config(command, path)
 
 
 class TestExitCodes:
@@ -78,6 +97,23 @@ class TestExitCodes:
         path = write_cfg(tmp_path, "nonsense = 3\n")
         rc = main(["functionals", "--config", path, "--out", str(tmp_path / "o")])
         assert rc == 1
+
+    @pytest.mark.parametrize("command,line,flags", [
+        ("virial-check", "absorb = true", ["--dt", "1e-3", "--t-probe", "0.01"]),
+        ("virial-check", "t_end = 0.001", ["--dt", "1e-3", "--t-probe", "0.01"]),
+        ("virial-check", "decay_window = 0.001", ["--dt", "1e-3", "--t-probe", "0.01"]),
+        ("virial-check", "blowup_grad_factor = nan", ["--dt", "1e-3", "--t-probe", "0.01"]),
+        ("ground-state", "dt = 0", []),
+        ("functionals", "t_end = 1", []),
+    ])
+    def test_key_the_command_does_not_read_exits_one(
+        self, tmp_path, capsys, command, line, flags
+    ):
+        path = write_cfg(tmp_path, BASE + line + "\n", name="f")
+        rc = main([command, "--config", path, *flags, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        key = line.split()[0]
+        assert f"f:6: unknown key {key!r} for {command}" in capsys.readouterr().err
 
 
     @pytest.mark.parametrize(
@@ -191,6 +227,8 @@ class TestCommandSurface:
         assert main(argv + ["--out", str(out)]) == 0
         data = json.loads((out / fname).read_text())
         assert set(data) == {f.name for f in fields(cls)}
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["config"]) == set(_COMMANDS[argv[0]][2])
 
 
 class TestGroundStateCommand:
@@ -270,6 +308,18 @@ class TestEvolveCommand:
         assert snap["file"] == "snapshot_000.csv"
         assert snap["t_requested"] == 0.05
         assert snap["t"] == pytest.approx(0.05)
+
+    @pytest.mark.parametrize("times", ["nan,0.02", "-0.01", "inf"])
+    def test_bad_snapshot_time_exits_one(self, tmp_path, capsys, times):
+        out = tmp_path / "ev"
+        rc = main([
+            "evolve", "--family", "gaussian", "--amplitude", "0.3", "--n", "256",
+            "--r-max", "8", "--t-end", "0.05", f"--snapshot-times={times}",
+            "--out", str(out),
+        ])
+        assert rc == 1
+        assert "validation error: snapshot_times must be finite" in capsys.readouterr().err
+        assert not (out / "result.json").exists()
 
     def test_infinite_t_end_exits_one(self, tmp_path, capsys):
         rc = main([

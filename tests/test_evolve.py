@@ -14,15 +14,15 @@ from radialnls import (
     embed_field,
     integrate,
     minimize_quotient,
-    monitor_k_bound,
     report,
     run,
-    solve_cn,
-    step,
     virial,
 )
 from radialnls import functionals
-from radialnls.evolve import FlowBlowup, Snapshot, _Stepper, absorbing_profile
+from radialnls.evolve import (
+    FlowBlowup, Snapshot, _k_bound_ok, _Stepper, absorbing_profile,
+)
+from radialnls.radial_grid import CrankNicolson, lap_gamma_diagonals
 from radialnls.fields import gaussian, random_smooth_field
 
 
@@ -41,35 +41,36 @@ def params():
 
 class TestStep:
     def test_zero(self, grid_small, params):
-        f = RadialField(grid_small, np.zeros(grid_small.n, dtype=complex))
-        out = step(f, 1e-3, params)
-        assert np.all(out.values == 0.0)
+        out = _Stepper(grid_small, params, 1e-3).step(np.zeros(grid_small.n, dtype=complex))
+        assert np.all(out == 0.0)
 
     def test_linear_regime(self, grid_small, params, rng):
         f = random_smooth_field(grid_small, rng)
-        tiny = RadialField(grid_small, 1e-6 * f.values)
-        nonlinear = step(tiny, 1e-3, params)
-        linear = solve_cn(tiny, 1e-3, params)
-        assert np.max(np.abs(nonlinear.values - linear.values)) < 1e-14
+        tiny = 1e-6 * f.values
+        nonlinear = _Stepper(grid_small, params, 1e-3).step(tiny)
+        lap = lap_gamma_diagonals(grid_small, params.gamma, params.mu)
+        linear = CrankNicolson(lap, 1e-3)(tiny)
+        assert np.max(np.abs(nonlinear - linear)) < 1e-14
 
     def test_mass_preserved_per_step(self, grid_small, params, rng):
         f = random_smooth_field(grid_small, rng, complex_phase=True)
         m0 = integrate(grid_small, np.abs(f.values) ** 2)
-        out = step(f, 1e-3, params)
-        m1 = integrate(grid_small, np.abs(out.values) ** 2)
+        out = _Stepper(grid_small, params, 1e-3).step(f.values)
+        m1 = integrate(grid_small, np.abs(out) ** 2)
         assert m1 == pytest.approx(m0, rel=1e-12)
 
     def test_global_second_order(self, ground_small_state, params):
         # halving dt reduces the fixed-time error by about 4 (second order)
         grid = ground_small_state.profile.grid
-        u0 = RadialField(grid, 0.9 * ground_small_state.profile.values)
+        u0 = 0.9 * ground_small_state.profile.values
         t_final = 0.05
 
         def evolve_to(dt):
+            stepper = _Stepper(grid, params, dt)
             u = u0
             for _ in range(int(round(t_final / dt))):
-                u = step(u, dt, params)
-            return u.values
+                u = stepper.step(u)
+            return u
 
         ref = evolve_to(2.5e-4)
         e1 = np.sqrt(integrate(grid, np.abs(evolve_to(2e-3) - ref) ** 2))
@@ -310,24 +311,18 @@ class TestDetectors:
 
 
 class TestMonitorKBound:
-    def test_requires_below_threshold(self, ground_small_state, params):
-        q = ground_small_state.profile
-        with pytest.raises(ValueError, match="below the threshold"):
-            monitor_k_bound(q, ground_small_state.level + 1.0,
-                            ground_small_state.level, params)
-
     def test_holds_for_small_datum(self, ground_small_state, params):
         grid = ground_small_state.profile.grid
         u0 = RadialField(grid, 0.1 * ground_small_state.profile.values)
-        s0 = report(u0, params).action
-        assert monitor_k_bound(u0, s0, ground_small_state.level, params)
+        rep = report(u0, params)
+        assert _k_bound_ok(rep, rep.action, ground_small_state.level, params)
 
     def test_holds_for_scatter_datum(self, ground_small_state, params):
         grid = ground_small_state.profile.grid
         u0 = RadialField(grid, 0.9 * ground_small_state.profile.values)
-        s0 = report(u0, params).action
+        rep = report(u0, params)
         assert virial(u0, params) > 0.0
-        assert monitor_k_bound(u0, s0, ground_small_state.level, params)
+        assert _k_bound_ok(rep, rep.action, ground_small_state.level, params)
 
 
 #: one cheap Gaussian run per outcome: (n, R_max, amplitude, config)

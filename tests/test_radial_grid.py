@@ -5,15 +5,19 @@ from hypothesis import given, settings, strategies as st
 from radialnls import (
     EquationParams,
     RadialField,
-    apply_lap_gamma,
     build_grid,
     embed_field,
     gradient_norm_sq,
     integrate,
-    solve_cn,
 )
 from radialnls.fields import random_smooth_field
-from radialnls.radial_grid import Tridiagonal, inner_product
+from radialnls.radial_grid import (
+    CrankNicolson, Tridiagonal, inner_product, lap_gamma_diagonals,
+)
+
+
+def lap_of(grid, params):
+    return lap_gamma_diagonals(grid, params.gamma, params.mu)
 
 
 def gaussian_field(grid, width=1.0):
@@ -118,17 +122,15 @@ class TestGradientNorm:
 
 class TestLapGamma:
     def test_zero(self, grid_small, params_default):
-        f = RadialField(grid_small, np.zeros(grid_small.n, dtype=complex))
-        out = apply_lap_gamma(f, params_default)
-        assert np.all(out.values == 0.0)
+        lap = lap_of(grid_small, params_default)
+        assert np.all(lap.apply(np.zeros(grid_small.n, dtype=complex)) == 0.0)
 
     def test_quadratic_form_identity(self, grid_small, params_default, rng):
         # summation by parts: -<Lu, u> = ||grad u||^2 + int gamma r^-mu |u|^2
+        lap = lap_of(grid_small, params_default)
         for _ in range(5):
             f = random_smooth_field(grid_small, rng)
-            lhs = -np.real(
-                inner_product(grid_small, f.values, apply_lap_gamma(f, params_default).values)
-            )
+            lhs = -np.real(inner_product(grid_small, f.values, lap.apply(f.values)))
             pot = integrate(
                 grid_small,
                 params_default.gamma / grid_small.r**params_default.mu * np.abs(f.values) ** 2,
@@ -139,58 +141,53 @@ class TestLapGamma:
     def test_symmetry(self, grid_small, params_default, rng):
         u = random_smooth_field(grid_small, rng)
         v = random_smooth_field(grid_small, rng)
-        lu = apply_lap_gamma(u, params_default).values
-        lv = apply_lap_gamma(v, params_default).values
+        lap = lap_of(grid_small, params_default)
+        lu = lap.apply(u.values)
+        lv = lap.apply(v.values)
         a = inner_product(grid_small, lu, v.values)
         b = inner_product(grid_small, u.values, lv)
         assert a.real == pytest.approx(b.real, rel=1e-12, abs=1e-12)
 
     def test_negative_semidefinite(self, grid_small, params_default, rng):
+        lap = lap_of(grid_small, params_default)
         for _ in range(5):
             f = random_smooth_field(grid_small, rng)
-            quad = -np.real(
-                inner_product(grid_small, f.values, apply_lap_gamma(f, params_default).values)
-            )
+            quad = -np.real(inner_product(grid_small, f.values, lap.apply(f.values)))
             assert quad >= 0.0
 
     def test_gaussian_node_value(self, params_default):
         # Delta_gamma e^{-r^2} at r = 1 is (4-6)/e - 1/e = -3/e, up to O(h^2)
         g = build_grid(4096, 16.0)
         f = gaussian_field(g)
-        out = apply_lap_gamma(f, params_default)
+        out = lap_of(g, params_default).apply(f.values)
         j = int(np.argmin(np.abs(g.r - 1.0)))
         expected = (4.0 * g.r[j] ** 2 - 6.0) * np.exp(-g.r[j] ** 2) - np.exp(
             -g.r[j] ** 2
         ) / g.r[j]
-        assert out.values[j].real == pytest.approx(expected, abs=5e-4)
+        assert out[j].real == pytest.approx(expected, abs=5e-4)
 
 
 class TestSolveCN:
     def test_zero(self, grid_small, params_default):
-        f = RadialField(grid_small, np.zeros(grid_small.n, dtype=complex))
-        v = solve_cn(f, 1e-3, params_default)
-        assert np.all(v.values == 0.0)
+        cn = CrankNicolson(lap_of(grid_small, params_default), 1e-3)
+        v = cn(np.zeros(grid_small.n, dtype=complex))
+        assert np.all(v == 0.0)
 
     def test_norm_preservation(self, grid_small, params_default, rng):
         f = random_smooth_field(grid_small, rng, complex_phase=True)
         m0 = integrate(grid_small, np.abs(f.values) ** 2)
-        v = solve_cn(f, 1e-3, params_default)
-        m1 = integrate(grid_small, np.abs(v.values) ** 2)
+        v = CrankNicolson(lap_of(grid_small, params_default), 1e-3)(f.values)
+        m1 = integrate(grid_small, np.abs(v) ** 2)
         assert m1 == pytest.approx(m0, rel=1e-12)
 
     def test_small_tau_identity(self, grid_small, params_default, rng):
         f = random_smooth_field(grid_small, rng)
-        lap = apply_lap_gamma(f, params_default).values
-        scale = np.sqrt(integrate(grid_small, np.abs(lap) ** 2))
+        lap = lap_of(grid_small, params_default)
+        scale = np.sqrt(integrate(grid_small, np.abs(lap.apply(f.values)) ** 2))
         tau = 1e-9
-        v = solve_cn(f, tau, params_default)
-        diff = np.sqrt(integrate(grid_small, np.abs(v.values - f.values) ** 2))
+        v = CrankNicolson(lap, tau)(f.values)
+        diff = np.sqrt(integrate(grid_small, np.abs(v - f.values) ** 2))
         assert diff <= 2.0 * tau * scale
-
-    def test_rejects_zero_tau(self, grid_small, params_default):
-        f = RadialField(grid_small, np.zeros(grid_small.n, dtype=complex))
-        with pytest.raises(ValueError):
-            solve_cn(f, 0.0, params_default)
 
 
 class TestTridiagonal:

@@ -1,3 +1,5 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -12,11 +14,12 @@ from radialnls import (
     build_grid,
     minimize_quotient,
     rigidity_probe,
-    step,
 )
+from radialnls.evolve import _Stepper
 from radialnls.fields import gaussian, random_smooth_field
 from radialnls.localized_virial import (
     PLATEAU,
+    RigidityReport,
     chi_derivatives,
     remainder_bound_constant,
     remainder_constants,
@@ -117,8 +120,8 @@ class TestIPrime:
         c = build_cutoff(5.0, grid32)
         dt = 2.5e-4
         u = RadialField(grid32, 0.9 * ground32.profile.values)
-        um = step(u, -dt, params)
-        up = step(u, dt, params)
+        um = RadialField(grid32, _Stepper(grid32, params, -dt).step(u.values))
+        up = RadialField(grid32, _Stepper(grid32, params, dt).step(u.values))
         di_num = (I_value(up, c) - I_value(um, c)) / (2.0 * dt)
         di = I_prime(u, c, params)
         scale = max(abs(di), I_value(u, c))
@@ -191,6 +194,18 @@ class TestRigidityProbe:
         rigidity_probe(u0, params, ground32.level, 0.1, cfg)
         assert cfg.t_end == 9.0
         assert cfg.absorb is True
+
+    def test_unread_fields_not_validated(self, ground32, params):
+        # only dt, monitor_every and splitting_order are read, so only they are checked
+        grid = ground32.profile.grid
+        u0 = RadialField(grid, 0.9 * ground32.profile.values)
+        clean = EvolutionConfig(dt=5e-4, t_end=1.0, monitor_every=50)
+        dirty = replace(clean, blowup_grad_factor=np.nan, absorb=True,
+                        absorb_width=1e9, t_end=np.inf)
+        got = rigidity_probe(u0, params, ground32.level, 0.1, dirty)
+        want = rigidity_probe(u0, params, ground32.level, 0.1, clean)
+        for f in fields(RigidityReport):
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
 
     def test_smaller_datum_more_convex(self, ground32, params):
         grid = ground32.profile.grid
