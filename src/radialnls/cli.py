@@ -259,6 +259,8 @@ def _cmd_ground_state(cfg: RunConfig, outdir: Path):
             "level": oracle.level,
             "amplitude": oracle.shoot_amplitude,
             "agreement_rel": abs(oracle.level - res.level) / res.level,
+            "bisections": oracle.iterations,
+            "ode_residual": oracle.ode_residual,
         }
     write_json(outdir / "result.json", payload)
     return (0 if res.converged else 2), ["Q.csv", "result.json"]

@@ -16,16 +16,21 @@ Oracle route: bisection shooting on the amplitude of the radial profile ODE
     Q'' + (2/r) Q' - omega Q - (gamma/r^mu) Q + Q^3 = 0,
 
 started at r = h/2 from the local expansion forced by the singular potential,
-with an exponential tail fill past the matching radius.  The two routes share
-nothing but the functionals, so agreement certifies the level.
+with an exponential tail fill past the matching radius.  Each bisection's sign
+test is one DOP853 integration over Python floats (the tableau and step-size
+rule of scipy's solve_ivp, Hairer-Norsett-Wanner I, Sec. II.5) that stops at
+the first zero crossing or upturn; only the dense sample at the final
+amplitude goes through solve_ivp.  The two routes share nothing but the
+functionals, so agreement certifies the level.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 
 from . import functionals
 from .functionals import DEFAULT_PAIRS, ScalingPair
@@ -198,29 +203,161 @@ def minimize_quotient(params: EquationParams, grid: RadialGrid) -> GroundStateRe
     )
 
 
-def _shoot_classify(params, r0, r_end, a):
-    """+1 when the profile stays positive / turns back up, -1 when it crosses zero."""
-    sol = _shoot_integrate(params, r0, r_end, a, dense=False)
-    if sol.t_events[0].size:
-        return -1
-    return +1
+def _shoot_start(params, r0, a):
+    """(q, q') at r0 from the Frobenius-type expansion about r = 0.
 
-
-def _shoot_integrate(params, r0, r_end, a, dense):
-    gamma, mu, omega = params.gamma, params.mu, params.omega
-
-    def rhs(r, y):
-        q, dq = y
-        return (dq, -2.0 / r * dq + omega * q + gamma / r**mu * q - q**3)
-
-    # Frobenius-type start: the r^{2-mu} correction balances the potential,
-    # the r^2 correction the regular part
+    The r^{2-mu} correction balances the potential, the r^2 correction the
+    regular part.  The amplitude is cubed by products, not a power: a Python
+    float power raises OverflowError where a product returns inf.
+    """
+    gamma, mu, omega = float(params.gamma), float(params.mu), float(params.omega)
+    regular = omega * a - a * a * a
     q0 = (
         a
         + gamma * a / ((2.0 - mu) * (3.0 - mu)) * r0 ** (2.0 - mu)
-        + (omega * a - a**3) / 6.0 * r0**2
+        + regular / 6.0 * r0**2
     )
-    dq0 = gamma * a / (3.0 - mu) * r0 ** (1.0 - mu) + (omega * a - a**3) / 3.0 * r0
+    dq0 = gamma * a / (3.0 - mu) * r0 ** (1.0 - mu) + regular / 3.0 * r0
+    return q0, dq0
+
+
+def _shoot_accel(params):
+    """q'' as a function of (r, q, q') on the profile ODE."""
+    gamma, mu, omega = float(params.gamma), float(params.mu), float(params.omega)
+
+    def accel(r, q, dq):
+        return -2.0 / r * dq + omega * q + gamma / r**mu * q - q * q * q
+
+    return accel
+
+
+def _dop853_tableau():
+    """DOP853's stages as (c_s, ((j, a_sj), ...)) and its weights as ((j, w_j), ...),
+    read from scipy and stripped of zero entries, all as Python floats."""
+
+    def nonzero(row):
+        return tuple((j, float(x)) for j, x in enumerate(row) if x != 0.0)
+
+    stages = tuple(
+        (float(DOP853.C[s]), nonzero(DOP853.A[s, :s]))
+        for s in range(1, DOP853.n_stages)
+    )
+    return stages, nonzero(DOP853.B), nonzero(DOP853.E5), nonzero(DOP853.E3)
+
+
+_STAGES, _B, _E5, _E3 = _dop853_tableau()
+#: solve_ivp's step-size rule: error exponent -1/(7 + 1), safety factor, and the
+#: clip of the per-step factor
+_ERR_EXP = -1.0 / (DOP853.error_estimator_order + 1)
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+
+
+def _shoot_classify(params, r0, r_end, a):
+    """+1 when the profile stays positive / turns back up, -1 when it crosses zero.
+
+    One DOP853 integration over Python floats with solve_ivp's tolerances and
+    step-size rule, stopped at the first event: q falling through 0 (-1) or q'
+    rising through 0 (+1).  If both happen in one step the crossing came first,
+    because q' changes sign once per step and q cannot fall after its minimum.
+    A step-size underflow and reaching r_end both count as +1.
+    """
+    accel = _shoot_accel(params)
+    rtol, atol = SHOOT_RTOL, SHOOT_ATOL
+    stages, b_w, e5_w, e3_w = _STAGES, _B, _E5, _E3
+    n_k = len(stages) + 2  # K_0, the later stages, the derivative at the step's end
+    kq = [0.0] * n_k  # stage derivatives of q (= q' at the stage) ...
+    kp = [0.0] * n_k  # ... and of q'
+
+    def rms(x, y):
+        return math.sqrt(0.5 * (x * x + y * y))
+
+    r = r0
+    q, p = _shoot_start(params, r0, a)
+    fp = accel(r, q, p)
+
+    # select_initial_step of solve_ivp, error-estimator order 7
+    length = r_end - r
+    sq, sp = atol + abs(q) * rtol, atol + abs(p) * rtol
+    d0, d1 = rms(q / sq, p / sp), rms(p / sq, fp / sp)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, length)
+    if not h0 > 0.0:
+        return +1  # the start derivative leaves float range: the step underflows
+    p1 = p + h0 * fp
+    d2 = rms((p1 - p) / sq, (accel(r + h0, q + h0 * p, p1) - fp) / sp) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (-_ERR_EXP)
+    h_abs = min(100.0 * h0, h1, length)
+
+    while True:
+        min_step = 10.0 * math.ulp(r)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return +1  # solve_ivp's failed status records no event
+            r_new = min(r + h_abs, r_end)
+            h = r_new - r
+            h_abs = h
+            kq[0], kp[0] = p, fp
+            for s, (c, row) in enumerate(stages, start=1):
+                dq = dp = 0.0
+                for j, w in row:
+                    dq += w * kq[j]
+                    dp += w * kp[j]
+                ys, ps = q + h * dq, p + h * dp
+                kq[s], kp[s] = ps, accel(r + c * h, ys, ps)
+            dq = dp = 0.0
+            for j, w in b_w:
+                dq += w * kq[j]
+                dp += w * kp[j]
+            q_new, p_new = q + h * dq, p + h * dp
+            fp_new = accel(r_new, q_new, p_new)
+            kq[-1], kp[-1] = p_new, fp_new
+            sq = atol + max(abs(q), abs(q_new)) * rtol
+            sp = atol + max(abs(p), abs(p_new)) * rtol
+            e5q = e5p = e3q = e3p = 0.0
+            for j, w in e5_w:
+                e5q += w * kq[j]
+                e5p += w * kp[j]
+            for j, w in e3_w:
+                e3q += w * kq[j]
+                e3p += w * kp[j]
+            e5q, e5p, e3q, e3p = e5q / sq, e5p / sp, e3q / sq, e3p / sp
+            err5 = e5q * e5q + e5p * e5p
+            err3 = e3q * e3q + e3p * e3p
+            if err5 == 0.0 and err3 == 0.0:
+                err = 0.0
+            else:
+                err = h * err5 / math.sqrt(2.0 * (err5 + 0.01 * err3))
+            if err < 1.0:
+                factor = _MAX_FACTOR if err == 0.0 else min(
+                    _MAX_FACTOR, _SAFETY * err**_ERR_EXP
+                )
+                if rejected:
+                    factor = min(1.0, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err**_ERR_EXP)
+            rejected = True
+        if q >= 0.0 and q_new <= 0.0:
+            return -1
+        if p <= 0.0 and p_new >= 0.0:
+            return +1
+        if r_new >= r_end:
+            return +1
+        r, q, p, fp = r_new, q_new, p_new, fp_new
+
+
+def _shoot_integrate(params, r0, r_end, a, dense):
+    """The same shot through solve_ivp, with dense output on request."""
+    accel = _shoot_accel(params)
+
+    def rhs(r, y):
+        q, dq = y
+        return (dq, accel(r, q, dq))
 
     def ev_cross(r, y):
         return y[0]
@@ -237,7 +374,7 @@ def _shoot_integrate(params, r0, r_end, a, dense):
     return solve_ivp(
         rhs,
         (r0, r_end),
-        (q0, dq0),
+        _shoot_start(params, r0, a),
         method="DOP853",
         events=(ev_cross, ev_turn),
         rtol=SHOOT_RTOL,
@@ -254,15 +391,27 @@ def shoot_ode(
     """Shooting/bisection oracle for the ground state.
 
     The bracket must separate profiles that cross zero from profiles that
-    turn back upward; bisection then pins the separatrix amplitude and the
-    decaying solution is sampled onto the grid with an exponential tail fill
-    past the matching radius.
+    turn back upward, and both ends must give finite start values.  Bisection
+    runs until the midpoint is no longer a new float (at most MAX_BISECT
+    halvings); each sign test integrates the ODE with the scalar DOP853 loop
+    of ``_shoot_classify``.  The decaying solution at the final amplitude is
+    then integrated once more by solve_ivp with dense output, sampled onto
+    the grid, and given an exponential tail fill past the matching radius.
+    ``iterations`` of the result counts the bisections.
     """
     lo, hi = float(a0_bracket[0]), float(a0_bracket[1])
     if not (0.0 < lo < hi):
         raise ValueError(f"invalid bracket {a0_bracket}")
     r0 = grid.h / 2.0
     r_end = grid.r_max
+    accel = _shoot_accel(params)
+    for end in (lo, hi):
+        q0, dq0 = _shoot_start(params, r0, end)
+        if not all(map(math.isfinite, (end, q0, dq0, accel(r0, q0, dq0)))):
+            raise ValueError(
+                f"bracket {a0_bracket}: the start values at amplitude {end} are "
+                "not finite; choose a finite bracket closer to the separatrix"
+            )
     c_lo = _shoot_classify(params, r0, r_end, lo)
     c_hi = _shoot_classify(params, r0, r_end, hi)
     if c_lo == c_hi:

@@ -248,6 +248,18 @@ class TestGroundStateCommand:
         assert manifest["command"] == "ground-state"
         assert "Q.csv" in manifest["outputs"]
 
+    def test_oracle_block_keys(self, tmp_path):
+        out = tmp_path / "gs"
+        cfg = write_cfg(tmp_path, BASE)
+        assert main(["ground-state", "--config", cfg, "--with-oracle",
+                     "--out", str(out)]) == 0
+        oracle = json.loads((out / "result.json").read_text())["oracle"]
+        assert set(oracle) == {
+            "level", "amplitude", "agreement_rel", "bisections", "ode_residual",
+        }
+        assert isinstance(oracle["bisections"], int) and oracle["bisections"] > 0
+        assert oracle["ode_residual"] >= 0.0
+
     def test_q_csv_roundtrip(self, tmp_path):
         out = tmp_path / "gs"
         cfg = write_cfg(tmp_path, BASE)

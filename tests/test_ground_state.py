@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,7 @@ from radialnls import (
     validate_pohozaev,
 )
 from radialnls.fields import random_smooth_field
-from radialnls.ground_state import RESIDUAL_PAIRS
+from radialnls.ground_state import RESIDUAL_PAIRS, _shoot_classify, _shoot_integrate
 
 
 class TestMinimizeQuotient:
@@ -121,6 +124,54 @@ class TestShootOde:
 
     def test_profile_positive(self, ground_oracle):
         assert np.all(ground_oracle.profile.values.real >= 0.0)
+
+    @pytest.mark.parametrize("hi", [math.inf, 1e200])
+    def test_non_finite_start_values_name_the_bracket(self, params_default, hi):
+        grid = build_grid(1024, 32.0)
+        with pytest.raises(ValueError, match=re.escape(f"bracket (0.5, {hi})")):
+            shoot_ode(params_default, (0.5, hi), grid)
+
+    @pytest.mark.parametrize("gamma, n, amplitude, level", [
+        (1.0, 4096, 5.894779341478749, 36.97681866238725),
+        (0.0, 2048, 4.337388366955185, 18.89717614305621),
+    ])
+    def test_pinned_values(self, gamma, n, amplitude, level):
+        # amplitude and level that solve_ivp sign tests give; the scalar loop
+        # must reproduce them
+        res = shoot_ode(EquationParams(gamma=gamma, mu=1.0, omega=1.0), (0.5, 30.0),
+                        build_grid(n, 32.0))
+        assert res.shoot_amplitude == pytest.approx(amplitude, rel=1e-12, abs=0.0)
+        assert res.level == pytest.approx(level, rel=1e-12, abs=0.0)
+
+
+class TestShootClassify:
+    @pytest.mark.parametrize("point", [
+        (1.0, 1.0, 1.0), (0.0, 0.5, 1.0), (3.9, 1.19, 0.26), (0.1, 0.05, 0.3),
+    ])
+    def test_matches_solve_ivp(self, point, grid_default):
+        """The scalar sign test agrees with solve_ivp's DOP853 event record,
+        down to 2^-40 relative distance from the separatrix amplitude."""
+        params = EquationParams(*point)
+        r0, r_end = grid_default.h / 2.0, grid_default.r_max
+        a_star = shoot_ode(params, (0.5, 30.0), grid_default).shoot_amplitude
+        amplitudes = [a_star * (1.0 + s * 2.0**-k) for k in range(1, 41) for s in (1, -1)]
+        amplitudes += [0.5, 1.0, 10.0, 20.0, 30.0]
+        mismatched = []
+        for a in amplitudes:
+            ref = _shoot_integrate(params, r0, r_end, a, dense=False)
+            expected = -1 if ref.t_events[0].size else +1
+            if _shoot_classify(params, r0, r_end, a) != expected:
+                mismatched.append(a)
+        assert mismatched == []
+
+    def test_step_underflow_counts_as_upturn(self, params_default, grid_default):
+        """At a = 1e8 the step size underflows: solve_ivp fails with no event
+        recorded, and the sign test returns +1, as that record reads."""
+        r0, r_end = grid_default.h / 2.0, grid_default.r_max
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = _shoot_integrate(params_default, r0, r_end, 1e8, dense=False)
+        assert ref.status == -1 and ref.t_events[0].size == 0
+        assert _shoot_classify(params_default, r0, r_end, 1e8) == +1
 
 
 class TestValidatePohozaev:
