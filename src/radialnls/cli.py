@@ -254,7 +254,7 @@ def _cmd_ground_state(cfg: RunConfig, outdir: Path):
         "grad_norm": res.grad_norm,
     }
     if cfg.with_oracle:
-        oracle = shoot_ode(cfg.params(), (0.5, 30.0), grid)
+        oracle = shoot_ode(cfg.params(), grid)
         payload["oracle"] = {
             "level": oracle.level,
             "amplitude": oracle.shoot_amplitude,
@@ -420,6 +420,9 @@ def main(argv=None) -> int:
         return 1
     except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

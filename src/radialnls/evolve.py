@@ -55,6 +55,9 @@ DECAY_NET_DROP = 0.98
 #: slack of the run-time K_gamma lower bound
 K_BOUND_TOL = 1e-6
 
+#: peak of the cubic-ramp absorbing potential at R_max
+ABSORB_STRENGTH = 5.0
+
 
 class Outcome(enum.Enum):
     RAN_TO_T_END = "ran_to_t_end"
@@ -74,7 +77,6 @@ class EvolutionConfig:
     monitor_every: int = 20
     absorb: bool = False
     absorb_width: float = 8.0
-    absorb_strength: float = 5.0
     blowup_grad_factor: float = 10.0
     decay_window: float = 2.0
     splitting_order: int = 2
@@ -82,8 +84,7 @@ class EvolutionConfig:
     min_dt: float = 1e-12
 
     def validate(self, grid: RadialGrid) -> None:
-        for name in ("dt", "t_end", "absorb_width", "absorb_strength", "min_dt",
-                     "blowup_grad_factor"):
+        for name in ("dt", "t_end", "absorb_width", "min_dt", "blowup_grad_factor"):
             value = getattr(self, name)
             if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
@@ -91,7 +92,9 @@ class EvolutionConfig:
             raise ValueError(
                 f"blowup_grad_factor must be positive, got {self.blowup_grad_factor}"
             )
-        # +inf is allowed and turns the error probe off
+        # +inf is allowed and turns the decay test or the error probe off
+        if not (self.decay_window > 0.0):
+            raise ValueError(f"decay_window must be positive, got {self.decay_window}")
         if not (self.local_error_tol > 0.0):
             raise ValueError(
                 f"local_error_tol must be positive, got {self.local_error_tol}"
@@ -270,11 +273,9 @@ def run(
     )
     grad_limit = cfg.blowup_grad_factor * np.sqrt(rep.kinetic)
 
-    absorb_w = (
-        absorbing_profile(grid, cfg.absorb_width, cfg.absorb_strength)
-        if cfg.absorb
-        else None
-    )
+    absorb_w = None
+    if cfg.absorb:
+        absorb_w = absorbing_profile(grid, cfg.absorb_width, ABSORB_STRENGTH)
 
     dt = cfg.dt
     every = cfg.monitor_every
@@ -405,8 +406,6 @@ def _decay_detected(trace, cfg, monitor_bound):
     too-coarse grid keeps K_gamma large and negative and must not be
     mistaken for decay.
     """
-    if not np.isfinite(cfg.decay_window) or cfg.decay_window <= 0.0:
-        return False
     t_now = trace.times[-1]
     if t_now < cfg.decay_window:
         return False

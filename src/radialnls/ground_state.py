@@ -16,10 +16,11 @@ Oracle route: bisection shooting on the amplitude of the radial profile ODE
     Q'' + (2/r) Q' - omega Q - (gamma/r^mu) Q + Q^3 = 0,
 
 started at r = h/2 from the local expansion forced by the singular potential,
-with an exponential tail fill past the matching radius.  Each bisection's sign
-test is one DOP853 integration over Python floats (the tableau and step-size
-rule of scipy's solve_ivp, Hairer-Norsett-Wanner I, Sec. II.5) that stops at
-the first zero crossing or upturn; only the dense sample at the final
+with an exponential tail fill past the matching radius.  Small amplitudes turn
+back up and large ones cross zero, so a geometric search finds the bracket.
+Each sign test is one DOP853 integration over Python floats (the tableau and
+step-size rule of scipy's solve_ivp, Hairer-Norsett-Wanner I, Sec. II.5) that
+stops at the first zero crossing or upturn; only the dense sample at the final
 amplitude goes through solve_ivp.  The two routes share nothing but the
 functionals, so agreement certifies the level.
 """
@@ -55,10 +56,12 @@ J_REL_TOL = 1e-12
 GRAD_TOL = 1e-10
 NEWTON_STEPS = 6
 
-#: DOP853 tolerances of the shooting integration and the bisection cap
+#: DOP853 tolerances of the shooting integration, the bisection cap, and the
+#: amplitude bracket the search starts from
 SHOOT_RTOL = 1e-12
 SHOOT_ATOL = 1e-14
 MAX_BISECT = 200
+SHOOT_BRACKET = (0.5, 30.0)
 
 
 @dataclass
@@ -383,44 +386,40 @@ def _shoot_integrate(params, r0, r_end, a, dense):
     )
 
 
-def shoot_ode(
-    params: EquationParams,
-    a0_bracket: tuple[float, float],
-    grid: RadialGrid,
-) -> GroundStateResult:
+def shoot_ode(params: EquationParams, grid: RadialGrid) -> GroundStateResult:
     """Shooting/bisection oracle for the ground state.
 
-    The bracket must separate profiles that cross zero from profiles that
-    turn back upward, and both ends must give finite start values.  Bisection
-    runs until the midpoint is no longer a new float (at most MAX_BISECT
-    halvings); each sign test integrates the ODE with the scalar DOP853 loop
-    of ``_shoot_classify``.  The decaying solution at the final amplitude is
-    then integrated once more by solve_ivp with dense output, sampled onto
-    the grid, and given an exponential tail fill past the matching radius.
-    ``iterations`` of the result counts the bisections.
+    The bracket search starts from SHOOT_BRACKET.  While the low end crosses
+    zero the bracket moves down (to lo/8, lo); while the high end turns back
+    up it moves up (to hi, 2 hi); a RuntimeError names the last bracket if
+    the start values leave float range first.  Bisection runs until the
+    midpoint is no longer a new float (at most MAX_BISECT halvings); each sign
+    test is the scalar DOP853 loop of ``_shoot_classify``.  The solution at
+    the final amplitude is integrated once more by solve_ivp with dense
+    output, sampled onto the grid, and given an exponential tail fill past
+    the matching radius.  ``iterations`` of the result counts the bisections.
     """
-    lo, hi = float(a0_bracket[0]), float(a0_bracket[1])
-    if not (0.0 < lo < hi):
-        raise ValueError(f"invalid bracket {a0_bracket}")
     r0 = grid.h / 2.0
     r_end = grid.r_max
     accel = _shoot_accel(params)
-    for end in (lo, hi):
-        q0, dq0 = _shoot_start(params, r0, end)
-        if not all(map(math.isfinite, (end, q0, dq0, accel(r0, q0, dq0)))):
-            raise ValueError(
-                f"bracket {a0_bracket}: the start values at amplitude {end} are "
-                "not finite; choose a finite bracket closer to the separatrix"
+
+    def sign(a):
+        q0, dq0 = _shoot_start(params, r0, a)
+        if not (a > 0.0 and all(map(math.isfinite, (q0, dq0, accel(r0, q0, dq0))))):
+            raise RuntimeError(
+                f"shooting bracket search: the start values at amplitude {a} "
+                f"leave float range; last bracket ({lo}, {hi})"
             )
-    c_lo = _shoot_classify(params, r0, r_end, lo)
-    c_hi = _shoot_classify(params, r0, r_end, hi)
-    if c_lo == c_hi:
-        raise ValueError(
-            f"no sign change of the shooting functional in bracket {a0_bracket}; "
-            "widen it around the separatrix amplitude"
-        )
-    if c_lo < 0:  # orient: lo undershoots, hi overshoots
-        lo, hi = hi, lo
+        return _shoot_classify(params, r0, r_end, a)
+
+    lo, hi = SHOOT_BRACKET
+    if sign(lo) > 0:
+        while sign(hi) > 0:
+            lo, hi = hi, 2.0 * hi
+    else:
+        lo, hi = lo / 8.0, lo
+        while sign(lo) < 0:
+            lo, hi = lo / 8.0, lo
     iterations = 0
     for _ in range(MAX_BISECT):
         mid = 0.5 * (lo + hi)
@@ -460,9 +459,9 @@ def shoot_ode(
 def _tail_fill(grid, q, a, params):
     """Replace the post-separatrix garbage with a decaying exponential tail.
 
-    Anchors an A e^{-k r}/r fit where the profile has fallen to ~1e-8 of its
-    amplitude; beyond the anchor the bisection iterate has peeled off the
-    separatrix and carries no information.
+    Anchors q1 r1 e^{-k (r - r1)}/r (its exponent is never positive) where q
+    has fallen to ~1e-8 of the amplitude; past the anchor the bisection
+    iterate has peeled off the separatrix and carries no information.
     """
     floor = 1e-8 * a
     bad = np.nonzero((q <= floor) | (np.gradient(q) > 0.0))[0]
@@ -486,9 +485,8 @@ def _tail_fill(grid, q, a, params):
     if not np.isfinite(k) or k <= 0.0:
         q[core_end:] = 0.0
         return q
-    amp = q1 * r1 * np.exp(k * r1)
     rr = grid.r[core_end:]
-    q[core_end:] = amp * np.exp(-k * rr) / rr
+    q[core_end:] = q1 * r1 * np.exp(-k * (rr - r1)) / rr
     return q
 
 

@@ -28,7 +28,7 @@ def ground_default(params_default, grid_default):
 
 @pytest.fixture(scope="session")
 def ground_oracle(params_default, grid_default):
-    return shoot_ode(params_default, (0.5, 30.0), grid_default)
+    return shoot_ode(params_default, grid_default)
 
 
 @pytest.fixture(scope="session")

@@ -79,6 +79,7 @@ class TestParseConfig:
         ("functionals", "R_max = inf"),
         ("ground-state", "omega = 0"),
         ("virial-check", "splitting_order = 3"),
+        ("evolve", "decay_window = 0"),
     ])
     def test_file_value_rejected_with_its_line(self, tmp_path, command, line):
         key = line.split()[0]
@@ -115,6 +116,21 @@ class TestExitCodes:
         key = line.split()[0]
         assert f"f:6: unknown key {key!r} for {command}" in capsys.readouterr().err
 
+    def test_missing_config_file_exits_one(self, tmp_path, capsys):
+        missing = tmp_path / "missing.cfg"
+        rc = main(["evolve", "--config", str(missing), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("file error:") and str(missing) in err
+
+    def test_out_under_a_regular_file_exits_one(self, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        rc = main(["functionals", "--family", "gaussian", "--n", "512", "--r-max", "16",
+                   "--out", str(blocker / "fn")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("file error:") and str(blocker) in err
 
     @pytest.mark.parametrize(
         "flag,name", [("--r-max", "R_max"), ("--gamma", "gamma"), ("--omega", "omega")])
@@ -161,6 +177,19 @@ class TestUsageErrors:
         ])
         assert rc == 1
         assert "validation error: blowup_grad_factor" in capsys.readouterr().err
+
+    # a NaN or non-positive window would switch decay detection off; +inf is "off"
+    @pytest.mark.parametrize("window", ["nan", "0", "-1"])
+    def test_bad_decay_window_exits_one(self, tmp_path, capsys, window):
+        out = tmp_path / "ev"
+        rc = main([
+            "evolve", "--family", "gaussian", "--amplitude", "0.5", "--n", "512",
+            "--r-max", "16", "--t-end", "3", "--absorb", "--absorb-width", "3",
+            f"--decay-window={window}", "--out", str(out),
+        ])
+        assert rc == 1
+        assert "validation error: decay_window must be positive" in capsys.readouterr().err
+        assert not (out / "trace.csv").exists()
 
     @pytest.mark.parametrize("width", [["--width", "0"], ["--width=-1"]])
     def test_nonpositive_width_exits_one(self, tmp_path, capsys, width):

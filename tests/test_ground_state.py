@@ -1,4 +1,3 @@
-import math
 import re
 
 import numpy as np
@@ -9,6 +8,7 @@ from radialnls import (
     RadialField,
     ScalingPair,
     build_grid,
+    ground_state,
     minimize_quotient,
     nehari,
     report,
@@ -16,7 +16,12 @@ from radialnls import (
     validate_pohozaev,
 )
 from radialnls.fields import random_smooth_field
-from radialnls.ground_state import RESIDUAL_PAIRS, _shoot_classify, _shoot_integrate
+from radialnls.ground_state import (
+    RESIDUAL_PAIRS,
+    SHOOT_BRACKET,
+    _shoot_classify,
+    _shoot_integrate,
+)
 
 
 class TestMinimizeQuotient:
@@ -51,7 +56,7 @@ class TestMinimizeQuotient:
         eps_params = EquationParams(gamma=1e-8, mu=1.0, omega=1.0)
         free_params = EquationParams(gamma=0.0, mu=1.0, omega=1.0)
         lvl = minimize_quotient(eps_params, grid).level
-        oracle = shoot_ode(free_params, (0.5, 30.0), grid)
+        oracle = shoot_ode(free_params, grid)
         assert lvl == pytest.approx(oracle.level, rel=1e-3)
 
     def test_grid_convergence_second_order(self, params_default):
@@ -107,29 +112,47 @@ class TestShootOde:
         masses = []
         for n in (2048, 4096):
             grid = build_grid(n, 32.0)
-            res = shoot_ode(params_default, (0.5, 30.0), grid)
+            res = shoot_ode(params_default, grid)
             masses.append(report(res.profile, params_default).mass)
         assert masses[0] == pytest.approx(masses[1], rel=1e-4)
 
     def test_free_equation_classic_amplitude(self):
         # the free cubic profile starts near 4.3374 at omega = 1
         grid = build_grid(2048, 32.0)
-        res = shoot_ode(EquationParams(gamma=0.0, mu=1.0, omega=1.0), (0.5, 30.0), grid)
+        res = shoot_ode(EquationParams(gamma=0.0, mu=1.0, omega=1.0), grid)
         assert res.shoot_amplitude == pytest.approx(4.3374, abs=2e-3)
-
-    def test_no_sign_change_bracket(self, params_default):
-        grid = build_grid(1024, 32.0)
-        with pytest.raises(ValueError, match="sign change"):
-            shoot_ode(params_default, (10.0, 11.0), grid)
 
     def test_profile_positive(self, ground_oracle):
         assert np.all(ground_oracle.profile.values.real >= 0.0)
 
-    @pytest.mark.parametrize("hi", [math.inf, 1e200])
-    def test_non_finite_start_values_name_the_bracket(self, params_default, hi):
-        grid = build_grid(1024, 32.0)
-        with pytest.raises(ValueError, match=re.escape(f"bracket (0.5, {hi})")):
-            shoot_ode(params_default, (0.5, hi), grid)
+    @pytest.mark.parametrize("gamma", [1.0, 2.0, 4.0])
+    @pytest.mark.parametrize("omega", [0.25, 1.0, 4.0])
+    @pytest.mark.parametrize("mu", [1.9, 1.99])
+    def test_bracket_search_down_to_the_separatrix(self, gamma, omega, mu, grid_default):
+        """Near mu = 2 the separatrix amplitude lies far below SHOOT_BRACKET
+        (down to ~3e-7): the search moves the bracket down, and the oracle
+        still agrees with quotient descent."""
+        params = EquationParams(gamma=gamma, mu=mu, omega=omega)
+        oracle = shoot_ode(params, grid_default)
+        assert oracle.shoot_amplitude < SHOOT_BRACKET[0]
+        level = minimize_quotient(params, grid_default).level
+        assert abs(oracle.level - level) <= 1e-4 * level
+
+    def test_bracket_search_up_to_the_separatrix(self, grid_default):
+        # the separatrix amplitude, ~56, lies above SHOOT_BRACKET
+        params = EquationParams(gamma=50.0, mu=0.5, omega=4.0)
+        oracle = shoot_ode(params, grid_default)
+        assert oracle.shoot_amplitude > SHOOT_BRACKET[1]
+        level = minimize_quotient(params, grid_default).level
+        assert abs(oracle.level - level) <= 1e-3 * level
+
+    @pytest.mark.parametrize("sign", [-1, +1])
+    def test_bracket_search_stops_at_float_range(self, sign, monkeypatch):
+        """A sign test that never changes sign drives the bracket to 0 or to
+        overflowing start values; the search then names its last bracket."""
+        monkeypatch.setattr(ground_state, "_shoot_classify", lambda *args: sign)
+        with pytest.raises(RuntimeError, match=re.escape("last bracket (")):
+            shoot_ode(EquationParams(gamma=1.0, mu=1.0, omega=1.0), build_grid(1024, 32.0))
 
     @pytest.mark.parametrize("gamma, n, amplitude, level", [
         (1.0, 4096, 5.894779341478749, 36.97681866238725),
@@ -138,8 +161,7 @@ class TestShootOde:
     def test_pinned_values(self, gamma, n, amplitude, level):
         # amplitude and level that solve_ivp sign tests give; the scalar loop
         # must reproduce them
-        res = shoot_ode(EquationParams(gamma=gamma, mu=1.0, omega=1.0), (0.5, 30.0),
-                        build_grid(n, 32.0))
+        res = shoot_ode(EquationParams(gamma=gamma, mu=1.0, omega=1.0), build_grid(n, 32.0))
         assert res.shoot_amplitude == pytest.approx(amplitude, rel=1e-12, abs=0.0)
         assert res.level == pytest.approx(level, rel=1e-12, abs=0.0)
 
@@ -153,7 +175,7 @@ class TestShootClassify:
         down to 2^-40 relative distance from the separatrix amplitude."""
         params = EquationParams(*point)
         r0, r_end = grid_default.h / 2.0, grid_default.r_max
-        a_star = shoot_ode(params, (0.5, 30.0), grid_default).shoot_amplitude
+        a_star = shoot_ode(params, grid_default).shoot_amplitude
         amplitudes = [a_star * (1.0 + s * 2.0**-k) for k in range(1, 41) for s in (1, -1)]
         amplitudes += [0.5, 1.0, 10.0, 20.0, 30.0]
         mismatched = []
