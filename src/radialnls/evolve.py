@@ -12,9 +12,12 @@ amplified to O(1) by t = 1 at default parameters).
 The stepper factors each Crank-Nicolson matrix Id - i tau/2 Delta_gamma once
 (LAPACK ?gttrf) and does one ?gttrs solve per sub-step.  The rotation keeps
 |u|, so two adjacent half-rotations are one rotation by the summed angle:
-a run of steps is taken with the rotations merged between sub-steps and
-between steps (the first-same-as-last form of Strang splitting), and a
-half-rotation is split back out only at the end of the run.
+one call `_Stepper.step(u, n)` takes n steps with the rotations merged
+between sub-steps and between steps (the first-same-as-last form of Strang
+splitting), and splits a half-rotation back out only at the end of the
+call.  Callers step in runs between the states they read: `run` a monitor
+window, `localized_virial.rigidity_probe` the stretch between two steps at
+which it evaluates I.
 
 An optional absorbing layer multiplies by d = exp(-W(r) dt) once per step,
 with W a cubic ramp supported on the outer shell; it only removes outgoing
@@ -202,7 +205,7 @@ class _Stepper:
             self._damp = np.exp(-absorb_w * dt)
             self._seam = self._last + self._first * self._damp**2
 
-    def advance(self, u: np.ndarray, n: int) -> np.ndarray:
+    def step(self, u: np.ndarray, n: int = 1) -> np.ndarray:
         """n steps; raises FlowBlowup if the state leaves floating-point range."""
         u = _rotate(u, self._first)
         for k in range(n):
@@ -215,9 +218,6 @@ class _Stepper:
         if not np.all(np.isfinite(u)):
             raise FlowBlowup("state left floating-point range")
         return u
-
-    def step(self, u: np.ndarray) -> np.ndarray:
-        return self.advance(u, 1)
 
 
 def _k_bound_ok(rep, S0, level, params) -> bool:
@@ -304,7 +304,7 @@ def run(
         """(state, report) after the n-step window from u_start redone at
         dt/2, or (None, None) if it leaves floating-point range."""
         try:
-            u_ref = half_stepper.advance(u_start, 2 * n)
+            u_ref = half_stepper.step(u_start, 2 * n)
         except FlowBlowup:
             return None, None
         return u_ref, functionals.report(RadialField(grid, u_ref), params)
@@ -349,7 +349,7 @@ def run(
         # local error probe by step doubling at the window start
         try:
             u_one = stepper.step(u)
-            u_two = half_stepper.advance(u, 2)
+            u_two = half_stepper.step(u, 2)
             err = float(
                 np.sqrt(np.dot(grid.weights, np.abs(u_one - u_two) ** 2))
                 / max(np.sqrt(np.dot(grid.weights, np.abs(u_two) ** 2)), 1e-300)
@@ -363,7 +363,7 @@ def run(
 
         t = t_save + n_window * dt
         try:
-            u = stepper.advance(u, n_window)
+            u = stepper.step(u, n_window)
             rep = functionals.report(RadialField(grid, u), params)
         except FlowBlowup:
             u = rep = None

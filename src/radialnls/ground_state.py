@@ -22,7 +22,8 @@ Each sign test is one DOP853 integration over Python floats (the tableau and
 step-size rule of scipy's solve_ivp, Hairer-Norsett-Wanner I, Sec. II.5) that
 stops at the first zero crossing or upturn; only the dense sample at the final
 amplitude goes through solve_ivp.  The two routes share nothing but the
-functionals, so agreement certifies the level.
+functionals, so agreement certifies the level; both reject a grid too coarse
+for the core of Q, whose width is 1/sqrt(omega).
 """
 
 from __future__ import annotations
@@ -63,6 +64,12 @@ SHOOT_ATOL = 1e-14
 MAX_BISECT = 200
 SHOOT_BRACKET = (0.5, 30.0)
 
+#: largest grid spacing, in units of the core width 1/sqrt(omega), that both
+#: routes accept.  At gamma = 0 (n 4096, R 32) the level's relative error
+#: against sqrt(omega) S_1 is 5e-5 at h sqrt(omega) = 0.05, 2e-3 at 0.2,
+#: 7e-3 at 0.3 and 9e-2 at 0.4
+MAX_CORE_SPACING = 0.3
+
 
 @dataclass
 class GroundStateResult:
@@ -76,6 +83,17 @@ class GroundStateResult:
     method: str
     grad_norm: float = 0.0
     shoot_amplitude: float | None = None
+
+
+def _require_resolved_core(params, grid):
+    """Raise ValueError unless the grid spacing resolves the core of Q."""
+    spacing = grid.h * math.sqrt(params.omega)
+    if spacing > MAX_CORE_SPACING:
+        raise ValueError(
+            f"grid does not resolve the ground-state core: h*sqrt(omega) = "
+            f"{spacing:.4g} exceeds {MAX_CORE_SPACING} (h = {grid.h:.4g}, "
+            f"omega = {params.omega:.4g}); raise n or lower R_max"
+        )
 
 
 def _quotient_parts(grid, u, params):
@@ -138,8 +156,10 @@ def minimize_quotient(params: EquationParams, grid: RadialGrid) -> GroundStateRe
 
     The iterate stays real and positive (modulus projection never increases
     the quotient) and is renormalized to the Nehari set each step, so the
-    reported level is the action at the minimizer.
+    reported level is the action at the minimizer.  A grid with
+    h sqrt(omega) > MAX_CORE_SPACING is rejected with a ValueError.
     """
+    _require_resolved_core(params, grid)
     r = grid.r
     u = np.exp(-(r**2))
 
@@ -398,7 +418,9 @@ def shoot_ode(params: EquationParams, grid: RadialGrid) -> GroundStateResult:
     the final amplitude is integrated once more by solve_ivp with dense
     output, sampled onto the grid, and given an exponential tail fill past
     the matching radius.  ``iterations`` of the result counts the bisections.
+    A grid with h sqrt(omega) > MAX_CORE_SPACING is rejected with a ValueError.
     """
+    _require_resolved_core(params, grid)
     r0 = grid.h / 2.0
     r_end = grid.r_max
     accel = _shoot_accel(params)
@@ -437,7 +459,7 @@ def shoot_ode(params: EquationParams, grid: RadialGrid) -> GroundStateResult:
     r_stop = sol.t[-1]
     inside = grid.r <= r_stop
     q[inside] = sol.sol(grid.r[inside])[0]
-    q = _tail_fill(grid, q, a, params)
+    q = _tail_fill(grid, q, a)
     profile = RadialField(grid, q.astype(complex))
     res = float(
         np.sqrt(np.dot(grid.weights, _el_residual(grid, q, params) ** 2))
@@ -456,7 +478,7 @@ def shoot_ode(params: EquationParams, grid: RadialGrid) -> GroundStateResult:
     )
 
 
-def _tail_fill(grid, q, a, params):
+def _tail_fill(grid, q, a):
     """Replace the post-separatrix garbage with a decaying exponential tail.
 
     Anchors q1 r1 e^{-k (r - r1)}/r (its exponent is never positive) where q

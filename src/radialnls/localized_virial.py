@@ -276,8 +276,11 @@ def rigidity_probe(
     """Run the flow for round(T/dt) steps and certify strict convexity of I(t).
 
     delta0 is the action gap level - S(u0); R is chosen by tail smallness of
-    the initial datum.  I is recorded every step so the discrete second
-    difference can be compared against the assembled I''.  Of cfg only dt,
+    the initial datum.  The monitor ticks are the multiples of monitor_every
+    and the last step.  I is evaluated at each tick and at the steps on
+    either side of it, so the discrete second difference there can be
+    compared against the assembled I''; the flow runs as one merged
+    ``_Stepper.step`` call between consecutive such steps.  Of cfg only dt,
     monitor_every and splitting_order shape the run, and only they are
     validated: the run is conservative and T is its horizon, which must be
     finite and at least dt.
@@ -305,21 +308,30 @@ def rigidity_probe(
     stepper = _Stepper(grid, params, cfg.dt, cfg.splitting_order, None)
 
     n_steps = int(round(T / cfg.dt))
-    every = cfg.monitor_every
-    I_series = np.empty(n_steps + 1)
-    u = u0.values.astype(complex)
-    I_series[0] = I_value(RadialField(grid, u), cutoff)
-
+    tick_steps = list(range(cfg.monitor_every, n_steps + 1, cfg.monitor_every))
+    if tick_steps[-1:] != [n_steps]:
+        tick_steps.append(n_steps)
+    tick_set = set(tick_steps)
+    # I is read at each tick and at the steps on either side of it (for the
+    # second difference); between those marks the flow runs as one call
+    marks = sorted(
+        {m for k in tick_steps for m in (k - 1, k, k + 1) if 0 <= m <= n_steps}
+    )
+    I_at = {}  # step index -> I at that mark
     ticks = {}  # step index -> the quantities recorded at that monitor tick
+    u = u0.values.astype(complex)
+    k_prev = 0
     try:
-        for k in range(1, n_steps + 1):
-            u = stepper.step(u)
+        for k in marks:
+            if k > k_prev:
+                u = stepper.step(u, k - k_prev)
+                k_prev = k
             f = RadialField(grid, u)
-            I_series[k] = I_value(f, cutoff)
-            if k % every == 0 or k == n_steps:
+            I_at[k] = I_value(f, cutoff)
+            if k in tick_set:
                 d2 = I_double_prime(f, cutoff, params)
                 ticks[k] = {
-                    "I": I_series[k],
+                    "I": I_at[k],
                     "Iprime": I_prime(f, cutoff, params),
                     "Ipp": d2.total,
                     "Ipp_decomposed": d2.total_decomposed,
@@ -334,7 +346,6 @@ def rigidity_probe(
             "not satisfy the convexity hypotheses numerically"
         ) from exc
 
-    tick_steps = list(ticks)
     terms = {key: [row[key] for row in ticks.values()] for key in ticks[tick_steps[0]]}
     ipp = np.array(terms["Ipp"])
     ipp_dec = np.array(terms["Ipp_decomposed"])
@@ -352,11 +363,11 @@ def rigidity_probe(
             np.abs(terms["Iprime"]) / (R * np.array(terms["h1_norm_sq"]))
         )
     )
-    # discrete second difference of the per-step I series at tick points
+    # discrete second difference of I at tick points
     errs = []
     for k, ipp_k in zip(tick_steps, ipp):
         if 1 <= k <= n_steps - 1:
-            d2_num = (I_series[k + 1] - 2.0 * I_series[k] + I_series[k - 1]) / cfg.dt**2
+            d2_num = (I_at[k + 1] - 2.0 * I_at[k] + I_at[k - 1]) / cfg.dt**2
             errs.append(abs(d2_num - ipp_k) / max(abs(ipp_k), 1e-300))
     sd_err = float(max(errs)) if errs else float("nan")
 

@@ -289,6 +289,15 @@ class TestGroundStateCommand:
         assert isinstance(oracle["bisections"], int) and oracle["bisections"] > 0
         assert oracle["ode_residual"] >= 0.0
 
+    def test_unresolved_core_exits_one(self, tmp_path, capsys):
+        # h = 1/128 is wider than the core width 1/sqrt(omega) = 1/200
+        out = tmp_path / "gs"
+        rc = main(["ground-state", "--with-oracle", "--gamma", "0",
+                   "--omega", "40000", "--out", str(out)])
+        assert rc == 1
+        assert "h*sqrt(omega) = 1.562 exceeds 0.3" in capsys.readouterr().err
+        assert not (out / "result.json").exists()
+
     def test_q_csv_roundtrip(self, tmp_path):
         out = tmp_path / "gs"
         cfg = write_cfg(tmp_path, BASE)

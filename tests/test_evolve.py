@@ -134,7 +134,7 @@ class TestFusedAdvance:
         stepwise = u
         for _ in range(n_steps):
             stepwise = stepper.step(stepwise)
-        fused = stepper.advance(u, n_steps)
+        fused = stepper.step(u, n_steps)
         assert _l2(self.grid, fused - stepwise) <= 1e-12 * _l2(self.grid, stepwise)
 
     @settings(max_examples=30, deadline=None)
@@ -149,13 +149,13 @@ class TestFusedAdvance:
         stepper = _Stepper(self.grid, params, dt, order)
         u = self.datum(seed, amplitude)
         m0 = integrate(self.grid, np.abs(u) ** 2)
-        m1 = integrate(self.grid, np.abs(stepper.advance(u, n_steps)) ** 2)
+        m1 = integrate(self.grid, np.abs(stepper.step(u, n_steps)) ** 2)
         assert m1 == pytest.approx(m0, rel=1e-12)
 
     def test_does_not_mutate_input(self, params):
         u = self.datum(7, 1.0)
         before = u.copy()
-        _Stepper(self.grid, params, 1e-3, 4, self.absorb_w).advance(u, 3)
+        _Stepper(self.grid, params, 1e-3, 4, self.absorb_w).step(u, 3)
         assert np.array_equal(u, before)
 
 
@@ -338,19 +338,19 @@ OUTCOME_RUNS = {
 }
 
 
-def _fail_advance(monkeypatch, fail):
-    """Make _Stepper.advance raise FlowBlowup on its k-th call with n steps
+def _fail_step(monkeypatch, fail):
+    """Make _Stepper.step raise FlowBlowup on its k-th call with n steps
     whenever fail(n, k) holds."""
-    original = _Stepper.advance
+    original = _Stepper.step
     calls = Counter()
 
-    def advance(self, u, n):
+    def step(self, u, n=1):
         calls[n] += 1
         if fail(n, calls[n]):
             raise FlowBlowup("injected")
         return original(self, u, n)
 
-    monkeypatch.setattr(_Stepper, "advance", advance)
+    monkeypatch.setattr(_Stepper, "step", step)
 
 
 class TestRefinementPath:
@@ -387,7 +387,7 @@ class TestRefinementPath:
         t_end = 0.1 if outcome is Outcome.RAN_TO_T_END else 0.02
         ref = run(self.u0, replace(self.cfg, dt=5e-4, monitor_every=40, t_end=t_end),
                   params)
-        _fail_advance(monkeypatch, lambda n, k: n == 20 and k == 1)
+        _fail_step(monkeypatch, lambda n, k: n == 20 and k == 1)
         trace = run(self.u0, cfg, params)
         assert trace.outcome is outcome
         assert trace.dt_final == 5e-4
@@ -399,7 +399,7 @@ class TestRefinementPath:
         # the third window and its re-run both leave floating-point range:
         # blow-up, holding the state and time of the last finite tick
         ref = run(self.u0, replace(self.cfg, t_end=0.04), params)
-        _fail_advance(monkeypatch, lambda n, k: (n == 20 and k >= 3) or n == 40)
+        _fail_step(monkeypatch, lambda n, k: (n == 20 and k >= 3) or n == 40)
         trace = run(self.u0, self.cfg, params)
         assert trace.outcome is Outcome.BLOWUP_DETECTED
         assert trace.times[-1] == trace.final_time == ref.final_time

@@ -17,6 +17,7 @@ from radialnls import (
 )
 from radialnls.fields import random_smooth_field
 from radialnls.ground_state import (
+    MAX_CORE_SPACING,
     RESIDUAL_PAIRS,
     SHOOT_BRACKET,
     _shoot_classify,
@@ -241,3 +242,19 @@ class TestScalingLawFreeEquation:
             lvl[omega] = minimize_quotient(params, grid).level
         for omega in (0.5, 2.0):
             assert lvl[omega] / lvl[1.0] == pytest.approx(omega**0.5, rel=1e-3)
+
+
+class TestCoreResolution:
+    @pytest.mark.parametrize("solver", [minimize_quotient, shoot_ode])
+    def test_unresolved_core_rejected(self, solver):
+        # h = 1/32 and omega = 100 put the core width 1/10 under 4 cells
+        params = EquationParams(gamma=0.0, mu=1.0, omega=100.0)
+        with pytest.raises(ValueError,
+                           match=re.escape("h*sqrt(omega) = 0.3125 exceeds 0.3")):
+            solver(params, build_grid(1024, 32.0))
+
+    def test_spacing_at_the_limit_accepted(self):
+        grid = build_grid(32, 9.6)
+        assert grid.h == MAX_CORE_SPACING
+        res = minimize_quotient(EquationParams(gamma=0.0, mu=1.0, omega=1.0), grid)
+        assert res.converged

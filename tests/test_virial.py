@@ -17,8 +17,10 @@ from radialnls import (
 )
 from radialnls.evolve import _Stepper
 from radialnls.fields import gaussian, random_smooth_field
+from radialnls.functionals import report
 from radialnls.localized_virial import (
     PLATEAU,
+    REMAINDER_TERMS,
     RigidityReport,
     chi_derivatives,
     remainder_bound_constant,
@@ -222,6 +224,48 @@ class TestRigidityProbe:
         assert rep_05.delta0 > rep_09.delta0
         assert rep_05.min_Ipp > rep_09.min_Ipp
 
+    @pytest.mark.parametrize("every", [1, 7, 50])
+    def test_matches_stepwise_reference(self, ground32, params, every):
+        # 123 steps: the last tick is not a multiple of monitor_every (7, 50)
+        grid = ground32.profile.grid
+        u0 = RadialField(grid, 0.9 * ground32.profile.values)
+        cfg = EvolutionConfig(dt=5e-4, t_end=1.0, monitor_every=every)
+        T = 123 * cfg.dt
+        rep = rigidity_probe(u0, params, ground32.level, T, cfg)
+        ref = _stepwise_probe(u0, params, ground32.level, T, cfg)
+        assert rep.times == ref["times"]
+        assert rep.times[-1] == pytest.approx(T)
+        assert (rep.R, rep.delta0) == (ref["R"], ref["delta0"])
+        for flag in ("bound_ok", "ipp_floor_ok", "remainder_bound_ok"):
+            assert getattr(rep, flag) == ref[flag], flag
+        assert rep.terms.keys() == ref["terms"].keys()
+        np.testing.assert_allclose(rep.terms["I"], ref["terms"]["I"],
+                                   rtol=1e-13, atol=0.0)
+        scale = 1e-12 * np.max(np.abs(ref["terms"]["Ipp"]))
+        for key, want in ref["terms"].items():
+            np.testing.assert_allclose(rep.terms[key], want, rtol=0.0,
+                                       atol=scale, err_msg=key)
+        assert rep.second_diff_max_rel_err == pytest.approx(
+            ref["second_diff_max_rel_err"], rel=0.0, abs=1e-9)
+        assert rep.forms_max_rel_gap <= 1e-10
+
+    def test_at_most_three_step_calls_per_tick(self, ground32, params,
+                                               monkeypatch):
+        grid = ground32.profile.grid
+        u0 = RadialField(grid, 0.9 * ground32.profile.values)
+        cfg = EvolutionConfig(dt=5e-4, t_end=1.0, monitor_every=20)
+        calls = []
+        original = _Stepper.step
+
+        def step(self, u, n=1):
+            calls.append(n)
+            return original(self, u, n)
+
+        monkeypatch.setattr(_Stepper, "step", step)
+        rep = rigidity_probe(u0, params, ground32.level, 0.1, cfg)
+        assert sum(calls) == 200
+        assert len(calls) <= 3 * len(rep.times) + 1
+
     def test_radius_selection_needs_domain(self, params):
         # a broad datum on a small domain cannot satisfy tail smallness
         grid = build_grid(2048, 8.0)
@@ -229,3 +273,53 @@ class TestRigidityProbe:
         delta0 = 1e-6
         with pytest.raises(ValueError, match="R_max"):
             select_cutoff_radius(f, params, delta0)
+
+
+def _stepwise_probe(u0, params, level, T, cfg):
+    """The probe's records from the flow taken one step at a time, with I
+    evaluated after every step."""
+    grid = u0.grid
+    delta0 = level - report(u0, params).action
+    R = select_cutoff_radius(u0, params, delta0)
+    cutoff = build_cutoff(R, grid)
+    C = remainder_bound_constant(params)
+    stepper = _Stepper(grid, params, cfg.dt, cfg.splitting_order)
+    n_steps = int(round(T / cfg.dt))
+    u = u0.values.astype(complex)
+    I_series = [I_value(u0, cutoff)]
+    rows = {}
+    for k in range(1, n_steps + 1):
+        u = stepper.step(u)
+        f = RadialField(grid, u)
+        I_series.append(I_value(f, cutoff))
+        if k % cfg.monitor_every == 0 or k == n_steps:
+            d2 = I_double_prime(f, cutoff, params)
+            rows[k] = {
+                "I": I_series[k],
+                "Iprime": I_prime(f, cutoff, params),
+                "Ipp": d2.total,
+                "Ipp_decomposed": d2.total_decomposed,
+                **d2.terms,
+                "remainder_sum": sum(d2.terms[key] for key in REMAINDER_TERMS),
+                "remainder_bound": C * tail_integral(f, R, params),
+                "h1_norm_sq": report(f, params).h1_omega_gamma_sq,
+            }
+    terms = {key: [row[key] for row in rows.values()] for key in rows[n_steps]}
+    errs = [
+        abs((I_series[k + 1] - 2.0 * I_series[k] + I_series[k - 1]) / cfg.dt**2
+            - row["Ipp"]) / abs(row["Ipp"])
+        for k, row in rows.items() if k < n_steps
+    ]
+    ipp_ok = min(terms["Ipp"]) >= 0.5 * delta0
+    rem_ok = all(abs(s) <= b + 1e-12
+                 for s, b in zip(terms["remainder_sum"], terms["remainder_bound"]))
+    return {
+        "times": [k * cfg.dt for k in rows],
+        "R": R,
+        "delta0": delta0,
+        "bound_ok": ipp_ok and rem_ok,
+        "ipp_floor_ok": ipp_ok,
+        "remainder_bound_ok": rem_ok,
+        "terms": terms,
+        "second_diff_max_rel_err": max(errs),
+    }
