@@ -9,8 +9,10 @@ on the standing-wave instability, where the quadratic splitting defect
 seeds exponential error growth (half-step defects at dt ~ 1e-4 are
 amplified to O(1) by t = 1 at default parameters).
 
-The stepper factors each Crank-Nicolson matrix Id - i tau/2 Delta_gamma once
-(LAPACK ?gttrf) and does one ?gttrs solve per sub-step.  The rotation keeps
+The stepper prepares each Crank-Nicolson solve with Id - i tau/2 Delta_gamma
+once (two odd-even reduction levels, then LAPACK ?gttrf on the quarter-size
+system); a sub-step is one apply of the operator, the reduction and one
+?gttrs solve (see radial_grid.CrankNicolson).  The rotation keeps
 |u|, so two adjacent half-rotations are one rotation by the summed angle:
 one call `_Stepper.step(u, n)` takes n steps with the rotations merged
 between sub-steps and between steps (the first-same-as-last form of Strang
@@ -60,6 +62,9 @@ K_BOUND_TOL = 1e-6
 
 #: peak of the cubic-ramp absorbing potential at R_max
 ABSORB_STRENGTH = 5.0
+
+#: below this |theta|, cos theta rounds to 1 and sin theta to theta
+_SMALL_ANGLE = 2.0**-27
 
 
 class Outcome(enum.Enum):
@@ -170,14 +175,22 @@ def _rotate(u: np.ndarray, s) -> np.ndarray:
     """Exact nonlinear flow exp(i s |u|^2) u; s is a scalar or per-node array.
 
     The phase is cos theta + i sin theta of the real angle theta = s |u|^2.
+    Past the last node with |theta| >= _SMALL_ANGLE it is 1 + i theta, the
+    correctly rounded cos and sin there, so only the nodes up to it pay for
+    the trigonometry.
     """
     re, im = u.real, u.imag
     theta = re * re
     theta += im * im
     theta *= s
+    large = np.abs(theta) >= _SMALL_ANGLE
+    last = len(large) - 1 - int(np.argmax(large[::-1]))
+    m = last + 1 if large[last] else 0
     out = np.empty_like(u)
-    np.cos(theta, out=out.real)
-    np.sin(theta, out=out.imag)
+    np.cos(theta[:m], out=out.real[:m])
+    np.sin(theta[:m], out=out.imag[:m])
+    out.real[m:] = 1.0
+    out.imag[m:] = theta[m:]
     out *= u
     return out
 
@@ -185,7 +198,7 @@ def _rotate(u: np.ndarray, s) -> np.ndarray:
 class _Stepper:
     """Prebuilt splitting stepper for a fixed (grid, params, dt, order).
 
-    Crank-Nicolson factors and merged rotation angles are set up once; see
+    Crank-Nicolson solves and merged rotation angles are set up once; see
     the module docstring for the merging rule.
     """
 

@@ -282,7 +282,8 @@ def _shoot_classify(params, r0, r_end, a):
     step-size rule, stopped at the first event: q falling through 0 (-1) or q'
     rising through 0 (+1).  If both happen in one step the crossing came first,
     because q' changes sign once per step and q cannot fall after its minimum.
-    A step-size underflow and reaching r_end both count as +1.
+    A step-size underflow and reaching r_end both count as +1; a start value
+    q(r0) < 0 has already crossed zero and counts as -1.
     """
     accel = _shoot_accel(params)
     rtol, atol = SHOOT_RTOL, SHOOT_ATOL
@@ -296,6 +297,8 @@ def _shoot_classify(params, r0, r_end, a):
 
     r = r0
     q, p = _shoot_start(params, r0, a)
+    if q < 0.0:
+        return -1
     fp = accel(r, q, p)
 
     # select_initial_step of solve_ivp, error-estimator order 7

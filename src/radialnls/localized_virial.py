@@ -149,10 +149,16 @@ def I_value(u: RadialField, cutoff: VirialCutoff) -> float:
     return integrate(u.grid, cutoff.w0 * np.abs(u.values) ** 2)
 
 
-def I_prime(u: RadialField, cutoff: VirialCutoff, params: EquationParams) -> float:
-    """I' = 2 Im int (chi_R'(r)/r) conj(u) (r d_r u) dx."""
+def I_prime(
+    u: RadialField, cutoff: VirialCutoff, params: EquationParams, du=None
+) -> float:
+    """I' = 2 Im int (chi_R'(r)/r) conj(u) (r d_r u) dx.
+
+    du is the node gradient of u when the caller already has it.
+    """
     grid = u.grid
-    du = node_gradient(grid, u.values)
+    if du is None:
+        du = node_gradient(grid, u.values)
     dens = np.imag(np.conj(u.values) * du)
     return 2.0 * integrate(grid, cutoff.w1 * dens)
 
@@ -166,18 +172,21 @@ class VirialSecondDerivative:
 
 
 def I_double_prime(
-    u: RadialField, cutoff: VirialCutoff, params: EquationParams
+    u: RadialField, cutoff: VirialCutoff, params: EquationParams, du=None
 ) -> VirialSecondDerivative:
     """Both assemblies of I''(t) from shared node samples.
 
     The decomposition uses a node-centered gradient inside K_gamma so the two
     forms are algebraically identical; the module-level virial functional
-    (face-centered gradient) differs from k_gamma_node by O(h^2).
+    (face-centered gradient) differs from k_gamma_node by O(h^2).  du is the
+    node gradient of u when the caller already has it.
     """
     grid = u.grid
     r = grid.r
     gamma, mu = params.gamma, params.mu
-    du2 = np.abs(node_gradient(grid, u.values)) ** 2
+    if du is None:
+        du = node_gradient(grid, u.values)
+    du2 = np.abs(du) ** 2
     uu2 = np.abs(u.values) ** 2
     uu4 = uu2**2
     w1_over_r = cutoff.w1 / r
@@ -215,11 +224,18 @@ def I_double_prime(
     )
 
 
-def tail_integral(u: RadialField, R: float, params: EquationParams) -> float:
-    """int_{r>=R} (|grad u|^2 + |u|^4 + R^-mu |u|^2) dx (node-centered gradient)."""
+def tail_integral(
+    u: RadialField, R: float, params: EquationParams, du=None
+) -> float:
+    """int_{r>=R} (|grad u|^2 + |u|^4 + R^-mu |u|^2) dx (node-centered gradient).
+
+    du is the node gradient of u when the caller already has it.
+    """
     grid = u.grid
     mask = grid.r >= R
-    du2 = np.abs(node_gradient(grid, u.values)) ** 2
+    if du is None:
+        du = node_gradient(grid, u.values)
+    du2 = np.abs(du) ** 2
     uu2 = np.abs(u.values) ** 2
     dens = du2 + uu2**2 + R ** (-params.mu) * uu2
     return integrate(grid, np.where(mask, dens, 0.0))
@@ -255,9 +271,10 @@ def select_cutoff_radius(
     grid = u0.grid
     C = remainder_bound_constant(params)
     candidates = np.arange(1.0, grid.r_max / 3.0, 0.5)
+    du = node_gradient(grid, u0.values)
     feasible = [
         R for R in candidates
-        if C * tail_integral(u0, R, params) <= 0.5 * delta0
+        if C * tail_integral(u0, R, params, du) <= 0.5 * delta0
     ]
     if not feasible:
         raise ValueError(
@@ -329,15 +346,16 @@ def rigidity_probe(
             f = RadialField(grid, u)
             I_at[k] = I_value(f, cutoff)
             if k in tick_set:
-                d2 = I_double_prime(f, cutoff, params)
+                du = node_gradient(grid, u)
+                d2 = I_double_prime(f, cutoff, params, du)
                 ticks[k] = {
                     "I": I_at[k],
-                    "Iprime": I_prime(f, cutoff, params),
+                    "Iprime": I_prime(f, cutoff, params, du),
                     "Ipp": d2.total,
                     "Ipp_decomposed": d2.total_decomposed,
                     **d2.terms,
                     "remainder_sum": sum(d2.terms[key] for key in REMAINDER_TERMS),
-                    "remainder_bound": C * tail_integral(f, R, params),
+                    "remainder_bound": C * tail_integral(f, R, params, du),
                     "h1_norm_sq": functionals.report(f, params).h1_omega_gamma_sq,
                 }
     except FlowBlowup as exc:

@@ -20,7 +20,8 @@ from radialnls import (
 )
 from radialnls import functionals
 from radialnls.evolve import (
-    FlowBlowup, Snapshot, _k_bound_ok, _Stepper, absorbing_profile,
+    _SMALL_ANGLE, _W0, _W1, FlowBlowup, Snapshot, _k_bound_ok, _rotate, _Stepper,
+    absorbing_profile,
 )
 from radialnls.radial_grid import CrankNicolson, lap_gamma_diagonals
 from radialnls.fields import gaussian, random_smooth_field
@@ -100,6 +101,74 @@ class TestStep:
         e2 = np.sqrt(integrate(grid, np.abs(evolve_to(t_final / 320) - ref) ** 2))
         assert 12.0 < e1 / e2 < 20.0
         assert np.log2(e1 / e2) >= 3.5
+
+
+def _rotate_reference(u, s):
+    """exp(i s |u|^2) u with cos and sin evaluated at every node."""
+    re, im = u.real, u.imag
+    theta = re * re
+    theta += im * im
+    theta *= s
+    out = np.empty_like(u)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    out *= u
+    return out
+
+
+def _straddling(n, s, rng):
+    """Nodes whose angles |s| |u|^2 fall within a few ulps of _SMALL_ANGLE,
+    in random order, with random phases."""
+    mag = np.sqrt(_SMALL_ANGLE / abs(s)) * (1.0 + rng.integers(-8, 9, n) * 2.0**-52)
+    return mag * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
+
+
+class TestRotate:
+    """_rotate skips the trigonometry past the last node with |theta| >=
+    _SMALL_ANGLE; the result must stay bit-equal to the full evaluation."""
+
+    @staticmethod
+    def assert_bit_equal(u, s):
+        got, want = _rotate(u, s), _rotate_reference(u, s)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("s", [5e-4, -5e-4, 0.5 * _W0 * 1e-3, -3.0])
+    def test_angles_straddling_the_threshold(self, s, rng):
+        u = _straddling(4096, s, rng)
+        theta = s * np.abs(u) ** 2
+        assert np.any(np.abs(theta) >= _SMALL_ANGLE)
+        assert np.any(np.abs(theta) < _SMALL_ANGLE)
+        self.assert_bit_equal(u, s)
+
+    def test_threshold_angle_exactly(self):
+        # theta = 2 * (2^-14)^2 = 2^-27 at the first node, then below it
+        u = np.array([2.0**-14, 0.0, 2.0**-15j], dtype=complex)
+        self.assert_bit_equal(u, 2.0)
+
+    def test_decaying_field(self, grid_small):
+        # the shape of a run: large angles in the core, tiny ones outside,
+        # and exact zeros at the far end
+        u = (2.0 * np.exp(-grid_small.r) * np.exp(0.7j * grid_small.r)).astype(complex)
+        u[-10:] = 0.0
+        for s in (1e-3, _W0 * 1e-3, -1e-3):
+            self.assert_bit_equal(u, s)
+
+    def test_per_node_seam_angles(self, grid_small, rng):
+        # the merged angle across a step boundary with the absorber on
+        damp = np.exp(-absorbing_profile(grid_small, 4.0, 5.0) * 1e-3)
+        for first, last in ((5e-4, 5e-4), (0.5 * _W1 * 1e-3, 0.5 * _W1 * 1e-3)):
+            seam = last + first * damp**2
+            u = _straddling(grid_small.n, last, rng)
+            self.assert_bit_equal(u, seam)
+            self.assert_bit_equal(u[::-1].copy(), seam)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e2])
+    def test_no_node_or_every_node_above(self, scale, rng):
+        u = scale * (rng.uniform(0.5, 1.0, 300) * np.exp(1j * rng.uniform(0, 6.3, 300)))
+        theta = np.abs(1e-3 * np.abs(u) ** 2)
+        assert np.all(theta < _SMALL_ANGLE) or np.all(theta >= _SMALL_ANGLE)
+        self.assert_bit_equal(u, 1e-3)
+        self.assert_bit_equal(u, -1e-3)
 
 
 def _l2(grid, u):

@@ -22,6 +22,7 @@ from radialnls.ground_state import (
     SHOOT_BRACKET,
     _shoot_classify,
     _shoot_integrate,
+    _shoot_start,
 )
 
 
@@ -155,6 +156,20 @@ class TestShootOde:
         with pytest.raises(RuntimeError, match=re.escape("last bracket (")):
             shoot_ode(EquationParams(gamma=1.0, mu=1.0, omega=1.0), build_grid(1024, 32.0))
 
+    @pytest.mark.parametrize("gamma, n, r_max", [
+        (1.0, 64, 16.0), (0.0, 64, 16.0), (1.0, 107, 32.0),
+    ])
+    def test_coarse_grid_negative_start(self, gamma, n, r_max):
+        """On these grids the start expansion at r0 = h/2 is already negative
+        at the bracket's high end; that start counts as a crossing, so the
+        search stops instead of walking up to float range."""
+        params = EquationParams(gamma=gamma, mu=1.0, omega=1.0)
+        grid = build_grid(n, r_max)
+        q0, _ = _shoot_start(params, grid.h / 2.0, SHOOT_BRACKET[1])
+        assert q0 < 0.0
+        res = shoot_ode(params, grid)
+        assert np.isfinite(res.level) and res.level > 0.0
+
     @pytest.mark.parametrize("gamma, n, amplitude, level", [
         (1.0, 4096, 5.894779341478749, 36.97681866238725),
         (0.0, 2048, 4.337388366955185, 18.89717614305621),
@@ -187,14 +202,16 @@ class TestShootClassify:
                 mismatched.append(a)
         assert mismatched == []
 
-    def test_step_underflow_counts_as_upturn(self, params_default, grid_default):
-        """At a = 1e8 the step size underflows: solve_ivp fails with no event
-        recorded, and the sign test returns +1, as that record reads."""
+    def test_negative_start_counts_as_crossing(self, params_default, grid_default):
+        """At a = 1e8 the start value q(r0) is already below zero.  solve_ivp
+        records no crossing event there (its step size underflows), but the
+        profile has crossed zero, and the sign test returns -1."""
         r0, r_end = grid_default.h / 2.0, grid_default.r_max
         with np.errstate(over="ignore", invalid="ignore"):
             ref = _shoot_integrate(params_default, r0, r_end, 1e8, dense=False)
         assert ref.status == -1 and ref.t_events[0].size == 0
-        assert _shoot_classify(params_default, r0, r_end, 1e8) == +1
+        assert _shoot_start(params_default, r0, 1e8)[0] < 0.0
+        assert _shoot_classify(params_default, r0, r_end, 1e8) == -1
 
 
 class TestValidatePohozaev:

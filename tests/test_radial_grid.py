@@ -12,7 +12,7 @@ from radialnls import (
 )
 from radialnls.fields import random_smooth_field
 from radialnls.radial_grid import (
-    CrankNicolson, Tridiagonal, inner_product, lap_gamma_diagonals,
+    CrankNicolson, Tridiagonal, _OddEvenLU, inner_product, lap_gamma_diagonals,
 )
 
 
@@ -188,6 +188,63 @@ class TestSolveCN:
         v = CrankNicolson(lap, tau)(f.values)
         diff = np.sqrt(integrate(grid_small, np.abs(v - f.values) ** 2))
         assert diff <= 2.0 * tau * scale
+
+
+_cn_cases = dict(
+    n=st.integers(16, 300),
+    r_max=st.floats(2.0, 64.0),
+    gamma=st.floats(0.0, 4.0),
+    mu=st.floats(0.05, 1.95),
+    tau_over_h=st.floats(1e-5, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+def _cn_case(n, r_max, gamma, mu, tau_over_h, seed):
+    """(grid, lap, tau, u): tau in (0, h] as the stepper allows, u random."""
+    grid = build_grid(n, r_max)
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return grid, lap_gamma_diagonals(grid, gamma, mu), tau_over_h * grid.h, u
+
+
+class TestOddEvenReduction:
+    """The reduced solve behind CrankNicolson, on Id - (i tau/2) Delta_gamma."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(**_cn_cases)
+    def test_matches_gttrs(self, n, r_max, gamma, mu, tau_over_h, seed):
+        grid, lap, tau, f = _cn_case(n, r_max, gamma, mu, tau_over_h, seed)
+        z = 0.5j * tau
+        op = Tridiagonal(-z * lap.lower, 1.0 - z * lap.diag, -z * lap.upper)
+        want = op.factor().solve(f)
+        got = _OddEvenLU(op).solve(f)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(**_cn_cases)
+    def test_crank_nicolson_equation(self, n, r_max, gamma, mu, tau_over_h, seed):
+        # (Id - zL) v = (Id + zL) u
+        grid, lap, tau, u = _cn_case(n, r_max, gamma, mu, tau_over_h, seed)
+        z = 0.5j * tau
+        v = CrankNicolson(lap, tau)(u)
+        lhs = Tridiagonal(-z * lap.lower, 1.0 - z * lap.diag, -z * lap.upper).apply(v)
+        rhs = Tridiagonal(z * lap.lower, 1.0 + z * lap.diag, z * lap.upper).apply(u)
+        assert np.linalg.norm(lhs - rhs) <= 1e-13 * np.linalg.norm(rhs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(**_cn_cases)
+    def test_preserves_weighted_norm(self, n, r_max, gamma, mu, tau_over_h, seed):
+        grid, lap, tau, u = _cn_case(n, r_max, gamma, mu, tau_over_h, seed)
+        m0 = integrate(grid, np.abs(u) ** 2)
+        m1 = integrate(grid, np.abs(CrankNicolson(lap, tau)(u)) ** 2)
+        assert abs(m1 - m0) <= 1e-13 * m0
+
+    def test_argument_not_mutated(self, grid_small, params_default, rng):
+        u = random_smooth_field(grid_small, rng, complex_phase=True).values
+        before = u.copy()
+        CrankNicolson(lap_of(grid_small, params_default), 1e-3)(u)
+        assert np.array_equal(u, before)
 
 
 class TestTridiagonal:

@@ -15,9 +15,11 @@ from radialnls import (
     minimize_quotient,
     rigidity_probe,
 )
+from radialnls import localized_virial
 from radialnls.evolve import _Stepper
 from radialnls.fields import gaussian, random_smooth_field
 from radialnls.functionals import report
+from radialnls.radial_grid import node_gradient
 from radialnls.localized_virial import (
     PLATEAU,
     REMAINDER_TERMS,
@@ -265,6 +267,31 @@ class TestRigidityProbe:
         rep = rigidity_probe(u0, params, ground32.level, 0.1, cfg)
         assert sum(calls) == 200
         assert len(calls) <= 3 * len(rep.times) + 1
+
+    def test_one_node_gradient_per_tick(self, ground32, params, monkeypatch):
+        # one for the cutoff radius selection, then one per monitor tick
+        grid = ground32.profile.grid
+        u0 = RadialField(grid, 0.9 * ground32.profile.values)
+        cfg = EvolutionConfig(dt=5e-4, t_end=1.0, monitor_every=20)
+        calls = []
+        original = localized_virial.node_gradient
+
+        def node_gradient(grid, u):
+            calls.append(1)
+            return original(grid, u)
+
+        monkeypatch.setattr(localized_virial, "node_gradient", node_gradient)
+        rep = rigidity_probe(u0, params, ground32.level, 0.1, cfg)
+        assert len(calls) == 1 + len(rep.times)
+
+    def test_shared_gradient_is_bit_identical(self, ground32, params, rng):
+        grid = ground32.profile.grid
+        f = random_smooth_field(grid, rng, complex_phase=True)
+        c = build_cutoff(4.0, grid)
+        du = node_gradient(grid, f.values)
+        assert I_prime(f, c, params, du) == I_prime(f, c, params)
+        assert I_double_prime(f, c, params, du) == I_double_prime(f, c, params)
+        assert tail_integral(f, 4.0, params, du) == tail_integral(f, 4.0, params)
 
     def test_radius_selection_needs_domain(self, params):
         # a broad datum on a small domain cannot satisfy tail smallness
