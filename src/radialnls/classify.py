@@ -3,9 +3,9 @@
 Strictly below the ground-state action the sign of the virial functional
 splits the data: nonnegative predicts scattering, negative predicts blow-up,
 and the sign is the same for every admissible scaling pair.  The empirical
-side evolves the datum (absorbing layer on a doubled domain for scattering
-predictions, conservative flow for blow-up predictions) and reads the
-detector outcome off the trace.
+side evolves the datum on its own grid (with the absorbing layer for
+scattering predictions, conservatively for blow-up predictions) and reads
+the detector outcome off the trace.
 """
 
 from __future__ import annotations
@@ -21,12 +21,7 @@ from .evolve import EvolutionConfig, Outcome
 from .fields import gaussian
 from .functionals import DEFAULT_PAIRS, VIRIAL_PAIR, ScalingPair
 from .ground_state import GroundStateResult
-from .radial_grid import (
-    EquationParams,
-    RadialField,
-    build_grid,
-    embed_field,
-)
+from .radial_grid import EquationParams, RadialField
 
 #: relative distance of the mass-energy product from its threshold that
 #: flags a datum as a boundary case
@@ -203,15 +198,6 @@ def sign_splitting_check(
     )
 
 
-def _evolution_grid_for(u0: RadialField, scatter: bool):
-    """Scattering runs get a doubled, zero-padded domain; blow-up runs keep
-    the native grid (collapse is local)."""
-    if not scatter:
-        return u0.grid, u0
-    grid2 = build_grid(2 * u0.grid.n, 2.0 * u0.grid.r_max)
-    return grid2, embed_field(u0, grid2)
-
-
 def verify_empirically(
     verdict: ClassificationVerdict,
     u0: RadialField,
@@ -220,17 +206,17 @@ def verify_empirically(
 ) -> ClassificationVerdict:
     """Run the flow and fill the empirical label.
 
-    Scattering predictions evolve with the absorbing layer on a doubled
-    domain; blow-up predictions evolve conservatively.  A run that reaches
-    t_end without a detector firing stays inconclusive.
+    The datum evolves on its own grid: scattering predictions with the
+    absorbing layer, so cfg.absorb_width must lie in (0, R_max/4] of that
+    grid, and blow-up predictions conservatively.  A run that reaches t_end
+    without a detector firing stays inconclusive.
     """
     if verdict.predicted is Predicted.OUT_OF_SCOPE:
         raise ValueError("datum is not below the threshold; nothing to verify")
     scatter = verdict.predicted is Predicted.SCATTER
-    grid, datum = _evolution_grid_for(u0, scatter)
-    run_cfg = replace(cfg, absorb=scatter)
     trace = evolve.run(
-        datum, run_cfg, params, level=verdict.threshold_level if scatter else None
+        u0, replace(cfg, absorb=scatter), params,
+        level=verdict.threshold_level if scatter else None,
     )
     empirical = {
         Outcome.DECAY_DETECTED: Empirical.DECAY,
@@ -309,10 +295,14 @@ def sweep(
     """Classify and (optionally) verify a family; returns (header, rows).
 
     Rows come back in the deterministic family order regardless of the
-    worker count; per-row failures surface as inconclusive labels.
+    worker count; per-row failures of the flow surface as inconclusive
+    labels.  A config that cannot evolve a scatter prediction on the family
+    grid is rejected before any row runs.
     """
     if not ground.converged:
         raise ValueError("ground state result did not converge")
+    if verify:
+        replace(cfg, absorb=True).validate(ground.profile.grid)
     tasks = [
         (label, u0, params, ground, cfg, verify)
         for label, u0 in family_fields(spec, ground)

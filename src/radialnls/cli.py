@@ -24,7 +24,7 @@ import enum
 import json
 import sys
 import time
-from dataclasses import dataclass, fields as dataclass_fields, is_dataclass
+from dataclasses import dataclass, fields as dataclass_fields, is_dataclass, replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -128,7 +128,8 @@ def parse_config(
     Overrides win over file values.  A key the command does not read and a
     malformed value are rejected with the offending line number, and so is a
     file value that the grid, the equation parameters or, for commands that
-    evolve, the evolution config rejects.
+    evolve, the evolution config rejects.  With verify set, the evolution
+    config is checked with the absorber on, as a scatter prediction runs.
     """
     reads = _COMMANDS[command][2]
     cfg = RunConfig()
@@ -163,7 +164,8 @@ def parse_config(
         grid = cfg.grid()
         cfg.params()
         if "dt" in reads:
-            cfg.evolution().validate(grid)
+            # verification evolves scatter predictions with the absorber
+            replace(cfg.evolution(), absorb=cfg.absorb or cfg.verify).validate(grid)
     except ValueError as exc:
         key = str(exc).split(" ", 1)[0]
         if key in lines:

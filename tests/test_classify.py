@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,13 +8,16 @@ from radialnls import (
     Empirical,
     EvolutionConfig,
     FamilySpec,
+    Outcome,
     Predicted,
     RadialField,
     build_grid,
     classify,
+    embed_field,
     mass_energy_criterion,
     minimize_quotient,
     report,
+    run,
     sign_splitting_check,
     sweep,
     verify_empirically,
@@ -156,7 +161,7 @@ class TestVerifyEmpirically:
         u0 = cq(ground16, 0.5)
         v = classify(u0, params, ground16)
         cfg = EvolutionConfig(dt=1e-3, t_end=12.0, monitor_every=50,
-                              absorb_width=6.0, decay_window=2.0)
+                              absorb_width=4.0, decay_window=2.0)
         v = verify_empirically(v, u0, cfg, params)
         assert v.empirical is Empirical.DECAY
 
@@ -172,9 +177,38 @@ class TestVerifyEmpirically:
         u0 = cq(ground16, 0.9)
         v = classify(u0, params, ground16)
         cfg = EvolutionConfig(dt=1e-3, t_end=0.05, monitor_every=10,
-                              absorb_width=6.0, decay_window=np.inf)
+                              absorb_width=4.0, decay_window=np.inf)
         v = verify_empirically(v, u0, cfg, params)
         assert v.empirical is Empirical.INCONCLUSIVE
+
+    @pytest.mark.parametrize("mu", [0.3, 1.5])
+    def test_native_grid_matches_doubled_domain(self, mu, monkeypatch):
+        """A scatter verdict reads nothing of the domain beyond R_max: the
+        run on the datum's own grid stops when and as the run on its
+        zero-padded double does."""
+        params = EquationParams(gamma=1.0, mu=mu, omega=1.0)
+        ground = minimize_quotient(params, build_grid(2048, 16.0))
+        assert ground.converged
+        u0 = cq(ground, 0.9)
+        v = classify(u0, params, ground)
+        assert v.predicted is Predicted.SCATTER
+        cfg = EvolutionConfig(dt=1e-3, t_end=25.0, monitor_every=50)
+        traces = []
+
+        def recording_run(*args, **kwargs):
+            traces.append(run(*args, **kwargs))
+            return traces[-1]
+
+        monkeypatch.setattr("radialnls.evolve.run", recording_run)
+        native = verify_empirically(v, u0, replace(cfg, absorb_width=4.0), params)
+        big = build_grid(4096, 32.0)
+        doubled = run(embed_field(u0, big), replace(cfg, absorb=True, absorb_width=8.0),
+                      params, level=ground.level)
+        (trace,) = traces
+        assert native.empirical is Empirical.DECAY
+        assert trace.outcome is doubled.outcome is Outcome.DECAY_DETECTED
+        assert trace.final_time == doubled.final_time
+        assert trace.dt_final == doubled.dt_final
 
 
 class TestSweep:
@@ -211,6 +245,14 @@ class TestSweep:
         _, rows1 = sweep(spec, params, ground16, cfg, verify=False, workers=1)
         _, rows2 = sweep(spec, params, ground16, cfg, verify=False, workers=2)
         assert rows1 == rows2
+
+    def test_verify_rejects_an_absorber_the_grid_cannot_hold(self, ground16, params):
+        spec = FamilySpec(kind="cQ", amplitudes=(0.5, 1.1))
+        cfg = EvolutionConfig(dt=1e-3, t_end=0.1, absorb_width=6.0)
+        with pytest.raises(ValueError, match=r"^absorb_width must lie in \(0, R_max/4\]"):
+            sweep(spec, params, ground16, cfg, verify=True)
+        _, rows = sweep(spec, params, ground16, cfg, verify=False)
+        assert [row[5] for row in rows] == ["scatter", "blowup"]
 
     def test_family_spec_validation(self):
         with pytest.raises(ValueError, match="kind"):

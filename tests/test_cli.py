@@ -454,3 +454,40 @@ class TestSweepCommand:
         assert len(lines) == 3
         assert lines[1].split(",")[5] == "scatter"
         assert lines[2].split(",")[5] == "blowup"
+
+    @pytest.mark.parametrize("command", ["sweep", "classify"])
+    def test_verify_absorber_too_wide_flag_exits_one(self, tmp_path, capsys, command):
+        out = tmp_path / "sw"
+        cfg = write_cfg(tmp_path, BASE)
+        amplitude = ["--amplitudes", "0.8"] if command == "sweep" else ["--amplitude", "0.8"]
+        rc = main([
+            command, "--config", cfg, "--family", "cQ", *amplitude, "--verify",
+            "--t-end", "3", "--absorb-width", "5", "--out", str(out),
+        ])
+        assert rc == 1
+        assert "validation error: absorb_width must lie in (0, R_max/4]" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+        assert not (out / "verdict.json").exists()
+
+    def test_verify_absorber_too_wide_in_file_cites_line(self, tmp_path, capsys):
+        out = tmp_path / "sw"
+        cfg = write_cfg(tmp_path, BASE + "absorb_width = 5\n")
+        rc = main([
+            "sweep", "--config", cfg, "--family", "cQ", "--amplitudes", "0.8",
+            "--verify", "--t-end", "3", "--out", str(out),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "configuration error: " in err
+        assert "run.cfg:6: absorb_width must lie in (0, R_max/4]" in err
+        assert not (out / "sweep.csv").exists()
+
+    def test_absorber_width_unchecked_without_verify(self, tmp_path):
+        out = tmp_path / "sw"
+        cfg = write_cfg(tmp_path, BASE + "absorb_width = 5\n")
+        rc = main([
+            "sweep", "--config", cfg, "--family", "cQ", "--amplitudes", "0.8",
+            "--no-verify", "--out", str(out),
+        ])
+        assert rc == 0
+        assert (out / "sweep.csv").read_text().splitlines()[1].split(",")[6] == "inconclusive"
