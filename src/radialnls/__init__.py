@@ -23,14 +23,12 @@ from .functionals import (
     nehari,
     radial_sobolev_ratio,
     report,
-    t_alpha_beta,
     virial,
 )
 from .ground_state import (
     GroundStateResult,
     minimize_quotient,
     shoot_ode,
-    validate_pohozaev,
 )
 from .evolve import (
     EvolutionConfig,
@@ -74,12 +72,10 @@ __all__ = [
     "nehari",
     "radial_sobolev_ratio",
     "report",
-    "t_alpha_beta",
     "virial",
     "GroundStateResult",
     "minimize_quotient",
     "shoot_ode",
-    "validate_pohozaev",
     "EvolutionConfig",
     "EvolutionTrace",
     "Outcome",

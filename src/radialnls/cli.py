@@ -46,6 +46,12 @@ from .ground_state import minimize_quotient, shoot_ode
 from .radial_grid import EquationParams, RadialField, build_grid
 
 
+#: largest relative gap between the oracle's and the descent's level that
+#: ``ground-state --with-oracle`` accepts; above it the command still writes
+#: its files, names the gap on stderr and exits 2
+ORACLE_AGREEMENT_REL = 1e-3
+
+
 class ConfigError(ValueError):
     """Invalid configuration (unknown key, malformed value, bad constraint)."""
 
@@ -255,17 +261,23 @@ def _cmd_ground_state(cfg: RunConfig, outdir: Path):
         "method": res.method,
         "grad_norm": res.grad_norm,
     }
+    rc = 0 if res.converged else 2
     if cfg.with_oracle:
         oracle = shoot_ode(cfg.params(), grid)
+        agreement = abs(oracle.level - res.level) / res.level
         payload["oracle"] = {
             "level": oracle.level,
             "amplitude": oracle.shoot_amplitude,
-            "agreement_rel": abs(oracle.level - res.level) / res.level,
+            "agreement_rel": agreement,
             "bisections": oracle.iterations,
             "ode_residual": oracle.ode_residual,
         }
+        if not agreement <= ORACLE_AGREEMENT_REL:  # a NaN gap fails too
+            print(f"oracle disagreement: agreement_rel = {agreement:.3g} exceeds "
+                  f"{ORACLE_AGREEMENT_REL}", file=sys.stderr)
+            rc = 2
     write_json(outdir / "result.json", payload)
-    return (0 if res.converged else 2), ["Q.csv", "result.json"]
+    return rc, ["Q.csv", "result.json"]
 
 
 def _cmd_functionals(cfg: RunConfig, outdir: Path):

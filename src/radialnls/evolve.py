@@ -117,7 +117,8 @@ class EvolutionConfig:
             raise ValueError("monitor_every must be >= 1")
         if self.absorb and not (0.0 < self.absorb_width <= grid.r_max / 4.0):
             raise ValueError(
-                f"absorb_width must lie in (0, R_max/4]; got {self.absorb_width}"
+                f"absorb_width must lie in (0, R_max/4]; got {self.absorb_width} "
+                f"with R_max = {grid.r_max:g}; set --absorb-width"
             )
         if self.splitting_order not in (2, 4):
             raise ValueError("splitting_order must be 2 or 4")
@@ -140,8 +141,6 @@ class EvolutionTrace:
     grad_norm: list = dataclass_field(default_factory=list)
     virial_K: list = dataclass_field(default_factory=list)
     k_lower_bound_ok: list = dataclass_field(default_factory=list)
-    phase: list = dataclass_field(default_factory=list)
-    ref_amp_dev: list = dataclass_field(default_factory=list)
     outcome: Outcome = Outcome.RAN_TO_T_END
     final_time: float = 0.0
     final_state: RadialField | None = None
@@ -249,17 +248,16 @@ def run(
     cfg: EvolutionConfig,
     params: EquationParams,
     level: float | None = None,
-    reference: RadialField | None = None,
     snapshot_times: tuple = (),
 ) -> EvolutionTrace:
     """Integrate to t_end or until a detector fires.
 
     With `level` supplied (the ground-state action) and data strictly below
     it with positive virial, the K_gamma lower bound is monitored at every
-    tick and required for decay detection.  `reference` adds per-tick phase
-    and modulus-deviation channels against a fixed profile.  Snapshots are
-    taken at the first monitor tick at or past each requested time, which
-    must be finite and >= 0, and record both times.
+    tick and required for decay detection.  Snapshots are taken at the first
+    monitor tick at or past each requested time, which must be finite and
+    >= 0, and record both times; requesting every tick time records the
+    state at every tick.
 
     The flow advances in windows of `monitor_every` steps, and one rule
     refines them.  A step-doubling error probe above local_error_tol at the
@@ -329,14 +327,6 @@ def run(
             trace.snapshots.append(
                 Snapshot(pending_snapshots.pop(0), t_now, u_vals.copy())
             )
-        phase = amp_dev = 0.0
-        if reference is not None:
-            qv = reference.values
-            ip = np.dot(grid.weights, np.conj(qv) * u_vals)
-            phase = float(np.angle(ip))
-            qnorm = np.sqrt(np.dot(grid.weights, np.abs(qv) ** 2))
-            dev = (np.abs(u_vals) - np.abs(qv)) ** 2
-            amp_dev = float(np.sqrt(np.dot(grid.weights, dev)) / qnorm)
         trace.times.append(t_now)
         trace.mass_drift.append((rep.mass - m0) / m0 if m0 > 0 else rep.mass)
         trace.energy_drift.append(
@@ -348,8 +338,6 @@ def run(
         trace.k_lower_bound_ok.append(
             not monitor_bound or _k_bound_ok(rep, S0, level, params)
         )
-        trace.phase.append(phase)
-        trace.ref_amp_dev.append(amp_dev)
 
     append_tick(u, t, rep)
 

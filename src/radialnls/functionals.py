@@ -135,12 +135,6 @@ def virial(f: RadialField, params: EquationParams) -> float:
     return k_alpha_beta(f, VIRIAL_PAIR, params)
 
 
-def t_alpha_beta(f: RadialField, pair: ScalingPair, params: EquationParams) -> float:
-    """T^{alpha,beta} = S - K^{alpha,beta} / (2 alpha - beta)."""
-    rep = report(f, params)
-    return rep.action - rep.k(pair, params) / (2.0 * pair.alpha - pair.beta)
-
-
 def rescaled_field(f: RadialField, lam: float, pair: ScalingPair) -> RadialField:
     """e^{alpha lam} f(e^{beta lam} r) resampled onto f's grid.
 

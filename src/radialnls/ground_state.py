@@ -20,8 +20,10 @@ with an exponential tail fill past the matching radius.  Small amplitudes turn
 back up and large ones cross zero, so a geometric search finds the bracket.
 Each sign test is one DOP853 integration over Python floats (the tableau and
 step-size rule of scipy's solve_ivp, Hairer-Norsett-Wanner I, Sec. II.5) that
-stops at the first zero crossing or upturn; only the dense sample at the final
-amplitude goes through solve_ivp.  The two routes share nothing but the
+stops at the first zero crossing or upturn.  The same loop runs once more at
+the final amplitude and records its accepted steps, and DOP853's own dense
+output of those steps samples the profile onto the grid, so one integrator
+serves the sign tests and the profile.  The two routes share nothing but the
 functionals, so agreement certifies the level; both reject a grid too coarse
 for the core of Q, whose width is 1/sqrt(omega).
 """
@@ -32,10 +34,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import DOP853, solve_ivp
+from scipy.integrate import DOP853
 
 from . import functionals
-from .functionals import DEFAULT_PAIRS, ScalingPair
+from .functionals import DEFAULT_PAIRS
 from .radial_grid import (
     EquationParams,
     RadialField,
@@ -275,7 +277,7 @@ _ERR_EXP = -1.0 / (DOP853.error_estimator_order + 1)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 
 
-def _shoot_classify(params, r0, r_end, a):
+def _shoot_classify(params, r0, r_end, a, steps=None):
     """+1 when the profile stays positive / turns back up, -1 when it crosses zero.
 
     One DOP853 integration over Python floats with solve_ivp's tolerances and
@@ -283,7 +285,9 @@ def _shoot_classify(params, r0, r_end, a):
     rising through 0 (+1).  If both happen in one step the crossing came first,
     because q' changes sign once per step and q cannot fall after its minimum.
     A step-size underflow and reaching r_end both count as +1; a start value
-    q(r0) < 0 has already crossed zero and counts as -1.
+    q(r0) < 0 has already crossed zero and counts as -1.  A list passed as
+    `steps` receives each accepted step, the last one included, as (r, h, q,
+    q', q at r + h, the stage derivatives of q, those of q').
     """
     accel = _shoot_accel(params)
     rtol, atol = SHOOT_RTOL, SHOOT_ATOL
@@ -368,6 +372,8 @@ def _shoot_classify(params, r0, r_end, a):
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * err**_ERR_EXP)
             rejected = True
+        if steps is not None:
+            steps.append((r, h, q, p, q_new, tuple(kq), tuple(kp)))
         if q >= 0.0 and q_new <= 0.0:
             return -1
         if p <= 0.0 and p_new >= 0.0:
@@ -377,36 +383,33 @@ def _shoot_classify(params, r0, r_end, a):
         r, q, p, fp = r_new, q_new, p_new, fp_new
 
 
-def _shoot_integrate(params, r0, r_end, a, dense):
-    """The same shot through solve_ivp, with dense output on request."""
+def _dense_sample(params, steps, x):
+    """DOP853's continuous extension of the recorded steps at the nodes x.
+
+    The three extra stages and the degree-7 interpolant of solve_ivp's dense
+    output (Hairer-Norsett-Wanner I, Sec. II.6), evaluated for the q
+    component over all steps at once; nodes past the last step are 0.
+    """
+    r, h, q, p, q_new, kq, kp = (np.array(v) for v in zip(*steps))
+    n_k = kq.shape[1]
+    kq, kp = np.pad(kq, ((0, 0), (0, 3))), np.pad(kp, ((0, 0), (0, 3)))
     accel = _shoot_accel(params)
-
-    def rhs(r, y):
-        q, dq = y
-        return (dq, accel(r, q, dq))
-
-    def ev_cross(r, y):
-        return y[0]
-
-    ev_cross.terminal = True
-    ev_cross.direction = -1
-
-    def ev_turn(r, y):
-        return y[1]
-
-    ev_turn.terminal = True
-    ev_turn.direction = 1
-
-    return solve_ivp(
-        rhs,
-        (r0, r_end),
-        _shoot_start(params, r0, a),
-        method="DOP853",
-        events=(ev_cross, ev_turn),
-        rtol=SHOOT_RTOL,
-        atol=SHOOT_ATOL,
-        dense_output=dense,
-    )
+    for s, (c, a) in enumerate(zip(DOP853.C_EXTRA, DOP853.A_EXTRA), start=n_k):
+        ys, ps = q + h * (kq[:, :s] @ a[:s]), p + h * (kp[:, :s] @ a[:s])
+        kq[:, s], kp[:, s] = ps, accel(r + c * h, ys, ps)
+    dq = q_new - q
+    coeffs = [dq, h * p - dq, 2.0 * dq - h * (kq[:, n_k - 1] + p)]
+    coeffs += list(h * (DOP853.D @ kq.T))
+    out = np.zeros(len(x))
+    inside = x <= r[-1] + h[-1]
+    i = np.clip(np.searchsorted(r, x[inside], side="right") - 1, 0, len(r) - 1)
+    t = (x[inside] - r[i]) / h[i]
+    y = np.zeros(len(t))
+    for k, f in enumerate(reversed(coeffs)):
+        y += f[i]
+        y *= t if k % 2 == 0 else 1.0 - t
+    out[inside] = y + q[i]
+    return out
 
 
 def shoot_ode(params: EquationParams, grid: RadialGrid) -> GroundStateResult:
@@ -417,10 +420,11 @@ def shoot_ode(params: EquationParams, grid: RadialGrid) -> GroundStateResult:
     up it moves up (to hi, 2 hi); a RuntimeError names the last bracket if
     the start values leave float range first.  Bisection runs until the
     midpoint is no longer a new float (at most MAX_BISECT halvings); each sign
-    test is the scalar DOP853 loop of ``_shoot_classify``.  The solution at
-    the final amplitude is integrated once more by solve_ivp with dense
-    output, sampled onto the grid, and given an exponential tail fill past
-    the matching radius.  ``iterations`` of the result counts the bisections.
+    test is the scalar DOP853 loop of ``_shoot_classify``.  The same loop runs
+    once more at the final amplitude and records its accepted steps; their
+    DOP853 dense output gives the profile on the grid up to the last step,
+    and an exponential tail fill replaces it past the matching radius.
+    ``iterations`` of the result counts the bisections.
     A grid with h sqrt(omega) > MAX_CORE_SPACING is rejected with a ValueError.
     """
     _require_resolved_core(params, grid)
@@ -456,13 +460,9 @@ def shoot_ode(params: EquationParams, grid: RadialGrid) -> GroundStateResult:
         else:
             hi = mid
     a = 0.5 * (lo + hi)
-    sol = _shoot_integrate(params, r0, r_end, a, dense=True)
-
-    q = np.zeros(grid.n)
-    r_stop = sol.t[-1]
-    inside = grid.r <= r_stop
-    q[inside] = sol.sol(grid.r[inside])[0]
-    q = _tail_fill(grid, q, a)
+    steps = []
+    _shoot_classify(params, r0, r_end, a, steps)
+    q = _tail_fill(grid, _dense_sample(params, steps, grid.r), a)
     profile = RadialField(grid, q.astype(complex))
     res = float(
         np.sqrt(np.dot(grid.weights, _el_residual(grid, q, params) ** 2))
@@ -513,14 +513,3 @@ def _tail_fill(grid, q, a):
     rr = grid.r[core_end:]
     q[core_end:] = q1 * r1 * np.exp(-k * (rr - r1)) / rr
     return q
-
-
-def validate_pohozaev(
-    result: GroundStateResult,
-    pairs: tuple[ScalingPair, ...] = RESIDUAL_PAIRS,
-) -> dict:
-    """K^{alpha,beta}(Q) for each pair; all vanish for the true ground state."""
-    if not result.converged:
-        raise ValueError("ground state result did not converge")
-    rep = functionals.report(result.profile, result.params)
-    return {p: rep.k(p, result.params) for p in pairs}

@@ -119,11 +119,6 @@ def integrate(grid: RadialGrid, samples: np.ndarray) -> float:
     return float(np.real(np.dot(grid.weights, samples)))
 
 
-def inner_product(grid: RadialGrid, u: np.ndarray, v: np.ndarray) -> complex:
-    """Quadrature inner product <u, v> = int conj(u) v dx."""
-    return complex(np.dot(grid.weights, np.conj(u) * v))
-
-
 def gradient_norm_sq(field: RadialField) -> float:
     """int |d_r u|^2 dx with face-centered differences.
 

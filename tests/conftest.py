@@ -39,6 +39,23 @@ def q10_free():
     return res
 
 
+@pytest.fixture(scope="session")
+def standing_wave_channels():
+    """(phase, modulus deviation) of each snapshot of a trace against the
+    profile q: arg <q, u> and ||u| - |q||_{L^2} / ||q||_{L^2}."""
+
+    def channels(trace, q):
+        w, qv = q.grid.weights, q.values
+        qnorm = np.sqrt(np.dot(w, np.abs(qv) ** 2))
+        phase = [float(np.angle(np.dot(w, np.conj(qv) * s.values)))
+                 for s in trace.snapshots]
+        dev = [float(np.sqrt(np.dot(w, (np.abs(s.values) - np.abs(qv)) ** 2)) / qnorm)
+               for s in trace.snapshots]
+        return phase, dev
+
+    return channels
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240813)

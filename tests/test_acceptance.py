@@ -135,16 +135,21 @@ def test_criterion_4_conservation(ground_default, params_default):
         f"mass drift {mass:.2e}, energy drift {energy:.2e}")
 
 
-def test_criterion_5_standing_wave(ground_default, params_default):
+def test_criterion_5_standing_wave(ground_default, params_default,
+                                   standing_wave_channels):
     q = ground_default.profile
     cfg = EvolutionConfig(dt=1.25e-4, t_end=1.0, monitor_every=80,
                           absorb=False, decay_window=np.inf,
                           splitting_order=4)
-    trace = run(q, cfg, params_default, reference=q)
+    # one snapshot at each monitor tick, every 80 dt = 0.01
+    trace = run(q, cfg, params_default,
+                snapshot_times=tuple(k * 0.01 for k in range(101)))
     assert trace.outcome is Outcome.RAN_TO_T_END
-    dev = max(trace.ref_amp_dev)
+    assert [s.t for s in trace.snapshots] == trace.times
+    phase, dev = standing_wave_channels(trace, q)
+    dev = max(dev)
     assert dev <= 1e-4
-    rate = np.polyfit(trace.times, np.unwrap(trace.phase), 1)[0]
+    rate = np.polyfit(trace.times, np.unwrap(phase), 1)[0]
     assert abs(rate - params_default.omega) <= 0.01 * params_default.omega
     _ok(5, "ground state evolves as a standing wave",
         f"max modulus deviation {dev:.2e}, phase rate {rate:.5f}")

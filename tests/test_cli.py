@@ -7,7 +7,8 @@ import pytest
 
 from radialnls import ClassificationVerdict, FunctionalReport
 from radialnls.cli import (
-    _COMMANDS, ConfigError, RunConfig, _build_parser, main, parse_config,
+    _COMMANDS, ORACLE_AGREEMENT_REL, ConfigError, RunConfig, _build_parser, main,
+    parse_config,
 )
 from radialnls.localized_virial import RigidityReport
 
@@ -289,6 +290,28 @@ class TestGroundStateCommand:
         assert isinstance(oracle["bisections"], int) and oracle["bisections"] > 0
         assert oracle["ode_residual"] >= 0.0
 
+    def test_oracle_disagreement_exits_two(self, tmp_path, capsys):
+        # h sqrt(omega) = 0.25 passes the core check, but the two levels
+        # differ by 3.5 %: the files are written and the gap is named
+        out = tmp_path / "gs"
+        rc = main(["ground-state", "--with-oracle", "--n", "64", "--r-max", "16",
+                   "--out", str(out)])
+        assert rc == 2
+        oracle = json.loads((out / "result.json").read_text())["oracle"]
+        assert oracle["agreement_rel"] > ORACLE_AGREEMENT_REL
+        err = capsys.readouterr().err
+        assert err == (f"oracle disagreement: agreement_rel = {oracle['agreement_rel']:.3g} "
+                       f"exceeds {ORACLE_AGREEMENT_REL}\n")
+        assert (out / "manifest.json").exists()
+
+    def test_oracle_agreement_exits_zero(self, tmp_path, capsys):
+        out = tmp_path / "gs"
+        rc = main(["ground-state", "--with-oracle", "--out", str(out)])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        oracle = json.loads((out / "result.json").read_text())["oracle"]
+        assert oracle["agreement_rel"] <= 1e-6
+
     def test_unresolved_core_exits_one(self, tmp_path, capsys):
         # h = 1/128 is wider than the core width 1/sqrt(omega) = 1/200
         out = tmp_path / "gs"
@@ -465,7 +488,9 @@ class TestSweepCommand:
             "--t-end", "3", "--absorb-width", "5", "--out", str(out),
         ])
         assert rc == 1
-        assert "validation error: absorb_width must lie in (0, R_max/4]" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "validation error: absorb_width must lie in (0, R_max/4]" in err
+        assert "got 5.0 with R_max = 16; set --absorb-width" in err
         assert not (out / "sweep.csv").exists()
         assert not (out / "verdict.json").exists()
 

@@ -254,14 +254,19 @@ class TestConservation:
 
 
 class TestStandingWave:
-    def test_modulus_and_phase(self, ground_small_state, params):
+    def test_modulus_and_phase(self, ground_small_state, params,
+                               standing_wave_channels):
         q = ground_small_state.profile
         cfg = EvolutionConfig(dt=2.5e-4, t_end=0.25, monitor_every=100,
                               splitting_order=4, decay_window=np.inf)
-        trace = run(q, cfg, params, reference=q)
+        # one snapshot at each monitor tick, every 100 dt = 0.025
+        trace = run(q, cfg, params,
+                    snapshot_times=tuple(k * 0.025 for k in range(11)))
         assert trace.outcome is Outcome.RAN_TO_T_END
-        assert max(trace.ref_amp_dev) <= 1e-5
-        phases = np.unwrap(trace.phase)
+        assert [s.t for s in trace.snapshots] == trace.times
+        phase, dev = standing_wave_channels(trace, q)
+        assert max(dev) <= 1e-5
+        phases = np.unwrap(phase)
         rate = np.polyfit(trace.times, phases, 1)[0]
         assert rate == pytest.approx(params.omega, rel=0.01)
 

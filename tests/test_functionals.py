@@ -12,7 +12,6 @@ from radialnls import (
     nehari,
     radial_sobolev_ratio,
     report,
-    t_alpha_beta,
     virial,
 )
 from radialnls.fields import gaussian, random_smooth_field
@@ -23,6 +22,12 @@ MASS_EXACT = (np.pi / 2.0) ** 1.5
 KIN_EXACT = 1.5 * np.pi**1.5 / np.sqrt(2.0)
 POT_EXACT = np.pi
 QUART_EXACT = np.pi * (np.pi / 64.0) ** 0.5  # 4 pi int r^2 e^{-4 r^2} dr
+
+
+def t_alpha_beta(f, pair, params):
+    """T^{alpha,beta} = S - K^{alpha,beta} / (2 alpha - beta), from one report."""
+    rep = report(f, params)
+    return rep.action - rep.k(pair, params) / (2.0 * pair.alpha - pair.beta)
 
 
 @pytest.fixture(scope="module")

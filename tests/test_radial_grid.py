@@ -12,12 +12,17 @@ from radialnls import (
 )
 from radialnls.fields import random_smooth_field
 from radialnls.radial_grid import (
-    CrankNicolson, Tridiagonal, _OddEvenLU, inner_product, lap_gamma_diagonals,
+    CrankNicolson, Tridiagonal, _OddEvenLU, lap_gamma_diagonals,
 )
 
 
 def lap_of(grid, params):
     return lap_gamma_diagonals(grid, params.gamma, params.mu)
+
+
+def inner_product(grid, u, v):
+    """Quadrature inner product <u, v> = int conj(u) v dx."""
+    return complex(np.dot(grid.weights, np.conj(u) * v))
 
 
 def gaussian_field(grid, width=1.0):
