@@ -11,7 +11,6 @@ the detector outcome off the trace.
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -296,9 +295,11 @@ def sweep(
 
     Rows come back in the deterministic family order regardless of the
     worker count; per-row failures of the flow surface as inconclusive
-    labels.  A config that cannot evolve a scatter prediction on the family
-    grid is rejected before any row runs.
+    labels.  A worker count below 1, or a config that cannot evolve a scatter
+    prediction on the family grid, is rejected before any row runs.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if not ground.converged:
         raise ValueError("ground state result did not converge")
     if verify:
@@ -308,6 +309,8 @@ def sweep(
         for label, u0 in family_fields(spec, ground)
     ]
     if workers > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_row, tasks))
     else:

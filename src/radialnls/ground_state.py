@@ -20,7 +20,10 @@ with an exponential tail fill past the matching radius.  Small amplitudes turn
 back up and large ones cross zero, so a geometric search finds the bracket.
 Each sign test is one DOP853 integration over Python floats (the tableau and
 step-size rule of scipy's solve_ivp, Hairer-Norsett-Wanner I, Sec. II.5) that
-stops at the first zero crossing or upturn.  The same loop runs once more at
+stops at the first zero crossing or upturn.  The tableau is read from
+scipy.integrate on the first shot, so no other route imports it, and each
+attempted step runs as one straight-line function generated from that
+tableau, with the floats of a loop over it.  The same loop runs once more at
 the final amplitude and records its accepted steps, and DOP853's own dense
 output of those steps samples the profile onto the grid, so one integrator
 serves the sign tests and the profile.  The two routes share nothing but the
@@ -32,9 +35,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import DOP853
 
 from . import functionals
 from .functionals import DEFAULT_PAIRS
@@ -256,24 +259,60 @@ def _shoot_accel(params):
     return accel
 
 
-def _dop853_tableau():
-    """DOP853's stages as (c_s, ((j, a_sj), ...)) and its weights as ((j, w_j), ...),
-    read from scipy and stripped of zero entries, all as Python floats."""
+@lru_cache(maxsize=None)
+def _dop853():
+    """scipy's DOP853 class, imported on the first shot, so that no other
+    command loads scipy.integrate."""
+    from scipy.integrate import DOP853
 
-    def nonzero(row):
-        return tuple((j, float(x)) for j, x in enumerate(row) if x != 0.0)
-
-    stages = tuple(
-        (float(DOP853.C[s]), nonzero(DOP853.A[s, :s]))
-        for s in range(1, DOP853.n_stages)
-    )
-    return stages, nonzero(DOP853.B), nonzero(DOP853.E5), nonzero(DOP853.E3)
+    return DOP853
 
 
-_STAGES, _B, _E5, _E3 = _dop853_tableau()
-#: solve_ivp's step-size rule: error exponent -1/(7 + 1), safety factor, and the
-#: clip of the per-step factor
-_ERR_EXP = -1.0 / (DOP853.error_estimator_order + 1)
+@lru_cache(maxsize=None)
+def _dop853_step():
+    """One DOP853 attempt as a straight-line function built from scipy's
+    tableau, which stays the only copy of its coefficients.
+
+    step(r, h, r_new, q, p, fp, omega, gamma, mu) returns q, q' and q'' at
+    r_new, the E5 and E3 sums of q and of q', and the stage derivatives of q
+    and of q' as tuples.  Zero entries are dropped and each weighted sum keeps
+    the tableau's left-to-right order, so every float equals that of a loop
+    over the tableau: a sum started at 0.0 differs only in the sign of a zero
+    sum, which q + h * sum absorbs.  q'' is ``_shoot_accel``'s expression, and
+    at the end of the step it is taken at r_new, which can differ from r + h.
+    """
+    dop = _dop853()
+    n = dop.n_stages
+
+    def wsum(weights, k):
+        return " + ".join(f"{float(w)!r} * {k}{j}" for j, w in enumerate(weights) if w != 0.0)
+
+    def accel(r, q, dq):
+        return f"-2.0 / {r} * {dq} + omega * {q} + gamma / {r}**mu * {q} - {q} * {q} * {q}"
+
+    src = ["def step(r, h, r_new, q, p, fp, omega, gamma, mu):", "    kq0, kp0 = p, fp"]
+    for s in range(1, n):
+        src += [
+            f"    ys = q + h * ({wsum(dop.A[s, :s], 'kq')})",
+            f"    kq{s} = p + h * ({wsum(dop.A[s, :s], 'kp')})",
+            f"    rs = r + {float(dop.C[s])!r} * h",
+            f"    kp{s} = {accel('rs', 'ys', f'kq{s}')}",
+        ]
+    kq = ", ".join(f"kq{j}" for j in range(n + 1))
+    kp = ", ".join(f"kp{j}" for j in range(n + 1))
+    src += [
+        f"    q_new = q + h * ({wsum(dop.B, 'kq')})",
+        f"    kq{n} = p + h * ({wsum(dop.B, 'kp')})",
+        f"    kp{n} = {accel('r_new', 'q_new', f'kq{n}')}",
+        f"    return (q_new, kq{n}, kp{n}, {wsum(dop.E5, 'kq')}, {wsum(dop.E5, 'kp')},",
+        f"            {wsum(dop.E3, 'kq')}, {wsum(dop.E3, 'kp')}, ({kq}), ({kp}))",
+    ]
+    namespace = {}
+    exec("\n".join(src), namespace)
+    return namespace["step"]
+
+
+#: solve_ivp's step-size rule: safety factor and the clip of the per-step factor
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 
 
@@ -282,7 +321,8 @@ def _shoot_classify(params, r0, r_end, a, steps=None):
 
     One DOP853 integration over Python floats with solve_ivp's tolerances and
     step-size rule, stopped at the first event: q falling through 0 (-1) or q'
-    rising through 0 (+1).  If both happen in one step the crossing came first,
+    rising through 0 (+1).  Each attempt is one call of the generated kernel
+    ``_dop853_step()``.  If both happen in one step the crossing came first,
     because q' changes sign once per step and q cannot fall after its minimum.
     A step-size underflow and reaching r_end both count as +1; a start value
     q(r0) < 0 has already crossed zero and counts as -1.  A list passed as
@@ -290,11 +330,10 @@ def _shoot_classify(params, r0, r_end, a, steps=None):
     q', q at r + h, the stage derivatives of q, those of q').
     """
     accel = _shoot_accel(params)
+    step = _dop853_step()
+    err_exp = -1.0 / (_dop853().error_estimator_order + 1)
+    gamma, mu, omega = float(params.gamma), float(params.mu), float(params.omega)
     rtol, atol = SHOOT_RTOL, SHOOT_ATOL
-    stages, b_w, e5_w, e3_w = _STAGES, _B, _E5, _E3
-    n_k = len(stages) + 2  # K_0, the later stages, the derivative at the step's end
-    kq = [0.0] * n_k  # stage derivatives of q (= q' at the stage) ...
-    kp = [0.0] * n_k  # ... and of q'
 
     def rms(x, y):
         return math.sqrt(0.5 * (x * x + y * y))
@@ -318,7 +357,7 @@ def _shoot_classify(params, r0, r_end, a, steps=None):
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** (-_ERR_EXP)
+        h1 = (0.01 / max(d1, d2)) ** (-err_exp)
     h_abs = min(100.0 * h0, h1, length)
 
     while True:
@@ -331,30 +370,11 @@ def _shoot_classify(params, r0, r_end, a, steps=None):
             r_new = min(r + h_abs, r_end)
             h = r_new - r
             h_abs = h
-            kq[0], kp[0] = p, fp
-            for s, (c, row) in enumerate(stages, start=1):
-                dq = dp = 0.0
-                for j, w in row:
-                    dq += w * kq[j]
-                    dp += w * kp[j]
-                ys, ps = q + h * dq, p + h * dp
-                kq[s], kp[s] = ps, accel(r + c * h, ys, ps)
-            dq = dp = 0.0
-            for j, w in b_w:
-                dq += w * kq[j]
-                dp += w * kp[j]
-            q_new, p_new = q + h * dq, p + h * dp
-            fp_new = accel(r_new, q_new, p_new)
-            kq[-1], kp[-1] = p_new, fp_new
+            q_new, p_new, fp_new, e5q, e5p, e3q, e3p, kq, kp = step(
+                r, h, r_new, q, p, fp, omega, gamma, mu
+            )
             sq = atol + max(abs(q), abs(q_new)) * rtol
             sp = atol + max(abs(p), abs(p_new)) * rtol
-            e5q = e5p = e3q = e3p = 0.0
-            for j, w in e5_w:
-                e5q += w * kq[j]
-                e5p += w * kp[j]
-            for j, w in e3_w:
-                e3q += w * kq[j]
-                e3p += w * kp[j]
             e5q, e5p, e3q, e3p = e5q / sq, e5p / sp, e3q / sq, e3p / sp
             err5 = e5q * e5q + e5p * e5p
             err3 = e3q * e3q + e3p * e3p
@@ -364,16 +384,16 @@ def _shoot_classify(params, r0, r_end, a, steps=None):
                 err = h * err5 / math.sqrt(2.0 * (err5 + 0.01 * err3))
             if err < 1.0:
                 factor = _MAX_FACTOR if err == 0.0 else min(
-                    _MAX_FACTOR, _SAFETY * err**_ERR_EXP
+                    _MAX_FACTOR, _SAFETY * err**err_exp
                 )
                 if rejected:
                     factor = min(1.0, factor)
                 h_abs *= factor
                 break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * err**_ERR_EXP)
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err**err_exp)
             rejected = True
         if steps is not None:
-            steps.append((r, h, q, p, q_new, tuple(kq), tuple(kp)))
+            steps.append((r, h, q, p, q_new, kq, kp))
         if q >= 0.0 and q_new <= 0.0:
             return -1
         if p <= 0.0 and p_new >= 0.0:
@@ -394,12 +414,13 @@ def _dense_sample(params, steps, x):
     n_k = kq.shape[1]
     kq, kp = np.pad(kq, ((0, 0), (0, 3))), np.pad(kp, ((0, 0), (0, 3)))
     accel = _shoot_accel(params)
-    for s, (c, a) in enumerate(zip(DOP853.C_EXTRA, DOP853.A_EXTRA), start=n_k):
+    dop = _dop853()
+    for s, (c, a) in enumerate(zip(dop.C_EXTRA, dop.A_EXTRA), start=n_k):
         ys, ps = q + h * (kq[:, :s] @ a[:s]), p + h * (kp[:, :s] @ a[:s])
         kq[:, s], kp[:, s] = ps, accel(r + c * h, ys, ps)
     dq = q_new - q
     coeffs = [dq, h * p - dq, 2.0 * dq - h * (kq[:, n_k - 1] + p)]
-    coeffs += list(h * (DOP853.D @ kq.T))
+    coeffs += list(h * (dop.D @ kq.T))
     out = np.zeros(len(x))
     inside = x <= r[-1] + h[-1]
     i = np.clip(np.searchsorted(r, x[inside], side="right") - 1, 0, len(r) - 1)

@@ -1,3 +1,4 @@
+import importlib
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +25,9 @@ from radialnls import (
 )
 from radialnls.classify import SWEEP_HEADER, family_fields
 from radialnls.fields import gaussian
+
+# the package's ``classify`` is the function; the module holds the sweep's rows
+classify_module = importlib.import_module("radialnls.classify")
 
 
 @pytest.fixture(scope="module")
@@ -245,6 +249,17 @@ class TestSweep:
         _, rows1 = sweep(spec, params, ground16, cfg, verify=False, workers=1)
         _, rows2 = sweep(spec, params, ground16, cfg, verify=False, workers=2)
         assert rows1 == rows2
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected(self, ground16, params, workers, monkeypatch):
+        def no_row(task):
+            raise AssertionError("a row ran")
+
+        monkeypatch.setattr(classify_module, "_sweep_row", no_row)
+        spec = FamilySpec(kind="cQ", amplitudes=(0.5, 1.1))
+        cfg = EvolutionConfig(dt=1e-3, t_end=0.1)
+        with pytest.raises(ValueError, match=rf"^workers must be >= 1, got {workers}$"):
+            sweep(spec, params, ground16, cfg, verify=False, workers=workers)
 
     def test_verify_rejects_an_absorber_the_grid_cannot_hold(self, ground16, params):
         spec = FamilySpec(kind="cQ", amplitudes=(0.5, 1.1))

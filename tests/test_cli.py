@@ -507,6 +507,17 @@ class TestSweepCommand:
         assert "run.cfg:6: absorb_width must lie in (0, R_max/4]" in err
         assert not (out / "sweep.csv").exists()
 
+    def test_workers_below_one_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "sw"
+        cfg = write_cfg(tmp_path, BASE)
+        rc = main([
+            "sweep", "--config", cfg, "--family", "cQ", "--amplitudes", "0.5",
+            "--no-verify", "--workers", "-2", "--out", str(out),
+        ])
+        assert rc == 1
+        assert "validation error: workers must be >= 1, got -2" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
     def test_absorber_width_unchecked_without_verify(self, tmp_path):
         out = tmp_path / "sw"
         cfg = write_cfg(tmp_path, BASE + "absorb_width = 5\n")

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import DOP853, solve_ivp
 
 import radialnls
 from radialnls import (
@@ -27,6 +28,7 @@ from radialnls.ground_state import (
     SHOOT_BRACKET,
     SHOOT_RTOL,
     _dense_sample,
+    _dop853_step,
     _residuals,
     _shoot_accel,
     _shoot_classify,
@@ -52,6 +54,34 @@ def _solve_ivp_shot(params, r0, r_end, a, dense=False):
         _shoot_start(params, r0, a), method="DOP853", events=(cross, turn),
         rtol=SHOOT_RTOL, atol=SHOOT_ATOL, dense_output=dense,
     )
+
+
+def _loop_step(r, h, r_new, q, p, fp, omega, gamma, mu):
+    """One DOP853 attempt as a loop over scipy's tableau with zero entries
+    dropped, each sum started at 0.0: the reference for the generated kernel."""
+    accel = _shoot_accel(EquationParams(gamma, mu, omega))
+
+    def wsum(weights, k):
+        total = 0.0
+        for j, w in enumerate(weights):
+            if w != 0.0:
+                total += float(w) * k[j]
+        return total
+
+    n = DOP853.n_stages
+    kq, kp = [p] + [0.0] * n, [fp] + [0.0] * n
+    for s in range(1, n):
+        ys, ps = q + h * wsum(DOP853.A[s, :s], kq), p + h * wsum(DOP853.A[s, :s], kp)
+        kq[s], kp[s] = ps, accel(r + float(DOP853.C[s]) * h, ys, ps)
+    q_new, p_new = q + h * wsum(DOP853.B, kq), p + h * wsum(DOP853.B, kp)
+    kq[n], kp[n] = p_new, accel(r_new, q_new, p_new)
+    return (q_new, p_new, kp[n], wsum(DOP853.E5, kq), wsum(DOP853.E5, kp),
+            wsum(DOP853.E3, kq), wsum(DOP853.E3, kp), tuple(kq), tuple(kp))
+
+
+def _flat(record):
+    for x in record:
+        yield from (_flat(x) if isinstance(x, tuple) else (x,))
 
 
 class TestMinimizeQuotient:
@@ -242,6 +272,24 @@ class TestShootClassify:
         assert _shoot_classify(params_default, r0, r_end, 1e8) == -1
 
 
+class TestDop853Step:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        r=st.floats(1e-3, 32.0), h=st.floats(1e-9, 0.5), r_new=st.floats(1e-3, 33.0),
+        q=st.floats(-10.0, 10.0), p=st.floats(-10.0, 10.0), fp=st.floats(-100.0, 100.0),
+        gamma=st.floats(0.0, 10.0), mu=st.floats(0.0, 2.0, exclude_min=True, exclude_max=True),
+        omega=st.floats(1e-3, 10.0),
+    )
+    def test_bit_identical_to_the_tableau_loop(self, r, h, r_new, q, p, fp, gamma, mu, omega):
+        """The generated kernel returns exactly what the loop over the tableau
+        computes, both 13-entry stage tuples included; a NaN (a stage that
+        left float range) must match a NaN."""
+        got = _dop853_step()(r, h, r_new, q, p, fp, omega, gamma, mu)
+        ref = _loop_step(r, h, r_new, q, p, fp, omega, gamma, mu)
+        assert len(got[7]) == len(got[8]) == 13
+        assert all(x == y or (x != x and y != y) for x, y in zip(_flat(got), _flat(ref), strict=True))
+
+
 class TestDenseSample:
     @pytest.mark.parametrize("point", [(1.0, 1.0, 1.0), (3.9, 1.19, 0.26)])
     def test_matches_solve_ivp_dense_output(self, point, grid_default):
@@ -267,15 +315,27 @@ class TestDenseSample:
         assert err <= 1e-10 * a
 
 
-def test_import_leaves_scipy_interpolate_out():
-    """The package and its CLI import without scipy.interpolate: only
-    radial_grid.interpolant loads it, on use.  Loading it adds about 1 MiB
-    to the resident memory of every command (ru_maxrss after import)."""
+def test_import_footprint():
+    """The package and its CLI import without scipy.interpolate,
+    scipy.integrate, scipy.optimize or multiprocessing: each loads on the
+    first call that needs it.  scipy.integrate stays out through a descent
+    and an evolution, and the first shot brings it in."""
     env = dict(os.environ, PYTHONPATH=str(Path(radialnls.__file__).parents[1]))
-    code = "import sys, radialnls, radialnls.cli; print('scipy.interpolate' in sys.modules)"
+    code = """if True:
+        import sys, radialnls, radialnls.cli
+        lazy = ("scipy.interpolate", "scipy.integrate", "scipy.optimize", "multiprocessing")
+        print([m for m in lazy if m in sys.modules])
+        from radialnls import EquationParams, EvolutionConfig, build_grid, minimize_quotient, run, shoot_ode
+        params = EquationParams(1.0, 1.0, 1.0)
+        ground = minimize_quotient(params, build_grid(512, 16.0))
+        run(ground.profile, EvolutionConfig(dt=1e-3, t_end=0.01), params)
+        print("scipy.integrate" in sys.modules)
+        shoot_ode(params, ground.profile.grid)
+        print("scipy.integrate" in sys.modules)
+    """
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.split() == ["[]", "False", "True"]
 
 
 class TestValidatePohozaev:
