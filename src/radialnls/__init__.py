@@ -19,11 +19,8 @@ from .functionals import (
     FunctionalReport,
     ScalingPair,
     fd_check_k,
-    k_alpha_beta,
-    nehari,
     radial_sobolev_ratio,
     report,
-    virial,
 )
 from .ground_state import (
     GroundStateResult,
@@ -51,7 +48,6 @@ from .classify import (
     Predicted,
     classify,
     mass_energy_criterion,
-    sign_splitting_check,
     sweep,
     verify_empirically,
 )
@@ -68,11 +64,8 @@ __all__ = [
     "FunctionalReport",
     "ScalingPair",
     "fd_check_k",
-    "k_alpha_beta",
-    "nehari",
     "radial_sobolev_ratio",
     "report",
-    "virial",
     "GroundStateResult",
     "minimize_quotient",
     "shoot_ode",
@@ -92,7 +85,6 @@ __all__ = [
     "Predicted",
     "classify",
     "mass_energy_criterion",
-    "sign_splitting_check",
     "sweep",
     "verify_empirically",
 ]

@@ -18,7 +18,7 @@ import numpy as np
 from . import evolve, functionals
 from .evolve import EvolutionConfig, Outcome
 from .fields import gaussian
-from .functionals import DEFAULT_PAIRS, VIRIAL_PAIR, ScalingPair
+from .functionals import DEFAULT_PAIRS, VIRIAL_PAIR
 from .ground_state import GroundStateResult
 from .radial_grid import EquationParams, RadialField
 
@@ -148,55 +148,6 @@ def mass_energy_criterion(
     )
 
 
-@dataclass
-class SignSplittingEntry:
-    index: int
-    s_value: float
-    skipped: bool
-    signs: dict
-    unanimous: bool
-
-
-@dataclass
-class SignSplittingReport:
-    entries: list
-    all_unanimous: bool
-    n_skipped: int
-
-    def violators(self):
-        return [e for e in self.entries if (not e.skipped) and (not e.unanimous)]
-
-
-def sign_splitting_check(
-    family,
-    params: EquationParams,
-    ground: GroundStateResult,
-    pairs: tuple[ScalingPair, ...] = DEFAULT_PAIRS,
-) -> SignSplittingReport:
-    """Evaluate sign(K^{alpha,beta}) across pairs for each below-threshold field.
-
-    Fields at or above the threshold are excluded by the precondition filter
-    and reported as skipped; sign disagreements are report content.
-    """
-    entries = []
-    for i, f in enumerate(family):
-        rep = functionals.report(f, params)
-        if not (rep.action < ground.level):
-            entries.append(
-                SignSplittingEntry(i, rep.action, True, {}, True)
-            )
-            continue
-        signs = {p: (1 if rep.k(p, params) >= 0.0 else -1) for p in pairs}
-        unanimous = len(set(signs.values())) == 1
-        entries.append(SignSplittingEntry(i, rep.action, False, signs, unanimous))
-    active = [e for e in entries if not e.skipped]
-    return SignSplittingReport(
-        entries=entries,
-        all_unanimous=all(e.unanimous for e in active),
-        n_skipped=len(entries) - len(active),
-    )
-
-
 def verify_empirically(
     verdict: ClassificationVerdict,
     u0: RadialField,
@@ -237,6 +188,8 @@ class FamilySpec:
             raise ValueError(f"unknown family kind {self.kind!r}")
         if self.kind == "gaussian" and not self.widths:
             raise ValueError("gaussian family needs widths")
+        if self.kind == "cQ" and self.widths:
+            raise ValueError("cQ family takes no widths")
 
 
 def family_fields(spec: FamilySpec, ground: GroundStateResult):

@@ -334,12 +334,12 @@ def _cmd_classify(cfg: RunConfig, outdir: Path):
 
 def _cmd_sweep(cfg: RunConfig, outdir: Path):
     params = cfg.params()
-    ground = _ground(cfg)
     spec = FamilySpec(
         kind=cfg.family,
         amplitudes=tuple(cfg.amplitudes),
         widths=tuple(cfg.widths),
     )
+    ground = _ground(cfg)
     header, rows = sweep_family(
         spec, params, ground, cfg.evolution(),
         verify=cfg.verify, workers=cfg.workers,

@@ -111,6 +111,8 @@ class EvolutionConfig:
             raise ValueError(
                 f"dt must lie in (0, h]; dt={self.dt}, h={grid.h}"
             )
+        if self.dt < self.min_dt:
+            raise ValueError(f"dt must be >= min_dt; dt={self.dt}, min_dt={self.min_dt}")
         if not (self.t_end > 0.0):
             raise ValueError("t_end must be positive")
         if self.monitor_every < 1:

@@ -1,5 +1,5 @@
 """Variational quantities of the flow: mass, energy, action, and the scaling
-functional family K^{alpha,beta} together with its Nehari and virial members.
+functional family K^{alpha,beta}, read off one report per field.
 
 K^{alpha,beta}(f) is the lambda-derivative at 0 of the action along the
 two-parameter scaling e^{alpha lambda} f(e^{beta lambda} x).  Each term of the
@@ -11,8 +11,9 @@ coefficients (d = p = 3):
     potential 2*alpha - (3 - mu)*beta
     quartic   4*alpha - 3*beta
 
-The pair (1,0) reproduces the Nehari functional and (3,2) the virial
-functional 2||grad f||^2 + mu*int gamma/r^mu |f|^2 - (3/2)||f||_4^4.
+The pair (1,0) reproduces the Nehari functional (NEHARI_PAIR) and (3,2) the
+virial functional 2||grad f||^2 + mu*int gamma/r^mu |f|^2 - (3/2)||f||_4^4
+(VIRIAL_PAIR).
 """
 
 from __future__ import annotations
@@ -120,21 +121,6 @@ def k_coefficients(pair: ScalingPair, mu: float):
     )
 
 
-def k_alpha_beta(f: RadialField, pair: ScalingPair, params: EquationParams) -> float:
-    """K^{alpha,beta}(f), the action derivative along the (alpha,beta) scaling."""
-    return report(f, params).k(pair, params)
-
-
-def nehari(f: RadialField, params: EquationParams) -> float:
-    """Nehari functional, alias of K^{1,0}."""
-    return k_alpha_beta(f, NEHARI_PAIR, params)
-
-
-def virial(f: RadialField, params: EquationParams) -> float:
-    """Virial functional, alias of K^{3,2}; mass-independent by construction."""
-    return k_alpha_beta(f, VIRIAL_PAIR, params)
-
-
 def rescaled_field(f: RadialField, lam: float, pair: ScalingPair) -> RadialField:
     """e^{alpha lam} f(e^{beta lam} r) resampled onto f's grid.
 
@@ -164,7 +150,7 @@ def fd_check_k(
     """
     if not (0.0 < eps <= 1e-2):
         raise ValueError(f"eps must lie in (0, 1e-2], got {eps}")
-    analytic = k_alpha_beta(f, pair, params)
+    analytic = report(f, params).k(pair, params)
     s_plus = report(rescaled_field(f, eps, pair), params).action
     s_minus = report(rescaled_field(f, -eps, pair), params).action
     return analytic, (s_plus - s_minus) / (2.0 * eps)

@@ -331,7 +331,7 @@ def interpolant(field: RadialField):
     """Monotone cubic interpolant of a field on [0, R_max].
 
     Anchored by an even-extension value at r = 0 and the Dirichlet zero at
-    r = R_max.  Returns a callable; used for rescaling and grid transfer.
+    r = R_max.  Returns a callable; used for rescaling.
     """
     from scipy.interpolate import PchipInterpolator
 
@@ -347,19 +347,17 @@ def interpolant(field: RadialField):
 
 
 def embed_field(field: RadialField, grid: RadialGrid) -> RadialField:
-    """Transfer a field to another grid.
+    """Extend a field to a larger domain with the same spacing.
 
-    When the spacings match (pure domain extension) the values are copied
-    node-for-node and zero-padded; otherwise the field is resampled with the
-    monotone cubic interpolant.
+    The values are copied node for node and zero-padded beyond the old
+    R_max; a grid with a different spacing or fewer cells is rejected.
     """
     src = field.grid
-    if grid.n >= src.n and abs(grid.h - src.h) < 1e-14 * src.h:
-        out = np.zeros(grid.n, dtype=complex)
-        out[: src.n] = field.values
-        return RadialField(grid, out)
-    itp = interpolant(field)
-    xs = np.minimum(grid.r, src.r_max)
-    vals = np.asarray(itp(xs), dtype=complex)
-    vals[grid.r >= src.r_max] = 0.0
-    return RadialField(grid, vals)
+    if not (grid.n >= src.n and abs(grid.h - src.h) < 1e-14 * src.h):
+        raise ValueError(
+            f"embed_field needs the same spacing and at least as many cells; "
+            f"got n={grid.n}, h={grid.h} for a field with n={src.n}, h={src.h}"
+        )
+    out = np.zeros(grid.n, dtype=complex)
+    out[: src.n] = field.values
+    return RadialField(grid, out)

@@ -18,12 +18,10 @@ from radialnls import (
     classify,
     embed_field,
     fd_check_k,
-    k_alpha_beta,
     minimize_quotient,
     report,
     rigidity_probe,
     run,
-    sign_splitting_check,
 )
 from radialnls.fields import random_smooth_field
 from radialnls.functionals import DEFAULT_PAIRS
@@ -238,12 +236,13 @@ def test_criterion_9_sign_splitting(ground_default, params_default, rng):
     fields = _below_threshold_family(
         grid, params_default, ground_default.level, rng, 100
     )
-    rep = sign_splitting_check(fields, params_default, ground_default,
-                               pairs=DEFAULT_PAIRS)
-    assert rep.n_skipped == 0
-    assert rep.all_unanimous, rep.violators()
-    n_pos = sum(1 for e in rep.entries if set(e.signs.values()) == {1})
-    n_neg = sum(1 for e in rep.entries if set(e.signs.values()) == {-1})
+    verdicts = [classify(f, params_default, ground_default) for f in fields]
+    assert all(v.below_threshold for v in verdicts)
+    assert all(tuple(v.k_signs) == DEFAULT_PAIRS for v in verdicts)
+    signs = [set(v.k_signs.values()) for v in verdicts]
+    violators = [i for i, s in enumerate(signs) if len(s) != 1]
+    assert not violators, violators
+    n_pos, n_neg = signs.count({1}), signs.count({-1})
     assert n_pos > 0 and n_neg > 0
     _ok(9, "sign of K^{alpha,beta} unanimous on 100 below-threshold fields",
         f"{n_pos} positive, {n_neg} negative, 0 violations")
@@ -258,10 +257,9 @@ def test_criterion_10_equivalence_suite(params_default, rng):
         f = random_smooth_field(grid, rng)
         # shrink onto the gradient-dominated side so every pair is nonneg
         f = RadialField(grid, 0.2 * f.values)
-        ks = {p: k_alpha_beta(f, p, params_default) for p in DEFAULT_PAIRS}
-        if any(v < 0.0 for v in ks.values()):
-            continue
         rep = report(f, params_default)
+        if any(rep.k(p, params_default) < 0.0 for p in DEFAULT_PAIRS):
+            continue
         for pair in DEFAULT_PAIRS:
             a, b = pair.alpha, pair.beta
             lhs = 2.0 * (a - b) * rep.action

@@ -19,7 +19,6 @@ from radialnls import (
     minimize_quotient,
     report,
     run,
-    sign_splitting_check,
     sweep,
     verify_empirically,
 )
@@ -118,30 +117,6 @@ class TestMassEnergyCriterion:
             if rec.me_product_below:
                 assert rec.grad_product_below == rec.k_gamma_nonneg
 
-
-class TestSignSplitting:
-    def test_subcritical_family_unanimous_positive(self, ground16, params):
-        family = [cq(ground16, c) for c in np.arange(0.3, 0.96, 0.1)]
-        rep = sign_splitting_check(family, params, ground16)
-        assert rep.all_unanimous
-        assert rep.n_skipped == 0
-        for e in rep.entries:
-            assert set(e.signs.values()) == {1}
-
-    def test_supercritical_family_unanimous_negative(self, ground16, params):
-        family = [cq(ground16, c) for c in (1.05, 1.1, 1.15, 1.2)]
-        rep = sign_splitting_check(family, params, ground16)
-        assert rep.all_unanimous
-        for e in rep.entries:
-            assert set(e.signs.values()) == {-1}
-
-    def test_above_threshold_skipped(self, ground16, params):
-        f = amplitude_peak_field(ground16, params)
-        rep = sign_splitting_check([f, cq(ground16, 0.5)], params, ground16)
-        assert rep.n_skipped == 1
-        assert rep.entries[0].skipped
-        assert rep.all_unanimous
-
     def test_131_implies_below_threshold(self, ground16, params, q10_free):
         # sampled implication: the mass-energy condition is stronger than
         # sitting below the radial threshold
@@ -152,6 +127,33 @@ class TestSignSplitting:
             rec = mass_energy_criterion(f, params, q10_free)
             if rec.me_product_below:
                 assert report(f, params).action < ground16.level
+
+
+class TestKSigns:
+    """Below the threshold classify's sign of K^{alpha,beta} is the same for
+    every pair in DEFAULT_PAIRS."""
+
+    def test_subcritical_family_unanimous_positive(self, ground16, params):
+        family = [cq(ground16, c) for c in np.arange(0.3, 0.96, 0.1)]
+        for f in family:
+            v = classify(f, params, ground16)
+            assert v.below_threshold
+            assert set(v.k_signs.values()) == {1}
+
+    def test_supercritical_family_unanimous_negative(self, ground16, params):
+        family = [cq(ground16, c) for c in (1.05, 1.1, 1.15, 1.2)]
+        for f in family:
+            v = classify(f, params, ground16)
+            assert v.below_threshold
+            assert set(v.k_signs.values()) == {-1}
+
+    def test_above_threshold_skipped(self, ground16, params):
+        above = classify(amplitude_peak_field(ground16, params), params, ground16)
+        assert not above.below_threshold
+        assert above.predicted is Predicted.OUT_OF_SCOPE
+        below = classify(cq(ground16, 0.5), params, ground16)
+        assert below.below_threshold
+        assert len(set(below.k_signs.values())) == 1
 
 
 class TestVerifyEmpirically:
@@ -238,10 +240,10 @@ class TestSweep:
         assert len(rows) == 4
         labels = [(row[0], row[1]) for row in rows]
         assert labels == [(0.5, 0.8), (0.5, 1.2), (1.0, 0.8), (1.0, 1.2)]
-        below = [f for (_, f) in family_fields(spec, ground16)
-                 if report(f, params).action < ground16.level]
-        rep = sign_splitting_check(below, params, ground16)
-        assert rep.all_unanimous
+        for _, f in family_fields(spec, ground16):
+            v = classify(f, params, ground16)
+            if v.below_threshold:
+                assert len(set(v.k_signs.values())) == 1
 
     def test_workers_deterministic(self, ground16, params):
         spec = FamilySpec(kind="cQ", amplitudes=(0.4, 0.6, 1.2))
@@ -274,3 +276,5 @@ class TestSweep:
             FamilySpec(kind="bogus", amplitudes=(1.0,))
         with pytest.raises(ValueError, match="widths"):
             FamilySpec(kind="gaussian", amplitudes=(1.0,))
+        with pytest.raises(ValueError, match="^cQ family takes no widths$"):
+            FamilySpec(kind="cQ", amplitudes=(1.0,), widths=(1.0,))

@@ -81,6 +81,7 @@ class TestParseConfig:
         ("ground-state", "omega = 0"),
         ("virial-check", "splitting_order = 3"),
         ("evolve", "decay_window = 0"),
+        ("evolve", "dt = 1e-300"),
     ])
     def test_file_value_rejected_with_its_line(self, tmp_path, command, line):
         key = line.split()[0]
@@ -402,6 +403,18 @@ class TestEvolveCommand:
         assert rc == 1
         assert "t_end must be finite" in capsys.readouterr().err
 
+    def test_dt_below_min_dt_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "ev"
+        rc = main([
+            "evolve", "--n", "512", "--r-max", "16", "--dt", "1e-300",
+            "--t-end", "1", "--out", str(out),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: dt must be >= min_dt")
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestClassifyCommand:
     def test_blowup_verdict(self, tmp_path):
@@ -506,6 +519,18 @@ class TestSweepCommand:
         assert "configuration error: " in err
         assert "run.cfg:6: absorb_width must lie in (0, R_max/4]" in err
         assert not (out / "sweep.csv").exists()
+
+    def test_widths_for_cq_family_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "sw"
+        rc = main([
+            "sweep", "--n", "512", "--r-max", "16", "--amplitudes", "0.5",
+            "--widths", "1", "--out", str(out),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "validation error: cQ family takes no widths\n"
+        assert not (out / "sweep.csv").exists()
+        assert not (out / "manifest.json").exists()
 
     def test_workers_below_one_exits_one(self, tmp_path, capsys):
         out = tmp_path / "sw"

@@ -16,7 +16,6 @@ from radialnls import (
     minimize_quotient,
     report,
     run,
-    virial,
 )
 from radialnls import functionals
 from radialnls.evolve import (
@@ -25,6 +24,7 @@ from radialnls.evolve import (
 )
 from radialnls.radial_grid import CrankNicolson, lap_gamma_diagonals
 from radialnls.fields import gaussian, random_smooth_field
+from radialnls.functionals import VIRIAL_PAIR
 
 
 @pytest.fixture(scope="module")
@@ -293,6 +293,16 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"^{name}"):
             cfg.validate(build_grid(2048, 16.0))
 
+    def test_dt_below_min_dt_rejected(self):
+        # refinement could never start from there, and t_end / dt steps
+        # would not finish
+        grid = build_grid(2048, 16.0)
+        with pytest.raises(ValueError, match=r"^dt must be >= min_dt; dt=1e-300"):
+            EvolutionConfig(dt=1e-300, t_end=1.0).validate(grid)
+        with pytest.raises(ValueError, match=r"^dt must be >= min_dt"):
+            EvolutionConfig(dt=1e-5, t_end=1.0, min_dt=1e-4).validate(grid)
+        EvolutionConfig(dt=1e-4, t_end=1.0, min_dt=1e-4).validate(grid)
+
 
 class TestAbsorbingLayer:
     def test_mass_nonincreasing(self, params, rng):
@@ -396,7 +406,7 @@ class TestMonitorKBound:
         grid = ground_small_state.profile.grid
         u0 = RadialField(grid, 0.9 * ground_small_state.profile.values)
         rep = report(u0, params)
-        assert virial(u0, params) > 0.0
+        assert rep.k(VIRIAL_PAIR, params) > 0.0
         assert _k_bound_ok(rep, rep.action, ground_small_state.level, params)
 
 
@@ -443,11 +453,12 @@ class TestRefinementPath:
 
     def test_one_report_per_tick(self, params, monkeypatch):
         calls = Counter()
-        for name in ("report", "k_alpha_beta"):
-            def counted(*args, _name=name, _fn=getattr(functionals, name)):
-                calls[_name] += 1
-                return _fn(*args)
-            monkeypatch.setattr(functionals, name, counted)
+
+        def counted(*args, _fn=functionals.report):
+            calls["report"] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(functionals, "report", counted)
         trace = run(self.u0, self.cfg, params)
         assert calls == {"report": len(trace.times)}
 

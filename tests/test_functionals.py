@@ -8,11 +8,8 @@ from radialnls import (
     ScalingPair,
     build_grid,
     fd_check_k,
-    k_alpha_beta,
-    nehari,
     radial_sobolev_ratio,
     report,
-    virial,
 )
 from radialnls.fields import gaussian, random_smooth_field
 from radialnls.functionals import DEFAULT_PAIRS, NEHARI_PAIR, VIRIAL_PAIR
@@ -88,10 +85,7 @@ class TestKFamilies:
         expected = (
             rep.h1_omega_gamma_sq - rep.quartic
         )  # omega*mass + sobolev - quartic
-        assert nehari(gauss, params_default) == expected
-        assert nehari(gauss, params_default) == k_alpha_beta(
-            gauss, ScalingPair(1.0, 0.0), params_default
-        )
+        assert rep.k(NEHARI_PAIR, params_default) == expected
 
     def test_virial_is_k32(self, gauss, params_default):
         rep = report(gauss, params_default)
@@ -100,14 +94,12 @@ class TestKFamilies:
             + params_default.mu * rep.potential_term
             - 1.5 * rep.quartic
         )
-        assert virial(gauss, params_default) == pytest.approx(expected, rel=1e-14)
-        assert virial(gauss, params_default) == k_alpha_beta(
-            gauss, ScalingPair(3.0, 2.0), params_default
-        )
+        assert rep.k(VIRIAL_PAIR, params_default) == pytest.approx(expected, rel=1e-14)
 
     def test_gaussian_virial_value(self, gauss, params_default):
         expected = 2.0 * KIN_EXACT + POT_EXACT - 1.5 * QUART_EXACT
-        assert virial(gauss, params_default) == pytest.approx(expected, rel=1e-4)
+        k32 = report(gauss, params_default).k(VIRIAL_PAIR, params_default)
+        assert k32 == pytest.approx(expected, rel=1e-4)
 
     def test_virial_mass_independent(self, fine_grid, params_default, rng):
         # the (3,2) mass coefficient vanishes identically
@@ -118,8 +110,9 @@ class TestKFamilies:
 
     def test_zero_field(self, fine_grid, params_default):
         f = RadialField(fine_grid, np.zeros(fine_grid.n, dtype=complex))
-        assert nehari(f, params_default) == 0.0
-        assert virial(f, params_default) == 0.0
+        rep = report(f, params_default)
+        assert rep.k(NEHARI_PAIR, params_default) == 0.0
+        assert rep.k(VIRIAL_PAIR, params_default) == 0.0
 
 
 class TestKFromReport:
@@ -135,15 +128,14 @@ class TestKFromReport:
         mu=st.floats(0.05, 1.95),
         omega=st.floats(0.05, 4.0),
     )
-    def test_matches_k_alpha_beta(self, seed, complex_phase, alpha, beta_frac,
-                                  gamma, mu, omega):
+    def test_linear_in_the_pair(self, seed, complex_phase, alpha, beta_frac,
+                                gamma, mu, omega):
         params = EquationParams(gamma=gamma, mu=mu, omega=omega)
         # beta < 2 alpha / 3 keeps the pair admissible through rounding
         pair = ScalingPair(alpha, 0.6 * beta_frac * alpha)
         f = random_smooth_field(self.grid, np.random.default_rng(seed),
                                 complex_phase=complex_phase)
         rep = report(f, params)
-        assert rep.k(pair, params) == k_alpha_beta(f, pair, params)
         # K is linear in the pair: K^{a,b} = a K^{1,0} + b (K^{3,2} - 3 K^{1,0}) / 2
         k10, k32 = rep.k(NEHARI_PAIR, params), rep.k(VIRIAL_PAIR, params)
         scale = (pair.alpha + pair.beta) * (
@@ -168,7 +160,7 @@ class TestTFunctional:
     def test_gaussian_t32(self, gauss, params_default):
         rep = report(gauss, params_default)
         t = t_alpha_beta(gauss, ScalingPair(3.0, 2.0), params_default)
-        assert t == pytest.approx(rep.action - virial(gauss, params_default) / 4.0)
+        assert t == pytest.approx(rep.action - rep.k(VIRIAL_PAIR, params_default) / 4.0)
 
 
 class TestFdCheck:
@@ -211,7 +203,7 @@ class TestEquivalenceInequality:
             f = random_smooth_field(fine_grid, rng)
             rep = report(f, params_default)
             for pair in pairs:
-                if k_alpha_beta(f, pair, params_default) < 0.0:
+                if rep.k(pair, params_default) < 0.0:
                     continue
                 a, b = pair.alpha, pair.beta
                 lhs = 2.0 * (a - b) * rep.action
@@ -231,33 +223,33 @@ class TestPositivityOfK:
         grid = build_grid(4096, 64.0)
         became_positive = {pair: None for pair in DEFAULT_PAIRS}
         for i, w in enumerate([1.0, 2.0, 4.0, 8.0, 12.0]):
-            f = gaussian(grid, amplitude=w**-0.75, width=w)
+            rep = report(gaussian(grid, amplitude=w**-0.75, width=w), params_default)
             for pair in DEFAULT_PAIRS:
-                k = k_alpha_beta(f, pair, params_default)
+                k = rep.k(pair, params_default)
                 if k > 0.0 and became_positive[pair] is None:
                     became_positive[pair] = i
         assert all(v is not None for v in became_positive.values())
 
     def test_final_member_positive(self, params_default):
         grid = build_grid(4096, 64.0)
-        f = gaussian(grid, amplitude=12.0**-0.75, width=12.0)
+        rep = report(gaussian(grid, amplitude=12.0**-0.75, width=12.0), params_default)
         for pair in DEFAULT_PAIRS:
-            assert k_alpha_beta(f, pair, params_default) > 0.0
+            assert rep.k(pair, params_default) > 0.0
 
 
 class TestNehariRescaling:
     def test_unique_zero_and_t_decrease(self, fine_grid, params_default):
-        # for nehari(f) < 0 the rescale lambda = sqrt(h1/quartic) lies in
+        # for K^{1,0}(f) < 0 the rescale lambda = sqrt(h1/quartic) lies in
         # (0,1), zeroes the Nehari functional, and decreases T^{1,0}
         f = gaussian(fine_grid, 6.0, 1.0)
         params = params_default
-        assert nehari(f, params) < 0.0
         rep = report(f, params)
+        assert rep.k(NEHARI_PAIR, params) < 0.0
         lam = np.sqrt(rep.h1_omega_gamma_sq / rep.quartic)
         assert 0.0 < lam < 1.0
         g = RadialField(fine_grid, lam * f.values)
-        scale = report(g, params).h1_omega_gamma_sq
-        assert abs(nehari(g, params)) <= 1e-12 * scale
+        rep_g = report(g, params)
+        assert abs(rep_g.k(NEHARI_PAIR, params)) <= 1e-12 * rep_g.h1_omega_gamma_sq
         pair = ScalingPair(1.0, 0.0)
         assert t_alpha_beta(g, pair, params) < t_alpha_beta(f, pair, params)
 

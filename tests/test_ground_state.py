@@ -17,11 +17,11 @@ from radialnls import (
     build_grid,
     ground_state,
     minimize_quotient,
-    nehari,
     report,
     shoot_ode,
 )
 from radialnls.fields import gaussian, random_smooth_field
+from radialnls.functionals import NEHARI_PAIR
 from radialnls.ground_state import (
     MAX_CORE_SPACING,
     SHOOT_ATOL,
@@ -153,10 +153,9 @@ class TestMinimizeQuotient:
                 continue
             lam = np.sqrt(rep.h1_omega_gamma_sq / rep.quartic)
             g = RadialField(grid, lam * f.values)
-            assert abs(nehari(g, params_default)) <= 1e-9 * report(
-                g, params_default
-            ).h1_omega_gamma_sq
-            s = report(g, params_default).action
+            rep_g = report(g, params_default)
+            assert abs(rep_g.k(NEHARI_PAIR, params_default)) <= 1e-9 * rep_g.h1_omega_gamma_sq
+            s = rep_g.action
             assert s >= ground_default.level * (1.0 - 1e-3)
             count += 1
         assert count >= 15

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import radialnls
 from radialnls import (
     EquationParams,
     RadialField,
@@ -303,6 +304,12 @@ class TestEmbed:
         assert np.allclose(g.values[: grid_small.n], f.values)
         assert np.all(g.values[grid_small.n :] == 0.0)
 
+    @pytest.mark.parametrize("n,r_max", [(128, 16.0), (1024, 8.0)], ids=["other-h", "fewer-cells"])
+    def test_other_grid_rejected(self, grid_small, n, r_max):
+        grid = build_grid(n, r_max)
+        with pytest.raises(ValueError, match="^embed_field needs the same spacing"):
+            embed_field(gaussian_field(grid_small), grid)
+
     def test_params_validation(self):
         with pytest.raises(ValueError):
             EquationParams(gamma=-1.0, mu=1.0, omega=1.0)
@@ -312,3 +319,9 @@ class TestEmbed:
             EquationParams(gamma=1.0, mu=1.0, omega=0.0)
         # gamma = 0 is the exact free-limit mode
         EquationParams(gamma=0.0, mu=1.0, omega=1.0)
+
+
+def test_public_names_resolve_once():
+    assert len(set(radialnls.__all__)) == len(radialnls.__all__)
+    for name in radialnls.__all__:
+        assert getattr(radialnls, name) is not None, name
