@@ -47,7 +47,6 @@ from .classify import (
     FamilySpec,
     Predicted,
     classify,
-    mass_energy_criterion,
     sweep,
     verify_empirically,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "FamilySpec",
     "Predicted",
     "classify",
-    "mass_energy_criterion",
     "sweep",
     "verify_empirically",
 ]

@@ -13,18 +13,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from . import evolve, functionals
 from .evolve import EvolutionConfig, Outcome
 from .fields import gaussian
 from .functionals import DEFAULT_PAIRS, VIRIAL_PAIR
 from .ground_state import GroundStateResult
 from .radial_grid import EquationParams, RadialField
-
-#: relative distance of the mass-energy product from its threshold that
-#: flags a datum as a boundary case
-BOUNDARY_RTOL = 1e-6
 
 
 class Predicted(enum.Enum):
@@ -40,23 +34,6 @@ class Empirical(enum.Enum):
 
 
 @dataclass
-class MassEnergyCriterion:
-    """Products and thresholds of the mass-energy criterion at s_c = 1/2."""
-
-    product_ME: float
-    product_grad: float
-    product_grad_gamma: float
-    threshold_ME: float
-    threshold_grad: float
-    me_product_below: bool
-    grad_product_below: bool
-    grad_product_above: bool
-    k_gamma_nonneg: bool
-    negative_energy: bool
-    boundary_case: bool
-
-
-@dataclass
 class ClassificationVerdict:
     s_value: float
     below_threshold: bool
@@ -65,20 +42,16 @@ class ClassificationVerdict:
     predicted: Predicted
     empirical: Empirical
     threshold_level: float
-    me_criterion: MassEnergyCriterion | None = None
 
 
 def classify(
     u0: RadialField,
     params: EquationParams,
     ground: GroundStateResult,
-    q10: GroundStateResult | None = None,
 ) -> ClassificationVerdict:
     """Predict the fate of a datum from the variational functionals.
 
     The empirical label stays inconclusive until verify_empirically runs.
-    The mass-energy record is filled when the free reference state q10 is
-    supplied.
     """
     if not ground.converged:
         raise ValueError("ground state result did not converge")
@@ -92,9 +65,6 @@ def classify(
         predicted = Predicted.SCATTER
     else:
         predicted = Predicted.BLOWUP
-    me = None
-    if q10 is not None:
-        me = mass_energy_criterion(u0, params, q10)
     return ClassificationVerdict(
         s_value=rep.action,
         below_threshold=below,
@@ -103,48 +73,6 @@ def classify(
         predicted=predicted,
         empirical=Empirical.INCONCLUSIVE,
         threshold_level=ground.level,
-        me_criterion=me,
-    )
-
-
-def mass_energy_criterion(
-    u0: RadialField,
-    params: EquationParams,
-    q10: GroundStateResult,
-) -> MassEnergyCriterion:
-    """Mass-energy products of the datum against the free ground state.
-
-    q10 must be the gamma = 0, omega = 1 ground state.  Negative energy is
-    routed to the blow-up branch: the fractional power of the energy is then
-    undefined and the criterion is vacuous.
-    """
-    if q10.params.gamma != 0.0 or q10.params.omega != 1.0:
-        raise ValueError("q10 must be the gamma=0, omega=1 ground state")
-    rep = functionals.report(u0, params)
-    ref = functionals.report(q10.profile, q10.params)
-    thr_me = float(np.sqrt(ref.mass * ref.energy))
-    thr_grad = float((ref.mass * ref.kinetic) ** 0.25)
-    negative = rep.energy < 0.0
-    if negative:
-        prod_me = float("nan")
-    else:
-        prod_me = float(np.sqrt(rep.mass * rep.energy))
-    prod_grad = float((rep.mass * rep.kinetic) ** 0.25)
-    prod_grad_gamma = float((rep.mass * rep.sobolev_gamma_sq) ** 0.25)
-    me_below = (not negative) and prod_me < thr_me
-    boundary = (not negative) and abs(prod_me - thr_me) <= BOUNDARY_RTOL * thr_me
-    return MassEnergyCriterion(
-        product_ME=prod_me,
-        product_grad=prod_grad,
-        product_grad_gamma=prod_grad_gamma,
-        threshold_ME=thr_me,
-        threshold_grad=thr_grad,
-        me_product_below=me_below,
-        grad_product_below=prod_grad < thr_grad,
-        grad_product_above=(not negative) and prod_grad > thr_grad,
-        k_gamma_nonneg=rep.k(VIRIAL_PAIR, params) >= 0.0,
-        negative_energy=negative,
-        boundary_case=boundary,
     )
 
 

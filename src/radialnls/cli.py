@@ -22,6 +22,7 @@ import argparse
 import datetime
 import enum
 import json
+import shutil
 import sys
 import time
 from dataclasses import dataclass, fields as dataclass_fields, is_dataclass, replace
@@ -68,7 +69,6 @@ class RunConfig:
     monitor_every: int = 20
     absorb: bool = False
     absorb_width: float = 8.0
-    blowup_grad_factor: float = 10.0
     decay_window: float = 2.0
     splitting_order: int = 2
     out: str = "out"
@@ -361,8 +361,8 @@ def _cmd_virial_check(cfg: RunConfig, outdir: Path):
 
 _COMMON = ("gamma", "mu", "omega", "n", "R_max", "out")
 _EVOLUTION = (
-    "dt", "t_end", "monitor_every", "absorb", "absorb_width",
-    "blowup_grad_factor", "decay_window", "splitting_order",
+    "dt", "t_end", "monitor_every", "absorb", "absorb_width", "decay_window",
+    "splitting_order",
 )
 #: verify_empirically chooses the absorber from the prediction
 _VERIFY = tuple(name for name in _EVOLUTION if name != "absorb")
@@ -415,10 +415,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  The output directory is made before any computation,
+    so an unusable ``--out`` fails first; a run that exits 1 removes the
+    directories it made."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     started = datetime.datetime.now(datetime.timezone.utc)
     t0 = time.perf_counter()
+    created = None  # the outermost directory this run created
     try:
         overrides = {
             k: v
@@ -427,16 +431,16 @@ def main(argv=None) -> int:
         }
         cfg = parse_config(args.command, args.config, overrides)
         outdir = Path(cfg.out)
+        missing = [p for p in (outdir, *outdir.parents) if not p.exists()]
         outdir.mkdir(parents=True, exist_ok=True)
+        created = missing[-1] if missing else None
         rc, outputs = _COMMANDS[args.command][0](cfg, outdir)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"file error: {exc}", file=sys.stderr)
+    except (ValueError, OSError) as exc:
+        if created is not None:
+            shutil.rmtree(created, ignore_errors=True)
+        kind = ("configuration" if isinstance(exc, ConfigError)
+                else "validation" if isinstance(exc, ValueError) else "file")
+        print(f"{kind} error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

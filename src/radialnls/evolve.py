@@ -57,6 +57,10 @@ _W0 = 1.0 - 2.0 * _W1
 DECAY_RIPPLE = 1.05
 DECAY_NET_DROP = 0.98
 
+#: blow-up test: a window ending with a gradient norm above this factor
+#: times the initial one is re-run at dt/2 to confirm or refute blow-up
+BLOWUP_GRAD_FACTOR = 10.0
+
 #: slack of the run-time K_gamma lower bound
 K_BOUND_TOL = 1e-6
 
@@ -85,21 +89,16 @@ class EvolutionConfig:
     monitor_every: int = 20
     absorb: bool = False
     absorb_width: float = 8.0
-    blowup_grad_factor: float = 10.0
     decay_window: float = 2.0
     splitting_order: int = 2
     local_error_tol: float = 1e-6
     min_dt: float = 1e-12
 
     def validate(self, grid: RadialGrid) -> None:
-        for name in ("dt", "t_end", "absorb_width", "min_dt", "blowup_grad_factor"):
+        for name in ("dt", "t_end", "absorb_width", "min_dt"):
             value = getattr(self, name)
             if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if not (self.blowup_grad_factor > 0.0):
-            raise ValueError(
-                f"blowup_grad_factor must be positive, got {self.blowup_grad_factor}"
-            )
         # +inf is allowed and turns the decay test or the error probe off
         if not (self.decay_window > 0.0):
             raise ValueError(f"decay_window must be positive, got {self.decay_window}")
@@ -265,7 +264,7 @@ def run(
     refines them.  A step-doubling error probe above local_error_tol at the
     window start halves dt and doubles the cadence before the window runs.
     A window that leaves floating-point range, or ends with a gradient norm
-    above blowup_grad_factor times the initial one, is run again from its
+    above BLOWUP_GRAD_FACTOR times the initial one, is run again from its
     start at dt/2.  Blow-up is confirmed when that re-run leaves
     floating-point range too, or ends with a gradient norm above the limit
     and above the window start's.  Otherwise the spike was a step-size
@@ -284,7 +283,7 @@ def run(
     monitor_bound = (
         level is not None and S0 < level and rep.k(VIRIAL_PAIR, params) > 0.0
     )
-    grad_limit = cfg.blowup_grad_factor * np.sqrt(rep.kinetic)
+    grad_limit = BLOWUP_GRAD_FACTOR * np.sqrt(rep.kinetic)
 
     absorb_w = None
     if cfg.absorb:

@@ -300,7 +300,8 @@ def rigidity_probe(
     ``_Stepper.step`` call between consecutive such steps.  Of cfg only dt,
     monitor_every and splitting_order shape the run, and only they are
     validated: the run is conservative and T is its horizon, which must be
-    finite and at least dt.
+    finite and span more than monitor_every steps, so that at least one tick
+    has steps on both sides for the second difference.
     """
     grid = u0.grid
     cfg = cfg or EvolutionConfig(dt=min(5e-4, grid.h), t_end=T)
@@ -313,6 +314,12 @@ def rigidity_probe(
         dt=cfg.dt, t_end=T, monitor_every=cfg.monitor_every,
         splitting_order=cfg.splitting_order,
     ).validate(grid)
+    n_steps = int(round(T / cfg.dt))
+    if not cfg.monitor_every < n_steps:
+        raise ValueError(
+            f"probe horizon T must span more than monitor_every steps; got "
+            f"round(T/dt) = {n_steps} steps with monitor_every = {cfg.monitor_every}"
+        )
     rep0 = functionals.report(u0, params)
     if not (rep0.action < level):
         raise ValueError("rigidity probe requires S(u0) < level")
@@ -324,7 +331,6 @@ def rigidity_probe(
     C = remainder_bound_constant(params)
     stepper = _Stepper(grid, params, cfg.dt, cfg.splitting_order, None)
 
-    n_steps = int(round(T / cfg.dt))
     tick_steps = list(range(cfg.monitor_every, n_steps + 1, cfg.monitor_every))
     if tick_steps[-1:] != [n_steps]:
         tick_steps.append(n_steps)
@@ -387,7 +393,7 @@ def rigidity_probe(
         if 1 <= k <= n_steps - 1:
             d2_num = (I_at[k + 1] - 2.0 * I_at[k] + I_at[k - 1]) / cfg.dt**2
             errs.append(abs(d2_num - ipp_k) / max(abs(ipp_k), 1e-300))
-    sd_err = float(max(errs)) if errs else float("nan")
+    sd_err = float(max(errs))
 
     ipp_ok = bool(min_ipp >= 0.5 * delta0)
     return RigidityReport(

@@ -66,9 +66,9 @@ def build_grid(n: int, r_max: float) -> RadialGrid:
 class EquationParams:
     """Equation parameters (gamma, mu, omega); d = p = 3 are fixed.
 
-    gamma = 0 is accepted as the exact free limit (it provides the
-    reference ground state for the mass-energy criterion); the
-    scattering/blow-up classification itself assumes gamma > 0.
+    gamma = 0 is accepted as the exact free limit, where the ground-state
+    level obeys the sqrt(omega) scaling law; the scattering/blow-up
+    classification itself assumes gamma > 0.
     """
 
     gamma: float

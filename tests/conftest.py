@@ -32,14 +32,6 @@ def ground_oracle(params_default, grid_default):
 
 
 @pytest.fixture(scope="session")
-def q10_free():
-    params = EquationParams(gamma=0.0, mu=1.0, omega=1.0)
-    res = minimize_quotient(params, build_grid(4096, 32.0))
-    assert res.converged
-    return res
-
-
-@pytest.fixture(scope="session")
 def standing_wave_channels():
     """(phase, modulus deviation) of each snapshot of a trace against the
     profile q: arg <q, u> and ||u| - |q||_{L^2} / ||q||_{L^2}."""

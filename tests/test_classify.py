@@ -15,7 +15,6 @@ from radialnls import (
     build_grid,
     classify,
     embed_field,
-    mass_energy_criterion,
     minimize_quotient,
     report,
     run,
@@ -72,61 +71,6 @@ class TestClassify:
         v = classify(f, params, ground16)
         assert not v.below_threshold
         assert v.predicted is Predicted.OUT_OF_SCOPE
-
-    def test_me_record_optional(self, ground16, params, q10_free):
-        v = classify(cq(ground16, 0.9), params, ground16)
-        assert v.me_criterion is None
-        v2 = classify(cq(ground16, 0.9), params, ground16, q10=q10_free)
-        assert v2.me_criterion is not None
-
-
-class TestMassEnergyCriterion:
-    def test_requires_free_reference(self, ground16, params):
-        with pytest.raises(ValueError, match="gamma=0"):
-            mass_energy_criterion(cq(ground16, 0.5), params, ground16)
-
-    def test_subthreshold_free_datum(self, q10_free):
-        params0 = q10_free.params
-        u0 = RadialField(q10_free.profile.grid, 0.9 * q10_free.profile.values)
-        rec = mass_energy_criterion(u0, params0, q10_free)
-        assert rec.me_product_below
-        assert rec.grad_product_below
-        assert not rec.grad_product_above
-        assert not rec.negative_energy
-
-    def test_negative_energy_routed_to_blowup(self, q10_free, params):
-        grid = q10_free.profile.grid
-        u0 = gaussian(grid, 6.0, 1.0)
-        assert report(u0, params).energy < 0.0
-        rec = mass_energy_criterion(u0, params, q10_free)
-        assert rec.negative_energy
-        assert not rec.me_product_below
-        assert np.isnan(rec.product_ME)
-
-    def test_threshold_saturation_flagged(self, q10_free):
-        params0 = q10_free.params
-        rec = mass_energy_criterion(q10_free.profile, params0, q10_free)
-        assert rec.boundary_case
-
-    def test_equivalence_of_gradient_and_k_sign(self, q10_free, ground16, params):
-        # under (131) the gradient condition tracks the sign of K_gamma
-        grid = ground16.profile.grid
-        for c in (0.3, 0.5, 0.7, 0.9):
-            u0 = cq(ground16, c)
-            rec = mass_energy_criterion(u0, params, q10_free)
-            if rec.me_product_below:
-                assert rec.grad_product_below == rec.k_gamma_nonneg
-
-    def test_131_implies_below_threshold(self, ground16, params, q10_free):
-        # sampled implication: the mass-energy condition is stronger than
-        # sitting below the radial threshold
-        fields = [cq(ground16, c) for c in (0.3, 0.6, 0.9)]
-        fields += [gaussian(ground16.profile.grid, a, w)
-                   for a in (0.5, 1.0) for w in (0.8, 1.5)]
-        for f in fields:
-            rec = mass_energy_criterion(f, params, q10_free)
-            if rec.me_product_below:
-                assert report(f, params).action < ground16.level
 
 
 class TestKSigns:

@@ -13,6 +13,10 @@ from radialnls.cli import (
 from radialnls.localized_virial import RigidityReport
 
 
+#: the blow-up factor is the constant evolve.BLOWUP_GRAD_FACTOR; its name
+#: as a key is neither a flag nor a config key of any command
+FACTOR_KEY = "BLOWUP_GRAD_FACTOR".lower()
+
 BASE = "gamma = 1.0\nmu = 1.0\nomega = 1.0\nn = 512\nR_max = 16\n"
 
 
@@ -61,13 +65,11 @@ class TestParseConfig:
     def test_evolution_carries_every_shared_field(self, tmp_path):
         path = write_cfg(tmp_path, BASE + (
             "dt = 5e-4\nt_end = 3\nmonitor_every = 7\nabsorb = true\n"
-            "absorb_width = 2.5\nblowup_grad_factor = 6\n"
-            "decay_window = 1.5\nsplitting_order = 4\n"
+            "absorb_width = 2.5\ndecay_window = 1.5\nsplitting_order = 4\n"
         ))
         evo = parse_config("evolve", path).evolution()
         assert (evo.dt, evo.t_end, evo.monitor_every, evo.absorb) == (5e-4, 3.0, 7, True)
-        assert evo.absorb_width == 2.5
-        assert (evo.blowup_grad_factor, evo.decay_window) == (6.0, 1.5)
+        assert (evo.absorb_width, evo.decay_window) == (2.5, 1.5)
         assert evo.splitting_order == 4
 
     def test_every_field_is_read_by_some_command(self):
@@ -105,8 +107,9 @@ class TestExitCodes:
         ("virial-check", "absorb = true", ["--dt", "1e-3", "--t-probe", "0.01"]),
         ("virial-check", "t_end = 0.001", ["--dt", "1e-3", "--t-probe", "0.01"]),
         ("virial-check", "decay_window = 0.001", ["--dt", "1e-3", "--t-probe", "0.01"]),
-        ("virial-check", "blowup_grad_factor = nan", ["--dt", "1e-3", "--t-probe", "0.01"]),
+        ("virial-check", "absorb_width = nan", ["--dt", "1e-3", "--t-probe", "0.01"]),
         ("ground-state", "dt = 0", []),
+        ("evolve", f"{FACTOR_KEY} = 6", []),
         ("functionals", "t_end = 1", []),
     ])
     def test_key_the_command_does_not_read_exits_one(
@@ -151,6 +154,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ["functionals", "--n", "abc"],
         ["functionals", "--bogus"],
+        ["evolve", "--" + FACTOR_KEY.replace("_", "-"), "6"],
         [],
     ])
     def test_usage_error_exits_one(self, argv, capsys):
@@ -170,15 +174,6 @@ class TestUsageErrors:
         assert rc == 1
         assert "family must be 'cQ' or 'gaussian'" in capsys.readouterr().err
         assert not out.exists()
-
-    def test_nan_blowup_factor_exits_one(self, tmp_path, capsys):
-        rc = main([
-            "evolve", "--family", "gaussian", "--n", "512", "--r-max", "16",
-            "--t-end", "0.1", "--blowup-grad-factor=nan",
-            "--out", str(tmp_path / "ev"),
-        ])
-        assert rc == 1
-        assert "validation error: blowup_grad_factor" in capsys.readouterr().err
 
     # a NaN or non-positive window would switch decay detection off; +inf is "off"
     @pytest.mark.parametrize("window", ["nan", "0", "-1"])
@@ -202,20 +197,22 @@ class TestUsageErrors:
         assert "validation error: width" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
-    @pytest.mark.parametrize("t_probe", ["1e-4", "inf"])
+    # 0.01 and 0.02 are 10 and 20 steps: no tick of monitor_every = 20 has
+    # steps on both sides, so the second difference could not be checked
+    @pytest.mark.parametrize("t_probe", ["1e-4", "inf", "0.01", "0.02"])
     def test_probe_horizon_checked(self, tmp_path, capsys, t_probe):
         out = tmp_path / "vc"
         rc = main(["virial-check", "--n", "512", "--r-max", "16", "--dt", "1e-3",
                    "--t-probe", t_probe, "--out", str(out)])
         assert rc == 1
         assert "validation error: probe horizon" in capsys.readouterr().err
-        assert not (out / "probe.json").exists()
+        assert not out.exists()
 
 
 _COMMON_FLAGS = ["--config", "--gamma", "--mu", "--omega", "--n", "--r-max", "--out"]
 _EVOLUTION_FLAGS = [
     "--dt", "--t-end", "--monitor-every", "--absorb", "--no-absorb", "--absorb-width",
-    "--blowup-grad-factor", "--decay-window", "--splitting-order",
+    "--decay-window", "--splitting-order",
 ]
 _VERIFY_FLAGS = [f for f in _EVOLUTION_FLAGS if f not in ("--absorb", "--no-absorb")]
 _FAMILY_FLAGS = ["--family", "--amplitude", "--width"]
@@ -521,7 +518,7 @@ class TestSweepCommand:
         assert not (out / "sweep.csv").exists()
 
     def test_widths_for_cq_family_exits_one(self, tmp_path, capsys):
-        out = tmp_path / "sw"
+        out = tmp_path / "new" / "sw"
         rc = main([
             "sweep", "--n", "512", "--r-max", "16", "--amplitudes", "0.5",
             "--widths", "1", "--out", str(out),
@@ -529,8 +526,8 @@ class TestSweepCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert err == "validation error: cQ family takes no widths\n"
-        assert not (out / "sweep.csv").exists()
-        assert not (out / "manifest.json").exists()
+        # the run made both directories, and removes both
+        assert not (tmp_path / "new").exists()
 
     def test_workers_below_one_exits_one(self, tmp_path, capsys):
         out = tmp_path / "sw"
@@ -541,7 +538,16 @@ class TestSweepCommand:
         ])
         assert rc == 1
         assert "validation error: workers must be >= 1, got -2" in capsys.readouterr().err
-        assert not (out / "sweep.csv").exists()
+        assert not out.exists()
+
+    def test_failed_run_keeps_an_existing_out(self, tmp_path, capsys):
+        out = tmp_path / "sw"
+        out.mkdir()
+        (out / "keep.txt").write_text("kept")
+        rc = main(["sweep", "--n", "512", "--r-max", "16", "--amplitudes", "0.5",
+                   "--no-verify", "--workers", "-2", "--out", str(out)])
+        assert rc == 1
+        assert sorted(p.name for p in out.iterdir()) == ["keep.txt"]
 
     def test_absorber_width_unchecked_without_verify(self, tmp_path):
         out = tmp_path / "sw"

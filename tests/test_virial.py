@@ -179,6 +179,16 @@ class TestRigidityProbe:
         with pytest.raises(ValueError, match="virial"):
             rigidity_probe(negative_virial, params, ground32.level, 0.1)
 
+    # T = 1e-4 is below dt; 0.025 is 50 steps, so the one tick of
+    # monitor_every = 50 (or 60) is the last step, with no step after it
+    @pytest.mark.parametrize("T,every", [(1e-4, 50), (np.inf, 50), (0.025, 50),
+                                         (0.025, 60)])
+    def test_horizon_must_span_a_tick(self, ground32, params, T, every):
+        u0 = RadialField(ground32.profile.grid, 0.9 * ground32.profile.values)
+        cfg = EvolutionConfig(dt=5e-4, t_end=1.0, monitor_every=every)
+        with pytest.raises(ValueError, match="^probe horizon T"):
+            rigidity_probe(u0, params, ground32.level, T, cfg)
+
     def test_convexity_for_scattering_datum(self, ground32, params):
         grid = ground32.profile.grid
         u0 = RadialField(grid, 0.9 * ground32.profile.values)
@@ -204,7 +214,7 @@ class TestRigidityProbe:
         grid = ground32.profile.grid
         u0 = RadialField(grid, 0.9 * ground32.profile.values)
         clean = EvolutionConfig(dt=5e-4, t_end=1.0, monitor_every=50)
-        dirty = replace(clean, blowup_grad_factor=np.nan, absorb=True,
+        dirty = replace(clean, decay_window=np.nan, absorb=True,
                         absorb_width=1e9, t_end=np.inf)
         got = rigidity_probe(u0, params, ground32.level, 0.1, dirty)
         want = rigidity_probe(u0, params, ground32.level, 0.1, clean)
