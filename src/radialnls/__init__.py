@@ -10,7 +10,6 @@ from .radial_grid import (
     RadialField,
     RadialGrid,
     build_grid,
-    embed_field,
     gradient_norm_sq,
     integrate,
 )
@@ -18,8 +17,6 @@ from .functionals import (
     DEFAULT_PAIRS,
     FunctionalReport,
     ScalingPair,
-    fd_check_k,
-    radial_sobolev_ratio,
     report,
 )
 from .ground_state import (
@@ -56,14 +53,11 @@ __all__ = [
     "RadialField",
     "RadialGrid",
     "build_grid",
-    "embed_field",
     "gradient_norm_sq",
     "integrate",
     "DEFAULT_PAIRS",
     "FunctionalReport",
     "ScalingPair",
-    "fd_check_k",
-    "radial_sobolev_ratio",
     "report",
     "GroundStateResult",
     "minimize_quotient",

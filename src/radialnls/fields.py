@@ -1,4 +1,4 @@
-"""Ready-made radial profiles: Gaussians, bump mixtures, random smooth fields."""
+"""Ready-made radial profiles: the Gaussian data of the command line."""
 
 from __future__ import annotations
 
@@ -13,27 +13,3 @@ def gaussian(grid: RadialGrid, amplitude: float = 1.0, width: float = 1.0) -> Ra
         raise ValueError(f"width must lie in (0, inf), got {width}")
     vals = amplitude * np.exp(-((grid.r / width) ** 2))
     return RadialField(grid, vals.astype(complex))
-
-
-def random_smooth_field(
-    grid: RadialGrid,
-    rng: np.random.Generator,
-    complex_phase: bool = False,
-) -> RadialField:
-    """Sum of 1..3 random Gaussian bumps under the envelope exp(-(r/6)^2).
-
-    Deterministic given the generator state; supports the randomized
-    property checks and sweep seeds.
-    """
-    r = grid.r
-    u = np.zeros(grid.n)
-    for _ in range(int(rng.integers(1, 4))):
-        amp = rng.uniform(-1.0, 1.0)
-        wid = rng.uniform(0.5, 2.0)
-        cen = rng.uniform(0.0, 3.0)
-        u += amp * np.exp(-(((r - cen) / wid) ** 2))
-    u *= np.exp(-((r / 6.0) ** 2))
-    vals = u.astype(complex)
-    if complex_phase:
-        vals = vals * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi) * np.tanh(r))
-    return RadialField(grid, vals)

@@ -27,8 +27,6 @@ from .radial_grid import (
     RadialField,
     gradient_norm_sq,
     integrate,
-    interpolant,
-    node_gradient,
 )
 
 
@@ -119,59 +117,3 @@ def k_coefficients(pair: ScalingPair, mu: float):
         (2.0 * a - (3.0 - mu) * b) / 2.0,
         -(4.0 * a - 3.0 * b) / 4.0,
     )
-
-
-def rescaled_field(f: RadialField, lam: float, pair: ScalingPair) -> RadialField:
-    """e^{alpha lam} f(e^{beta lam} r) resampled onto f's grid.
-
-    Raises if f carries visible amplitude at the outer boundary, where an
-    expanding rescale would need data beyond R_max.
-    """
-    grid = f.grid
-    tail = np.max(np.abs(f.values[-3:]))
-    peak = np.max(np.abs(f.values))
-    if peak > 0.0 and tail > 1e-9 * peak:
-        raise ValueError(
-            "field support reaches R_max; enlarge the domain before rescaling"
-        )
-    itp = interpolant(f)
-    xs = np.minimum(grid.r * np.exp(pair.beta * lam), grid.r_max)
-    vals = np.asarray(itp(xs), dtype=complex)
-    return RadialField(grid, np.exp(pair.alpha * lam) * vals)
-
-
-def fd_check_k(
-    f: RadialField, pair: ScalingPair, params: EquationParams, eps: float
-) -> tuple[float, float]:
-    """(analytic K, centered finite difference of S under the scaling).
-
-    The finite difference realizes the defining lambda-derivative directly;
-    agreement is O(eps^2) plus resampling error.
-    """
-    if not (0.0 < eps <= 1e-2):
-        raise ValueError(f"eps must lie in (0, 1e-2], got {eps}")
-    analytic = report(f, params).k(pair, params)
-    s_plus = report(rescaled_field(f, eps, pair), params).action
-    s_minus = report(rescaled_field(f, -eps, pair), params).action
-    return analytic, (s_plus - s_minus) / (2.0 * eps)
-
-
-def radial_sobolev_ratio(f: RadialField, R: float) -> float:
-    """Diagnostic ratio ||f||_{L4(r>=R)}^4 / (R^-2 ||f||_{L2(r>=R)}^3 ||grad f||_{L2(r>=R)}).
-
-    Finiteness over test families evidences the radial Sobolev inequality;
-    the implicit constant is recorded, never asserted.
-    """
-    grid = f.grid
-    if not (0.0 < R < grid.r_max):
-        raise ValueError(f"need 0 < R < R_max, got R={R}")
-    mask = grid.r >= R
-    dens = np.abs(f.values) ** 2
-    l4 = integrate(grid, np.where(mask, dens**2, 0.0))
-    l2 = integrate(grid, np.where(mask, dens, 0.0))
-    du = node_gradient(grid, f.values)
-    grad = integrate(grid, np.where(mask, np.abs(du) ** 2, 0.0))
-    denom = R**-2.0 * l2**1.5 * np.sqrt(grad)
-    if denom <= 0.0 or not np.isfinite(denom) or denom < 1e-300:
-        raise ValueError("field vanishes outside R")
-    return float(l4 / denom)

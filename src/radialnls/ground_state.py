@@ -20,24 +20,29 @@ with an exponential tail fill past the matching radius.  Small amplitudes turn
 back up and large ones cross zero, so a geometric search finds the bracket.
 Each sign test is one DOP853 integration over Python floats (the tableau and
 step-size rule of scipy's solve_ivp, Hairer-Norsett-Wanner I, Sec. II.5) that
-stops at the first zero crossing or upturn.  The tableau is read from
-scipy.integrate on the first shot, so no other route imports it, and each
-attempted step runs as one straight-line function generated from that
-tableau, with the floats of a loop over it.  The same loop runs once more at
-the final amplitude and records its accepted steps, and DOP853's own dense
-output of those steps samples the profile onto the grid, so one integrator
-serves the sign tests and the profile.  The two routes share nothing but the
+stops at the first zero crossing or upturn.  The tableau is read on the
+first shot from scipy's DOP853 coefficient file, loaded by path, so no
+command loads scipy.integrate, and each attempted step runs as one
+straight-line function generated from that tableau, with the floats of a
+loop over it.  The same loop runs once more at the final amplitude and
+records its accepted steps, and DOP853's own dense output of those steps
+samples the profile onto the grid, so one integrator serves the sign tests
+and the profile.  The two routes share nothing but the
 functionals, so agreement certifies the level; both reject a grid too coarse
 for the core of Q, whose width is 1/sqrt(omega).
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
+import scipy
 
 from . import functionals
 from .functionals import DEFAULT_PAIRS
@@ -259,13 +264,26 @@ def _shoot_accel(params):
     return accel
 
 
+#: error-estimator order of DOP853: a class attribute of scipy's DOP853,
+#: absent from the coefficient file that ``_dop853`` reads
+_DOP853_ERROR_ORDER = 7
+
+
 @lru_cache(maxsize=None)
 def _dop853():
-    """scipy's DOP853 class, imported on the first shot, so that no other
-    command loads scipy.integrate."""
-    from scipy.integrate import DOP853
-
-    return DOP853
+    """The DOP853 tableau, sliced as scipy's DOP853 class slices it, from the
+    one file that class reads (scipy/integrate/_ivp/dop853_coefficients.py,
+    which imports only numpy).  The file is loaded by path and kept out of
+    sys.modules, so scipy.integrate never loads."""
+    path = Path(scipy.__file__).parent / "integrate" / "_ivp" / "dop853_coefficients.py"
+    spec = importlib.util.spec_from_file_location("dop853_coefficients", path)
+    coef = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(coef)
+    n = coef.N_STAGES
+    return SimpleNamespace(
+        n_stages=n, A=coef.A[:n, :n], B=coef.B, C=coef.C[:n], E3=coef.E3,
+        E5=coef.E5, D=coef.D, A_EXTRA=coef.A[n + 1:], C_EXTRA=coef.C[n + 1:],
+    )
 
 
 @lru_cache(maxsize=None)
@@ -331,7 +349,7 @@ def _shoot_classify(params, r0, r_end, a, steps=None):
     """
     accel = _shoot_accel(params)
     step = _dop853_step()
-    err_exp = -1.0 / (_dop853().error_estimator_order + 1)
+    err_exp = -1.0 / (_DOP853_ERROR_ORDER + 1)
     gamma, mu, omega = float(params.gamma), float(params.mu), float(params.omega)
     rtol, atol = SHOOT_RTOL, SHOOT_ATOL
 

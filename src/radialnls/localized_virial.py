@@ -80,26 +80,46 @@ def chi_derivatives(x) -> np.ndarray:
     return out
 
 
+#: points per block of the sampled sup bounds; a multiple of 8 keeps each
+#: point in the SIMD lane position it has in one unblocked array
+_BLOCK = 8192
+
+
+def _sampled_max(f, start: float, stop: float, num: int):
+    """Elementwise max of f(x) over the blocks x of np.linspace(start, stop,
+    num), built _BLOCK points at a time, so only one block is held."""
+    step = (stop - start) / (num - 1)
+    maxima = []
+    for i in range(0, num, _BLOCK):
+        x = np.arange(i, min(i + _BLOCK, num), dtype=float) * step + start
+        if i + _BLOCK >= num:
+            x[-1] = stop
+        maxima.append(f(x))
+    return np.max(maxima, axis=0)
+
+
 @lru_cache(maxsize=1)
-def _verify_bridge() -> None:
-    xs = np.linspace(0.0, 4.0, 40001)
-    d2 = chi_derivatives(xs)[2]
-    if d2.max() > 2.0 + 1e-10:
+def _verify_bridge() -> float:
+    """The sampled max of chi'' on [0, 4], which must not exceed 2."""
+    d2_max = float(_sampled_max(lambda x: chi_derivatives(x)[2].max(), 0.0, 4.0, 40001))
+    if d2_max > 2.0 + 1e-10:
         raise RuntimeError(
             "internal error: cutoff bridge violates the curvature bound"
         )
+    return d2_max
 
 
 @lru_cache(maxsize=1)
 def remainder_constants() -> tuple[float, float, float, float]:
     """Sup bounds (c1, c2, c3, c4) of the remainder brace factors over x >= 1."""
-    xs = np.linspace(1.0, 4.0, 200001)
-    d = chi_derivatives(xs)
-    c1 = max(float(np.abs(d[2] - 2.0).max()), 2.0)
-    c2 = max(float(np.abs(d[2] + 2.0 * d[1] / xs - 6.0).max()), 6.0)
-    c3 = float(np.abs(d[4] + 4.0 * d[3] / xs).max())
-    c4 = max(float(np.abs(d[1] / xs - 2.0).max()), 2.0)
-    return c1, c2, c3, c4
+
+    def braces(x):
+        d = chi_derivatives(x)
+        return [np.abs(d[2] - 2.0).max(), np.abs(d[2] + 2.0 * d[1] / x - 6.0).max(),
+                np.abs(d[4] + 4.0 * d[3] / x).max(), np.abs(d[1] / x - 2.0).max()]
+
+    m1, m2, m3, m4 = map(float, _sampled_max(braces, 1.0, 4.0, 200001))
+    return max(m1, 2.0), max(m2, 6.0), m3, max(m4, 2.0)
 
 
 def remainder_bound_constant(params: EquationParams) -> float:

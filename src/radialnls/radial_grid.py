@@ -318,46 +318,15 @@ class CrankNicolson:
         return v
 
 
+@lru_cache(maxsize=1)
+def _helmholtz_lu(grid: RadialGrid, params: EquationParams) -> TridiagonalLU:
+    """Factors of omega - Delta_gamma; one is held, so a descent factors once."""
+    lower, diag, upper = lap_gamma_diagonals(grid, params.gamma, params.mu)
+    return Tridiagonal(-lower, params.omega - diag, -upper).factor()
+
+
 def solve_helmholtz(
     grid: RadialGrid, rhs: np.ndarray, params: EquationParams
 ) -> np.ndarray:
     """Solve (omega - Delta_gamma) x = rhs; the operator is positive definite."""
-    lower, diag, upper = lap_gamma_diagonals(grid, params.gamma, params.mu)
-    op = Tridiagonal(-lower, params.omega - diag, -upper)
-    return op.factor().solve(rhs)
-
-
-def interpolant(field: RadialField):
-    """Monotone cubic interpolant of a field on [0, R_max].
-
-    Anchored by an even-extension value at r = 0 and the Dirichlet zero at
-    r = R_max.  Returns a callable; used for rescaling.
-    """
-    from scipy.interpolate import PchipInterpolator
-
-    grid, u = field.grid, field.values
-    x = np.concatenate(([0.0], grid.r, [grid.r_max]))
-    u0 = (9.0 * u[0] - u[1]) / 8.0  # quadratic even extension through r_0, r_1
-    y = np.concatenate(([u0], u, [0.0]))
-    if np.iscomplexobj(u) and np.any(u.imag != 0.0):
-        re = PchipInterpolator(x, y.real, extrapolate=False)
-        im = PchipInterpolator(x, y.imag, extrapolate=False)
-        return lambda xs: re(xs) + 1j * im(xs)
-    return PchipInterpolator(x, y.real, extrapolate=False)
-
-
-def embed_field(field: RadialField, grid: RadialGrid) -> RadialField:
-    """Extend a field to a larger domain with the same spacing.
-
-    The values are copied node for node and zero-padded beyond the old
-    R_max; a grid with a different spacing or fewer cells is rejected.
-    """
-    src = field.grid
-    if not (grid.n >= src.n and abs(grid.h - src.h) < 1e-14 * src.h):
-        raise ValueError(
-            f"embed_field needs the same spacing and at least as many cells; "
-            f"got n={grid.n}, h={grid.h} for a field with n={src.n}, h={src.h}"
-        )
-    out = np.zeros(grid.n, dtype=complex)
-    out[: src.n] = field.values
-    return RadialField(grid, out)
+    return _helmholtz_lu(grid, params).solve(rhs)

@@ -16,16 +16,15 @@ from radialnls import (
     ScalingPair,
     build_grid,
     classify,
-    embed_field,
-    fd_check_k,
     minimize_quotient,
     report,
     rigidity_probe,
     run,
 )
-from radialnls.fields import random_smooth_field
 from radialnls.functionals import DEFAULT_PAIRS
 from radialnls.ground_state import RESIDUAL_PAIRS
+
+from helpers import embed_field, fd_check_k, random_smooth_field
 
 CHECK_PAIRS = tuple(ScalingPair(*ab) for ab in [(1, 0), (3, 2), (2, 1), (3, 0)])
 

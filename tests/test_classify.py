@@ -14,7 +14,6 @@ from radialnls import (
     RadialField,
     build_grid,
     classify,
-    embed_field,
     minimize_quotient,
     report,
     run,
@@ -23,6 +22,8 @@ from radialnls import (
 )
 from radialnls.classify import SWEEP_HEADER, family_fields
 from radialnls.fields import gaussian
+
+from helpers import embed_field
 
 # the package's ``classify`` is the function; the module holds the sweep's rows
 classify_module = importlib.import_module("radialnls.classify")

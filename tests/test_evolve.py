@@ -11,7 +11,6 @@ from radialnls import (
     Outcome,
     RadialField,
     build_grid,
-    embed_field,
     integrate,
     minimize_quotient,
     report,
@@ -23,8 +22,10 @@ from radialnls.evolve import (
     absorbing_profile,
 )
 from radialnls.radial_grid import CrankNicolson, lap_gamma_diagonals
-from radialnls.fields import gaussian, random_smooth_field
+from radialnls.fields import gaussian
 from radialnls.functionals import VIRIAL_PAIR
+
+from helpers import embed_field, random_smooth_field
 
 
 @pytest.fixture(scope="module")

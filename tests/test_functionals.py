@@ -7,12 +7,12 @@ from radialnls import (
     RadialField,
     ScalingPair,
     build_grid,
-    fd_check_k,
-    radial_sobolev_ratio,
     report,
 )
-from radialnls.fields import gaussian, random_smooth_field
+from radialnls.fields import gaussian
 from radialnls.functionals import DEFAULT_PAIRS, NEHARI_PAIR, VIRIAL_PAIR
+
+from helpers import fd_check_k, radial_sobolev_ratio, random_smooth_field
 
 # closed forms for f = e^{-r^2} at gamma = mu = omega = 1
 MASS_EXACT = (np.pi / 2.0) ** 1.5

@@ -20,7 +20,7 @@ from radialnls import (
     report,
     shoot_ode,
 )
-from radialnls.fields import gaussian, random_smooth_field
+from radialnls.fields import gaussian
 from radialnls.functionals import NEHARI_PAIR
 from radialnls.ground_state import (
     MAX_CORE_SPACING,
@@ -34,6 +34,8 @@ from radialnls.ground_state import (
     _shoot_classify,
     _shoot_start,
 )
+
+from helpers import random_smooth_field
 
 
 def _solve_ivp_shot(params, r0, r_end, a, dense=False):
@@ -316,25 +318,43 @@ class TestDenseSample:
 
 def test_import_footprint():
     """The package and its CLI import without scipy.interpolate,
-    scipy.integrate, scipy.optimize or multiprocessing: each loads on the
-    first call that needs it.  scipy.integrate stays out through a descent
-    and an evolution, and the first shot brings it in."""
+    scipy.integrate, scipy.optimize or multiprocessing, and none of them
+    arrives with a descent, an evolution, the shooting oracle (its tableau
+    comes from scipy's coefficient file, not from scipy.integrate) or a
+    rigidity probe."""
     env = dict(os.environ, PYTHONPATH=str(Path(radialnls.__file__).parents[1]))
     code = """if True:
         import sys, radialnls, radialnls.cli
         lazy = ("scipy.interpolate", "scipy.integrate", "scipy.optimize", "multiprocessing")
         print([m for m in lazy if m in sys.modules])
-        from radialnls import EquationParams, EvolutionConfig, build_grid, minimize_quotient, run, shoot_ode
+        from radialnls import (EquationParams, EvolutionConfig, RadialField, build_grid,
+                               minimize_quotient, rigidity_probe, run, shoot_ode)
         params = EquationParams(1.0, 1.0, 1.0)
         ground = minimize_quotient(params, build_grid(512, 16.0))
         run(ground.profile, EvolutionConfig(dt=1e-3, t_end=0.01), params)
-        print("scipy.integrate" in sys.modules)
+        print([m for m in lazy if m in sys.modules])
         shoot_ode(params, ground.profile.grid)
-        print("scipy.integrate" in sys.modules)
+        print([m for m in lazy if m in sys.modules])
+        u0 = RadialField(ground.profile.grid, 0.8 * ground.profile.values)
+        rigidity_probe(u0, params, ground.level, 0.05)
+        print([m for m in lazy if m in sys.modules])
     """
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.split() == ["[]", "False", "True"]
+    assert out.split() == ["[]"] * 4
+
+
+class TestDop853Tableau:
+    def test_equals_scipys_class(self):
+        """The tableau read from scipy's coefficient file is, array by array,
+        what scipy.integrate.DOP853 holds (same shape, dtype and values), and
+        the error-estimator order is the class's."""
+        tableau = ground_state._dop853()
+        assert tableau.n_stages == DOP853.n_stages
+        for name in ("A", "B", "C", "E3", "E5", "D", "A_EXTRA", "C_EXTRA"):
+            ours, theirs = getattr(tableau, name), getattr(DOP853, name)
+            assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), name
+        assert ground_state._DOP853_ERROR_ORDER == DOP853.error_estimator_order
 
 
 class TestValidatePohozaev:

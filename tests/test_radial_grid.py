@@ -7,14 +7,14 @@ from radialnls import (
     EquationParams,
     RadialField,
     build_grid,
-    embed_field,
     gradient_norm_sq,
     integrate,
 )
-from radialnls.fields import random_smooth_field
 from radialnls.radial_grid import (
     CrankNicolson, Tridiagonal, _OddEvenLU, lap_gamma_diagonals,
 )
+
+from helpers import embed_field, random_smooth_field
 
 
 def lap_of(grid, params):

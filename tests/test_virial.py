@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +21,7 @@ from radialnls import (
 )
 from radialnls import localized_virial
 from radialnls.evolve import _Stepper
-from radialnls.fields import gaussian, random_smooth_field
+from radialnls.fields import gaussian
 from radialnls.functionals import report
 from radialnls.radial_grid import node_gradient
 from radialnls.localized_virial import (
@@ -30,6 +34,8 @@ from radialnls.localized_virial import (
     select_cutoff_radius,
     tail_integral,
 )
+
+from helpers import random_smooth_field
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +94,52 @@ class TestCutoffShape:
         assert c1 >= 2.0 and c2 >= 6.0 and c3 > 0.0 and c4 >= 2.0
         C = remainder_bound_constant(params)
         assert C >= max(4.0 * c1, c2)
+
+
+class TestSampledBounds:
+    def test_equal_to_the_unblocked_table(self):
+        """remainder_constants() and the _verify_bridge() maximum equal, to
+        the last bit, the same expressions on one unblocked linspace table."""
+        xs = np.linspace(1.0, 4.0, 200001)
+        d = chi_derivatives(xs)
+        ref = (
+            max(float(np.abs(d[2] - 2.0).max()), 2.0),
+            max(float(np.abs(d[2] + 2.0 * d[1] / xs - 6.0).max()), 6.0),
+            float(np.abs(d[4] + 4.0 * d[3] / xs).max()),
+            max(float(np.abs(d[1] / xs - 2.0).max()), 2.0),
+        )
+        assert [c.hex() for c in remainder_constants()] == [c.hex() for c in ref]
+        d2_max = float(chi_derivatives(np.linspace(0.0, 4.0, 40001))[2].max())
+        assert localized_virial._verify_bridge().hex() == d2_max.hex()
+
+    @pytest.mark.parametrize("start, stop, num", [(1.0, 4.0, 200001), (0.0, 4.0, 40001)])
+    def test_blocks_are_the_linspace(self, start, stop, num):
+        """The blocks hold at most _BLOCK points, a multiple of 8, and in
+        order they are exactly np.linspace(start, stop, num)."""
+        blocks = []
+        localized_virial._sampled_max(
+            lambda x: blocks.append(x.copy()) or x.max(), start, stop, num
+        )
+        assert localized_virial._BLOCK % 8 == 0
+        assert max(len(b) for b in blocks) <= localized_virial._BLOCK
+        assert np.array_equal(np.concatenate(blocks), np.linspace(start, stop, num))
+
+    def test_first_use_peak_is_small(self):
+        """In a fresh interpreter the first remainder_constants() and
+        _verify_bridge() peak below 2 MiB of traced memory; one 200001-point
+        table of chi and its four derivatives alone takes 8 MB."""
+        env = dict(os.environ, PYTHONPATH=str(Path(localized_virial.__file__).parents[1]))
+        code = """if True:
+            import tracemalloc
+            from radialnls import localized_virial
+            tracemalloc.start()
+            localized_virial.remainder_constants()
+            localized_virial._verify_bridge()
+            print(tracemalloc.get_traced_memory()[1])
+        """
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert int(out) < 2 * 2**20
 
 
 class TestIValue:
