@@ -3,9 +3,9 @@
 Strictly below the ground-state action the sign of the virial functional
 splits the data: nonnegative predicts scattering, negative predicts blow-up,
 and the sign is the same for every admissible scaling pair.  The empirical
-side evolves the datum on its own grid (with the absorbing layer for
-scattering predictions, conservatively for blow-up predictions) and reads
-the detector outcome off the trace.
+side evolves every datum once, on its own grid with the caller's config, and
+reads the detector outcome off the trace; above the threshold that label is
+recorded, but the theorem predicts nothing to compare it with.
 """
 
 from __future__ import annotations
@@ -82,20 +82,15 @@ def verify_empirically(
     cfg: EvolutionConfig,
     params: EquationParams,
 ) -> ClassificationVerdict:
-    """Run the flow and fill the empirical label.
+    """Run the flow once and fill the empirical label.
 
-    The datum evolves on its own grid: scattering predictions with the
-    absorbing layer, so cfg.absorb_width must lie in (0, R_max/4] of that
-    grid, and blow-up predictions conservatively.  A run that reaches t_end
-    without a detector firing stays inconclusive.
+    The datum evolves on its own grid with `cfg` as given, whatever the
+    prediction, out of scope included.  The threshold level goes along, and
+    `run` monitors its K_gamma bound only for data below it with positive
+    virial.  A run that reaches t_end without a detector firing stays
+    inconclusive.
     """
-    if verdict.predicted is Predicted.OUT_OF_SCOPE:
-        raise ValueError("datum is not below the threshold; nothing to verify")
-    scatter = verdict.predicted is Predicted.SCATTER
-    trace = evolve.run(
-        u0, replace(cfg, absorb=scatter), params,
-        level=verdict.threshold_level if scatter else None,
-    )
+    trace = evolve.run(u0, cfg, params, level=verdict.threshold_level)
     empirical = {
         Outcome.DECAY_DETECTED: Empirical.DECAY,
         Outcome.BLOWUP_DETECTED: Empirical.BLOWUP,
@@ -145,7 +140,7 @@ def _sweep_row(task):
     (label, u0, params, ground, cfg, do_verify) = task
     verdict = classify(u0, params, ground)
     predicted = verdict.predicted
-    if do_verify and predicted is not Predicted.OUT_OF_SCOPE:
+    if do_verify:
         try:
             verdict = verify_empirically(verdict, u0, cfg, params)
         except (RuntimeError, ValueError):
@@ -175,16 +170,17 @@ def sweep(
     """Classify and (optionally) verify a family; returns (header, rows).
 
     Rows come back in the deterministic family order regardless of the
-    worker count; per-row failures of the flow surface as inconclusive
-    labels.  A worker count below 1, or a config that cannot evolve a scatter
-    prediction on the family grid, is rejected before any row runs.
+    worker count, and no more workers start than there are rows; per-row
+    failures of the flow surface as inconclusive labels.  A worker count
+    below 1, or with verify a config that cannot evolve on the family grid,
+    is rejected before any row runs.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if not ground.converged:
         raise ValueError("ground state result did not converge")
     if verify:
-        replace(cfg, absorb=True).validate(ground.profile.grid)
+        cfg.validate(ground.profile.grid)
     tasks = [
         (label, u0, params, ground, cfg, verify)
         for label, u0 in family_fields(spec, ground)
@@ -192,7 +188,7 @@ def sweep(
     if workers > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             rows = list(pool.map(_sweep_row, tasks))
     else:
         rows = [_sweep_row(t) for t in tasks]

@@ -25,7 +25,7 @@ import json
 import shutil
 import sys
 import time
-from dataclasses import dataclass, fields as dataclass_fields, is_dataclass, replace
+from dataclasses import dataclass, fields as dataclass_fields, is_dataclass
 from pathlib import Path
 from typing import get_type_hints
 
@@ -34,7 +34,6 @@ import numpy as np
 from . import __version__, functionals
 from .classify import (
     FamilySpec,
-    Predicted,
     classify as classify_datum,
     sweep as sweep_family,
     verify_empirically,
@@ -134,8 +133,7 @@ def parse_config(
     Overrides win over file values.  A key the command does not read and a
     malformed value are rejected with the offending line number, and so is a
     file value that the grid, the equation parameters or, for commands that
-    evolve, the evolution config rejects.  With verify set, the evolution
-    config is checked with the absorber on, as a scatter prediction runs.
+    evolve, the evolution config rejects.
     """
     reads = _COMMANDS[command][2]
     cfg = RunConfig()
@@ -170,8 +168,7 @@ def parse_config(
         grid = cfg.grid()
         cfg.params()
         if "dt" in reads:
-            # verification evolves scatter predictions with the absorber
-            replace(cfg.evolution(), absorb=cfg.absorb or cfg.verify).validate(grid)
+            cfg.evolution().validate(grid)
     except ValueError as exc:
         key = str(exc).split(" ", 1)[0]
         if key in lines:
@@ -326,7 +323,7 @@ def _cmd_classify(cfg: RunConfig, outdir: Path):
     if ground is None:
         ground = _ground(cfg)
     verdict = classify_datum(datum, params, ground)
-    if cfg.verify and verdict.predicted is not Predicted.OUT_OF_SCOPE:
+    if cfg.verify:
         verdict = verify_empirically(verdict, datum, cfg.evolution(), params)
     write_json(outdir / "verdict.json", verdict)
     return 0, ["verdict.json"]
@@ -364,7 +361,8 @@ _EVOLUTION = (
     "dt", "t_end", "monitor_every", "absorb", "absorb_width", "decay_window",
     "splitting_order",
 )
-#: verify_empirically chooses the absorber from the prediction
+#: verification runs every row conservatively, so ``absorb`` is no key here;
+#: ``absorb_width`` is still accepted, checked only for finiteness, and unused
 _VERIFY = tuple(name for name in _EVOLUTION if name != "absorb")
 #: rigidity_probe runs conservatively to t_probe with fixed steps
 _PROBE = ("dt", "monitor_every", "splitting_order")

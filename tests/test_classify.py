@@ -1,5 +1,7 @@
+import concurrent.futures
 import importlib
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from radialnls import (
 )
 from radialnls.classify import SWEEP_HEADER, family_fields
 from radialnls.fields import gaussian
+from radialnls.functionals import VIRIAL_PAIR
 
 from helpers import embed_field
 
@@ -102,17 +105,53 @@ class TestKSigns:
 
 
 class TestVerifyEmpirically:
-    def test_rejects_out_of_scope(self, ground16, params):
-        v = classify(amplitude_peak_field(ground16, params), params, ground16)
-        cfg = EvolutionConfig(dt=1e-3, t_end=1.0)
-        with pytest.raises(ValueError, match="not below"):
-            verify_empirically(v, amplitude_peak_field(ground16, params), cfg, params)
+    @pytest.mark.parametrize("datum,predicted", [
+        (lambda ground, params: cq(ground, 0.9), Predicted.SCATTER),
+        (lambda ground, params: cq(ground, 1.1), Predicted.BLOWUP),
+        (amplitude_peak_field, Predicted.OUT_OF_SCOPE),
+    ], ids=["scatter", "blowup", "out_of_scope"])
+    @pytest.mark.parametrize("absorb", [False, True])
+    def test_one_run_on_the_callers_config(self, ground16, params, monkeypatch,
+                                           datum, predicted, absorb):
+        calls = []
+
+        def recording_run(*args, **kwargs):
+            calls.append((args, kwargs))
+            return SimpleNamespace(outcome=Outcome.RAN_TO_T_END)
+
+        monkeypatch.setattr("radialnls.evolve.run", recording_run)
+        u0 = datum(ground16, params)
+        v = classify(u0, params, ground16)
+        assert v.predicted is predicted
+        cfg = EvolutionConfig(dt=1e-3, t_end=1.0, absorb=absorb, absorb_width=4.0)
+        given = replace(cfg)
+        verify_empirically(v, u0, cfg, params)
+        ((args, kwargs),) = calls
+        assert args[0] is u0 and args[1] is cfg and args[2] is params
+        assert cfg == given
+        assert kwargs == {"level": ground16.level}
+
+    def test_out_of_scope_datum_is_evolved(self):
+        """Above the level the sign of K no longer decides the fate: both
+        Gaussians have K_gamma > 0, and one of them blows up."""
+        params = EquationParams(gamma=1.0, mu=1.0, omega=1.0)
+        ground = minimize_quotient(params, build_grid(512, 16.0))
+        assert ground.converged
+        cfg = EvolutionConfig(dt=1e-3, t_end=3.0)
+        labels = []
+        for c, w in [(2.0, 2.0), (1.0, 4.0)]:
+            u0 = gaussian(ground.profile.grid, c, w)
+            v = classify(u0, params, ground)
+            assert v.predicted is Predicted.OUT_OF_SCOPE
+            assert v.k_signs[VIRIAL_PAIR] == 1
+            labels.append(verify_empirically(v, u0, cfg, params).empirical)
+        assert labels == [Empirical.BLOWUP, Empirical.DECAY]
 
     def test_scatter_datum_decays(self, ground16, params):
         u0 = cq(ground16, 0.5)
         v = classify(u0, params, ground16)
         cfg = EvolutionConfig(dt=1e-3, t_end=12.0, monitor_every=50,
-                              absorb_width=4.0, decay_window=2.0)
+                              decay_window=2.0)
         v = verify_empirically(v, u0, cfg, params)
         assert v.empirical is Empirical.DECAY
 
@@ -128,15 +167,15 @@ class TestVerifyEmpirically:
         u0 = cq(ground16, 0.9)
         v = classify(u0, params, ground16)
         cfg = EvolutionConfig(dt=1e-3, t_end=0.05, monitor_every=10,
-                              absorb_width=4.0, decay_window=np.inf)
+                              decay_window=np.inf)
         v = verify_empirically(v, u0, cfg, params)
         assert v.empirical is Empirical.INCONCLUSIVE
 
     @pytest.mark.parametrize("mu", [0.3, 1.5])
     def test_native_grid_matches_doubled_domain(self, mu, monkeypatch):
         """A scatter verdict reads nothing of the domain beyond R_max: the
-        run on the datum's own grid stops when and as the run on its
-        zero-padded double does."""
+        conservative run on the datum's own grid stops when and as the
+        absorbing run on its zero-padded double does."""
         params = EquationParams(gamma=1.0, mu=mu, omega=1.0)
         ground = minimize_quotient(params, build_grid(2048, 16.0))
         assert ground.converged
@@ -151,7 +190,7 @@ class TestVerifyEmpirically:
             return traces[-1]
 
         monkeypatch.setattr("radialnls.evolve.run", recording_run)
-        native = verify_empirically(v, u0, replace(cfg, absorb_width=4.0), params)
+        native = verify_empirically(v, u0, cfg, params)
         big = build_grid(4096, 32.0)
         doubled = run(embed_field(u0, big), replace(cfg, absorb=True, absorb_width=8.0),
                       params, level=ground.level)
@@ -208,13 +247,28 @@ class TestSweep:
         with pytest.raises(ValueError, match=rf"^workers must be >= 1, got {workers}$"):
             sweep(spec, params, ground16, cfg, verify=False, workers=workers)
 
-    def test_verify_rejects_an_absorber_the_grid_cannot_hold(self, ground16, params):
+    def test_no_more_workers_than_rows(self, ground16, params, monkeypatch):
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         spec = FamilySpec(kind="cQ", amplitudes=(0.5, 1.1))
-        cfg = EvolutionConfig(dt=1e-3, t_end=0.1, absorb_width=6.0)
-        with pytest.raises(ValueError, match=r"^absorb_width must lie in \(0, R_max/4\]"):
-            sweep(spec, params, ground16, cfg, verify=True)
-        _, rows = sweep(spec, params, ground16, cfg, verify=False)
-        assert [row[5] for row in rows] == ["scatter", "blowup"]
+        cfg = EvolutionConfig(dt=1e-3, t_end=0.1)
+        _, rows = sweep(spec, params, ground16, cfg, verify=False, workers=500)
+        assert started == [2]
+        assert rows == sweep(spec, params, ground16, cfg, verify=False)[1]
 
     def test_family_spec_validation(self):
         with pytest.raises(ValueError, match="kind"):

@@ -427,6 +427,18 @@ class TestClassifyCommand:
         assert verdict["below_threshold"] is True
         assert verdict["empirical"] == "inconclusive"
 
+    def test_verify_labels_an_out_of_scope_datum(self, tmp_path):
+        out = tmp_path / "cl"
+        cfg = write_cfg(tmp_path, BASE)
+        rc = main([
+            "classify", "--config", cfg, "--family", "gaussian", "--amplitude", "2",
+            "--width", "2", "--verify", "--t-end", "3", "--out", str(out),
+        ])
+        assert rc == 0
+        verdict = json.loads((out / "verdict.json").read_text())
+        assert verdict["predicted"] == "out_of_scope"
+        assert verdict["empirical"] == "blowup"
+
 
 class TestVirialCheckCommand:
     def test_probe_json(self, tmp_path):
@@ -488,34 +500,18 @@ class TestSweepCommand:
         assert lines[1].split(",")[5] == "scatter"
         assert lines[2].split(",")[5] == "blowup"
 
-    @pytest.mark.parametrize("command", ["sweep", "classify"])
-    def test_verify_absorber_too_wide_flag_exits_one(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("c,w,empirical", [("2", "2", "blowup"), ("1", "4", "decay")])
+    def test_verify_labels_out_of_scope_rows(self, tmp_path, c, w, empirical):
         out = tmp_path / "sw"
-        cfg = write_cfg(tmp_path, BASE)
-        amplitude = ["--amplitudes", "0.8"] if command == "sweep" else ["--amplitude", "0.8"]
-        rc = main([
-            command, "--config", cfg, "--family", "cQ", *amplitude, "--verify",
-            "--t-end", "3", "--absorb-width", "5", "--out", str(out),
-        ])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert "validation error: absorb_width must lie in (0, R_max/4]" in err
-        assert "got 5.0 with R_max = 16; set --absorb-width" in err
-        assert not (out / "sweep.csv").exists()
-        assert not (out / "verdict.json").exists()
-
-    def test_verify_absorber_too_wide_in_file_cites_line(self, tmp_path, capsys):
-        out = tmp_path / "sw"
+        # verification never absorbs, so a width above R_max/4 is no error
         cfg = write_cfg(tmp_path, BASE + "absorb_width = 5\n")
         rc = main([
-            "sweep", "--config", cfg, "--family", "cQ", "--amplitudes", "0.8",
-            "--verify", "--t-end", "3", "--out", str(out),
+            "sweep", "--config", cfg, "--family", "gaussian", "--amplitudes", c,
+            "--widths", w, "--verify", "--t-end", "3", "--out", str(out),
         ])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert "configuration error: " in err
-        assert "run.cfg:6: absorb_width must lie in (0, R_max/4]" in err
-        assert not (out / "sweep.csv").exists()
+        assert rc == 0
+        (row,) = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert row.split(",")[5:] == ["out_of_scope", empirical, ""]
 
     def test_widths_for_cq_family_exits_one(self, tmp_path, capsys):
         out = tmp_path / "new" / "sw"
