@@ -146,7 +146,7 @@ def _sweep_row(task):
         except (RuntimeError, ValueError):
             pass
     empirical = verdict.empirical
-    if predicted is Predicted.OUT_OF_SCOPE:
+    if predicted is Predicted.OUT_OF_SCOPE or not do_verify:
         agree = ""
     else:
         agree = (
@@ -171,7 +171,9 @@ def sweep(
 
     Rows come back in the deterministic family order regardless of the
     worker count, and no more workers start than there are rows; per-row
-    failures of the flow surface as inconclusive labels.  A worker count
+    failures of the flow surface as inconclusive labels.  `agree` is empty
+    on a row that was not evolved (verify off) and on an out-of-scope row,
+    where the theorem predicts nothing to compare with.  A worker count
     below 1, or with verify a config that cannot evolve on the family grid,
     is rejected before any row runs.
     """

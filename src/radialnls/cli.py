@@ -4,14 +4,16 @@ Configuration is a line-oriented ``key = value`` file with flag overrides.
 A command's options are declared in one place, the ``_COMMANDS`` table: each
 entry names the ``RunConfig`` fields its handler reads, and no others.  Every
 flag is built from that list (``R_max`` becomes ``--r-max``), a config file
-may hold only those keys, and the manifest echoes only those keys.  Values
-are checked by the library objects that use them (``build_grid``,
-``EquationParams``, ``EvolutionConfig.validate``).  A file line with an
-unknown key, a malformed value or a value those objects reject is reported
-with its line number.  Every
-command writes its results plus a manifest into the output directory.  This
-module is the only one that knows how results look from outside: JSON files
-are written from the result dataclasses by the one rule in ``_json_ready``.
+may hold only those keys, and the manifest echoes only those keys.  The
+evolution keys are the fields of ``EvolutionConfig``, which ``RunConfig``
+inherits with their defaults, so each is declared once.  Values are checked
+by the library objects that use them (``build_grid``, ``EquationParams``,
+``EvolutionConfig.validate``).  A file line with an unknown key, a malformed
+value or a value those objects reject is reported with its line number.
+Every command writes its results plus a manifest into the output
+directory.  This module is the only one that knows how results look from
+outside: JSON files are written from the result dataclasses by the one rule
+in ``_json_ready``.
 Data files carry no timestamps and floats are printed at 17 significant
 digits, so identical configs give byte-identical outputs.
 """
@@ -57,19 +59,16 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class RunConfig:
+class RunConfig(EvolutionConfig):
+    """Every key a command reads.  The evolution settings and their defaults
+    are inherited from EvolutionConfig, so a handler passes the RunConfig
+    itself wherever an EvolutionConfig is expected."""
+
     gamma: float = 1.0
     mu: float = 1.0
     omega: float = 1.0
     n: int = 4096
     R_max: float = 32.0
-    dt: float = 1e-3
-    t_end: float = 10.0
-    monitor_every: int = 20
-    absorb: bool = False
-    absorb_width: float = 8.0
-    decay_window: float = 2.0
-    splitting_order: int = 2
     out: str = "out"
     family: str = "cQ"
     amplitude: float = 0.9
@@ -87,14 +86,6 @@ class RunConfig:
 
     def grid(self):
         return build_grid(self.n, self.R_max)
-
-    def evolution(self) -> EvolutionConfig:
-        """EvolutionConfig from every field RunConfig shares with it."""
-        own = {f.name for f in dataclass_fields(self)}
-        return EvolutionConfig(**{
-            f.name: getattr(self, f.name)
-            for f in dataclass_fields(EvolutionConfig) if f.name in own
-        })
 
 
 def _parse_bool(text: str) -> bool:
@@ -168,7 +159,7 @@ def parse_config(
         grid = cfg.grid()
         cfg.params()
         if "dt" in reads:
-            cfg.evolution().validate(grid)
+            cfg.validate(grid)
     except ValueError as exc:
         key = str(exc).split(" ", 1)[0]
         if key in lines:
@@ -286,7 +277,7 @@ def _cmd_functionals(cfg: RunConfig, outdir: Path):
 def _cmd_evolve(cfg: RunConfig, outdir: Path):
     datum, ground = _datum(cfg)
     trace = run_evolution(
-        datum, cfg.evolution(), cfg.params(),
+        datum, cfg, cfg.params(),
         level=None if ground is None else ground.level,
         snapshot_times=cfg.snapshot_times,
     )
@@ -324,7 +315,7 @@ def _cmd_classify(cfg: RunConfig, outdir: Path):
         ground = _ground(cfg)
     verdict = classify_datum(datum, params, ground)
     if cfg.verify:
-        verdict = verify_empirically(verdict, datum, cfg.evolution(), params)
+        verdict = verify_empirically(verdict, datum, cfg, params)
     write_json(outdir / "verdict.json", verdict)
     return 0, ["verdict.json"]
 
@@ -338,7 +329,7 @@ def _cmd_sweep(cfg: RunConfig, outdir: Path):
     )
     ground = _ground(cfg)
     header, rows = sweep_family(
-        spec, params, ground, cfg.evolution(),
+        spec, params, ground, cfg,
         verify=cfg.verify, workers=cfg.workers,
     )
     write_csv(outdir / "sweep.csv", header, rows)
@@ -349,18 +340,13 @@ def _cmd_virial_check(cfg: RunConfig, outdir: Path):
     params = cfg.params()
     ground = _ground(cfg)
     u0 = RadialField(ground.profile.grid, cfg.amplitude * ground.profile.values)
-    report = rigidity_probe(
-        u0, params, ground.level, cfg.t_probe, cfg.evolution()
-    )
+    report = rigidity_probe(u0, params, ground.level, cfg.t_probe, cfg)
     write_json(outdir / "probe.json", report)
     return 0, ["probe.json"]
 
 
 _COMMON = ("gamma", "mu", "omega", "n", "R_max", "out")
-_EVOLUTION = (
-    "dt", "t_end", "monitor_every", "absorb", "absorb_width", "decay_window",
-    "splitting_order",
-)
+_EVOLUTION = tuple(f.name for f in dataclass_fields(EvolutionConfig))
 #: verification runs every row conservatively, so ``absorb`` is no key here;
 #: ``absorb_width`` is still accepted, checked only for finiteness, and unused
 _VERIFY = tuple(name for name in _EVOLUTION if name != "absorb")

@@ -67,6 +67,12 @@ K_BOUND_TOL = 1e-6
 #: peak of the cubic-ramp absorbing potential at R_max
 ABSORB_STRENGTH = 5.0
 
+#: relative step-doubling error above which a window start halves dt
+LOCAL_ERROR_TOL = 1e-6
+
+#: smallest dt a run starts from or refines to; a halving below it aborts
+MIN_DT = 1e-12
+
 #: below this |theta|, cos theta rounds to 1 and sin theta to theta
 _SMALL_ANGLE = 2.0**-27
 
@@ -84,34 +90,31 @@ class FlowBlowup(RuntimeError):
 
 @dataclass
 class EvolutionConfig:
-    dt: float
-    t_end: float
+    """Settings of one run, and the only place they and their defaults are
+    declared: the command line's evolution keys are these fields."""
+
+    dt: float = 1e-3
+    t_end: float = 10.0
     monitor_every: int = 20
     absorb: bool = False
     absorb_width: float = 8.0
     decay_window: float = 2.0
     splitting_order: int = 2
-    local_error_tol: float = 1e-6
-    min_dt: float = 1e-12
 
     def validate(self, grid: RadialGrid) -> None:
-        for name in ("dt", "t_end", "absorb_width", "min_dt"):
+        for name in ("dt", "t_end", "absorb_width"):
             value = getattr(self, name)
             if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        # +inf is allowed and turns the decay test or the error probe off
+        # +inf is allowed and turns the decay test off
         if not (self.decay_window > 0.0):
             raise ValueError(f"decay_window must be positive, got {self.decay_window}")
-        if not (self.local_error_tol > 0.0):
-            raise ValueError(
-                f"local_error_tol must be positive, got {self.local_error_tol}"
-            )
         if not (0.0 < self.dt <= grid.h):
             raise ValueError(
                 f"dt must lie in (0, h]; dt={self.dt}, h={grid.h}"
             )
-        if self.dt < self.min_dt:
-            raise ValueError(f"dt must be >= min_dt; dt={self.dt}, min_dt={self.min_dt}")
+        if self.dt < MIN_DT:
+            raise ValueError(f"dt must be >= min_dt; dt={self.dt}, min_dt={MIN_DT}")
         if not (self.t_end > 0.0):
             raise ValueError("t_end must be positive")
         if self.monitor_every < 1:
@@ -253,6 +256,10 @@ def run(
 ) -> EvolutionTrace:
     """Integrate to t_end or until a detector fires.
 
+    Of `cfg` only the EvolutionConfig fields are read (a subclass carrying
+    more settings passes as it is); the probe tolerance and the dt floor
+    are the module constants LOCAL_ERROR_TOL and MIN_DT.
+
     With `level` supplied (the ground-state action) and data strictly below
     it with positive virial, the K_gamma lower bound is monitored at every
     tick and required for decay detection.  Snapshots are taken at the first
@@ -261,7 +268,7 @@ def run(
     state at every tick.
 
     The flow advances in windows of `monitor_every` steps, and one rule
-    refines them.  A step-doubling error probe above local_error_tol at the
+    refines them.  A step-doubling error probe above LOCAL_ERROR_TOL at the
     window start halves dt and doubles the cadence before the window runs.
     A window that leaves floating-point range, or ends with a gradient norm
     above BLOWUP_GRAD_FACTOR times the initial one, is run again from its
@@ -269,7 +276,7 @@ def run(
     floating-point range too, or ends with a gradient norm above the limit
     and above the window start's.  Otherwise the spike was a step-size
     artifact: the re-run state is adopted and dt is halved.  A halving that
-    takes dt below min_dt aborts.  Every window that adopts a state records
+    takes dt below MIN_DT aborts.  Every window that adopts a state records
     its monitor tick, so trace.times[-1] == trace.final_time on every
     outcome.
     """
@@ -302,14 +309,14 @@ def run(
     half_stepper = make_stepper(dt / 2.0)
 
     def refine():
-        """Halve dt and double the cadence; False once dt is below min_dt."""
+        """Halve dt and double the cadence; False once dt is below MIN_DT.
+        The old half-step stepper is the new stepper."""
         nonlocal dt, every, stepper, half_stepper
         dt /= 2.0
         every *= 2
-        if dt < cfg.min_dt:
+        if dt < MIN_DT:
             return False
-        stepper = make_stepper(dt)
-        half_stepper = make_stepper(dt / 2.0)
+        stepper, half_stepper = half_stepper, make_stepper(dt / 2.0)
         return True
 
     def rerun_halved(u_start, n):
@@ -358,7 +365,7 @@ def run(
             )
         except FlowBlowup:
             err = np.inf
-        if err > cfg.local_error_tol:
+        if err > LOCAL_ERROR_TOL:
             if not refine():
                 outcome = Outcome.ABORTED
             continue

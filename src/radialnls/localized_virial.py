@@ -169,9 +169,7 @@ def I_value(u: RadialField, cutoff: VirialCutoff) -> float:
     return integrate(u.grid, cutoff.w0 * np.abs(u.values) ** 2)
 
 
-def I_prime(
-    u: RadialField, cutoff: VirialCutoff, params: EquationParams, du=None
-) -> float:
+def I_prime(u: RadialField, cutoff: VirialCutoff, du=None) -> float:
     """I' = 2 Im int (chi_R'(r)/r) conj(u) (r d_r u) dx.
 
     du is the node gradient of u when the caller already has it.
@@ -283,24 +281,21 @@ def select_cutoff_radius(
 ) -> float:
     """Largest admissible R whose initial tail satisfies C * tail <= delta0/2.
 
-    The rigidity estimate needs the region beyond R to stay quiet, and tails
-    only shrink with R, so among radii that pass the initial-datum criterion
-    the largest one that still fits the plateau (3R < R_max) delays any
-    outgoing flux reaching the bridge for as long as the domain allows.
+    The rigidity estimate needs the region beyond R to stay quiet, so R is
+    the largest radius on the half-unit ladder from 1 that still fits the
+    plateau (3R < R_max): it delays any outgoing flux reaching the bridge for
+    as long as the domain allows.  The tail only shrinks as R grows (fewer
+    nonnegative terms, and R^-mu falls), so that radius is the only one to
+    test: if it fails, every smaller one fails too.
     """
-    grid = u0.grid
+    candidates = np.arange(1.0, u0.grid.r_max / 3.0, 0.5)
+    R = candidates[-1] if candidates.size else None
     C = remainder_bound_constant(params)
-    candidates = np.arange(1.0, grid.r_max / 3.0, 0.5)
-    du = node_gradient(grid, u0.values)
-    feasible = [
-        R for R in candidates
-        if C * tail_integral(u0, R, params, du) <= 0.5 * delta0
-    ]
-    if not feasible:
+    if R is None or not (C * tail_integral(u0, R, params) <= 0.5 * delta0):
         raise ValueError(
             "tail-smallness criterion unsatisfiable on this grid; enlarge R_max"
         )
-    return float(feasible[-1])
+    return float(R)
 
 
 def rigidity_probe(
@@ -308,7 +303,7 @@ def rigidity_probe(
     params: EquationParams,
     level: float,
     T: float,
-    cfg: EvolutionConfig | None = None,
+    cfg: EvolutionConfig,
 ) -> RigidityReport:
     """Run the flow for round(T/dt) steps and certify strict convexity of I(t).
 
@@ -317,14 +312,14 @@ def rigidity_probe(
     and the last step.  I is evaluated at each tick and at the steps on
     either side of it, so the discrete second difference there can be
     compared against the assembled I''; the flow runs as one merged
-    ``_Stepper.step`` call between consecutive such steps.  Of cfg only dt,
-    monitor_every and splitting_order shape the run, and only they are
-    validated: the run is conservative and T is its horizon, which must be
-    finite and span more than monitor_every steps, so that at least one tick
-    has steps on both sides for the second difference.
+    ``_Stepper.step`` call between consecutive such steps.  cfg is required,
+    and has no default step of its own: of it only dt, monitor_every and
+    splitting_order shape the run, and only they are validated.  The run is
+    conservative and T is its horizon, which must be finite and span more
+    than monitor_every steps, so that at least one tick has steps on both
+    sides for the second difference.
     """
     grid = u0.grid
-    cfg = cfg or EvolutionConfig(dt=min(5e-4, grid.h), t_end=T)
     if not (np.isfinite(T) and T >= cfg.dt):
         raise ValueError(
             f"probe horizon T must be finite and at least dt; got T={T}, dt={cfg.dt}"
@@ -376,7 +371,7 @@ def rigidity_probe(
                 d2 = I_double_prime(f, cutoff, params, du)
                 ticks[k] = {
                     "I": I_at[k],
-                    "Iprime": I_prime(f, cutoff, params, du),
+                    "Iprime": I_prime(f, cutoff, du),
                     "Ipp": d2.total,
                     "Ipp_decomposed": d2.total_decomposed,
                     **d2.terms,

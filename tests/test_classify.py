@@ -216,6 +216,15 @@ class TestSweep:
         predicted = [row[5] for row in rows]
         assert predicted == ["scatter", "scatter", "scatter", "blowup", "blowup"]
 
+    def test_unverified_rows_leave_agree_empty(self, ground16, params):
+        # nothing was evolved, so no row agrees or disagrees with its prediction
+        spec = FamilySpec(kind="cQ", amplitudes=(0.7, 1.15, 1.5))
+        header, rows = sweep(spec, params, ground16,
+                             EvolutionConfig(dt=1e-3, t_end=0.1), verify=False)
+        agree, predicted = header.index("agree"), header.index("predicted")
+        assert {"scatter", "blowup"} <= {row[predicted] for row in rows}
+        assert [row[agree] for row in rows] == ["", "", ""]
+
     def test_gaussian_grid_order_and_signs(self, ground16, params):
         spec = FamilySpec(kind="gaussian", amplitudes=(0.5, 1.0),
                           widths=(0.8, 1.2))

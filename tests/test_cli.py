@@ -67,7 +67,7 @@ class TestParseConfig:
             "dt = 5e-4\nt_end = 3\nmonitor_every = 7\nabsorb = true\n"
             "absorb_width = 2.5\ndecay_window = 1.5\nsplitting_order = 4\n"
         ))
-        evo = parse_config("evolve", path).evolution()
+        evo = parse_config("evolve", path)
         assert (evo.dt, evo.t_end, evo.monitor_every, evo.absorb) == (5e-4, 3.0, 7, True)
         assert (evo.absorb_width, evo.decay_window) == (2.5, 1.5)
         assert evo.splitting_order == 4

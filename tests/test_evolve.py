@@ -16,7 +16,7 @@ from radialnls import (
     report,
     run,
 )
-from radialnls import functionals
+from radialnls import evolve, functionals
 from radialnls.evolve import (
     _SMALL_ANGLE, _W0, _W1, FlowBlowup, Snapshot, _k_bound_ok, _rotate, _Stepper,
     absorbing_profile,
@@ -79,7 +79,7 @@ class TestStep:
         e2 = np.sqrt(integrate(grid, np.abs(evolve_to(1e-3) - ref) ** 2))
         assert 2.8 < e1 / e2 < 5.5
 
-    def test_global_fourth_order(self, params):
+    def test_global_fourth_order(self, params, monkeypatch):
         # halving dt reduces the fixed-time error by about 16 (fourth order).
         # The order is asymptotic in dt |Delta_gamma|, so the grid is coarse
         # enough (h = 1/4) for it to show at these step sizes
@@ -87,11 +87,11 @@ class TestStep:
         ground = minimize_quotient(params, grid)
         u0 = RadialField(grid, 0.9 * ground.profile.values)
         t_final = 0.5
+        monkeypatch.setattr(evolve, "LOCAL_ERROR_TOL", np.inf)
 
         def evolve_to(dt):
             cfg = EvolutionConfig(dt=dt, t_end=t_final, monitor_every=40,
-                                  splitting_order=4, local_error_tol=np.inf,
-                                  decay_window=np.inf)
+                                  splitting_order=4, decay_window=np.inf)
             trace = run(u0, cfg, params)
             assert trace.final_time == pytest.approx(t_final)
             assert trace.dt_final == dt
@@ -273,7 +273,7 @@ class TestStandingWave:
 
 
 class TestValidation:
-    @pytest.mark.parametrize("name", ["dt", "t_end", "absorb_width", "min_dt"])
+    @pytest.mark.parametrize("name", ["dt", "t_end", "absorb_width"])
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     def test_non_finite_rejected(self, name, value):
         cfg = EvolutionConfig(dt=1e-3, t_end=1.0)
@@ -281,10 +281,9 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             cfg.validate(build_grid(2048, 16.0))
 
-    # a NaN tolerance or window would switch its detector off (every
-    # comparison with NaN is false); a non-positive tolerance would fire on
-    # every window, and a non-positive decay window would never fill
-    @pytest.mark.parametrize("name", ["local_error_tol", "decay_window"])
+    # a NaN window would switch the decay detector off (every comparison
+    # with NaN is false), and a non-positive one would never fill
+    @pytest.mark.parametrize("name", ["decay_window"])
     @pytest.mark.parametrize("value", [np.nan, 0.0, -1.0])
     def test_tolerance_not_positive_rejected(self, name, value):
         cfg = EvolutionConfig(dt=1e-3, t_end=1.0)
@@ -292,15 +291,16 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"^{name}"):
             cfg.validate(build_grid(2048, 16.0))
 
-    def test_dt_below_min_dt_rejected(self):
+    def test_dt_below_min_dt_rejected(self, monkeypatch):
         # refinement could never start from there, and t_end / dt steps
         # would not finish
         grid = build_grid(2048, 16.0)
         with pytest.raises(ValueError, match=r"^dt must be >= min_dt; dt=1e-300"):
             EvolutionConfig(dt=1e-300, t_end=1.0).validate(grid)
+        monkeypatch.setattr(evolve, "MIN_DT", 1e-4)
         with pytest.raises(ValueError, match=r"^dt must be >= min_dt"):
-            EvolutionConfig(dt=1e-5, t_end=1.0, min_dt=1e-4).validate(grid)
-        EvolutionConfig(dt=1e-4, t_end=1.0, min_dt=1e-4).validate(grid)
+            EvolutionConfig(dt=1e-5, t_end=1.0).validate(grid)
+        EvolutionConfig(dt=1e-4, t_end=1.0).validate(grid)
 
 
 class TestAbsorbingLayer:
@@ -348,24 +348,25 @@ class TestDetectors:
         assert trace.outcome is Outcome.DECAY_DETECTED
         assert all(trace.k_lower_bound_ok)
 
-    def test_arrested_collapse_not_labeled_decay(self, params):
+    def test_arrested_collapse_not_labeled_decay(self, params, monkeypatch):
         # on a grid too coarse to push the gradient past the detection
         # factor, a collapsing datum stalls at grid scale with strongly
         # negative virial; the decay detector must not fire on it
         grid = build_grid(512, 16.0)
         gs = minimize_quotient(params, grid)
         u0 = RadialField(grid, 1.3 * gs.profile.values)
+        monkeypatch.setattr(evolve, "LOCAL_ERROR_TOL", 1e-4)
         cfg = EvolutionConfig(dt=1e-3, t_end=2.5, monitor_every=50,
-                              decay_window=1.5, local_error_tol=1e-4)
+                              decay_window=1.5)
         trace = run(u0, cfg, params)
         assert trace.outcome is not Outcome.DECAY_DETECTED
         assert min(trace.virial_K) < 0.0
 
-    def test_aborted_on_dt_underflow(self, params):
+    def test_aborted_on_dt_underflow(self, params, monkeypatch):
         grid = build_grid(2048, 16.0)
         f = gaussian(grid, 1.0, 1.0)
-        cfg = EvolutionConfig(dt=1e-3, t_end=1.0, local_error_tol=1e-30,
-                              min_dt=1e-5, decay_window=np.inf)
+        _set_constants(monkeypatch, ABORTING)
+        cfg = EvolutionConfig(dt=1e-3, t_end=1.0, decay_window=np.inf)
         trace = run(f, cfg, params)
         assert trace.outcome is Outcome.ABORTED
 
@@ -409,16 +410,26 @@ class TestMonitorKBound:
         assert _k_bound_ok(rep, rep.action, ground_small_state.level, params)
 
 
-#: one cheap Gaussian run per outcome: (n, R_max, amplitude, config)
+#: probe and floor constants under which every window refines until dt
+#: passes the floor, so a run aborts
+ABORTING = dict(LOCAL_ERROR_TOL=1e-30, MIN_DT=1e-5)
+
+#: one cheap Gaussian run per outcome: (n, R_max, amplitude, config,
+#: evolve constants)
 OUTCOME_RUNS = {
-    Outcome.RAN_TO_T_END: (512, 16.0, 0.3, dict(dt=1e-3, t_end=0.1)),
+    Outcome.RAN_TO_T_END: (512, 16.0, 0.3, dict(dt=1e-3, t_end=0.1), {}),
     Outcome.DECAY_DETECTED: (512, 16.0, 0.5, dict(
         dt=1e-3, t_end=6.0, monitor_every=50, absorb=True, absorb_width=3.0,
-        decay_window=1.0)),
-    Outcome.BLOWUP_DETECTED: (512, 8.0, 5.0, dict(dt=1e-3, t_end=1.0)),
-    Outcome.ABORTED: (512, 16.0, 1.0, dict(
-        dt=1e-3, t_end=1.0, local_error_tol=1e-30, min_dt=1e-5)),
+        decay_window=1.0), {}),
+    Outcome.BLOWUP_DETECTED: (512, 8.0, 5.0, dict(dt=1e-3, t_end=1.0), {}),
+    Outcome.ABORTED: (512, 16.0, 1.0, dict(dt=1e-3, t_end=1.0), ABORTING),
 }
+
+
+def _set_constants(monkeypatch, constants):
+    """Set evolve's module constants by name for one test."""
+    for name, value in constants.items():
+        monkeypatch.setattr(evolve, name, value)
 
 
 def _fail_step(monkeypatch, fail):
@@ -438,19 +449,45 @@ def _fail_step(monkeypatch, fail):
 
 class TestRefinementPath:
     u0 = gaussian(build_grid(512, 16.0), 0.3, 1.0)
-    # a loose error tolerance keeps the probe quiet: only injected failures refine
     cfg = EvolutionConfig(dt=1e-3, t_end=0.1, monitor_every=20,
-                          decay_window=np.inf, local_error_tol=1.0)
+                          decay_window=np.inf)
+
+    @pytest.fixture()
+    def quiet_probe(self, monkeypatch):
+        """A loose error tolerance keeps the probe quiet: only injected
+        failures refine."""
+        monkeypatch.setattr(evolve, "LOCAL_ERROR_TOL", 1.0)
 
     @pytest.mark.parametrize("outcome", list(OUTCOME_RUNS), ids=lambda o: o.value)
-    def test_last_tick_is_final_time(self, params, outcome):
-        n, r_max, amplitude, kwargs = OUTCOME_RUNS[outcome]
+    def test_last_tick_is_final_time(self, params, monkeypatch, outcome):
+        n, r_max, amplitude, kwargs, constants = OUTCOME_RUNS[outcome]
+        _set_constants(monkeypatch, constants)
         u0 = gaussian(build_grid(n, r_max), amplitude, 1.0)
         trace = run(u0, EvolutionConfig(**{"decay_window": np.inf, **kwargs}), params)
         assert trace.outcome is outcome
         assert trace.times[-1] == trace.final_time
 
-    def test_one_report_per_tick(self, params, monkeypatch):
+    def test_refinement_prepares_one_stepper(self, params, monkeypatch):
+        # c Q at 1.2 halves dt three times before blow-up is confirmed: the
+        # run prepares steppers at dt and dt/2, and each refinement promotes
+        # the half-step one and prepares only the next half step
+        grid = build_grid(1024, 16.0)
+        ground = minimize_quotient(params, grid)
+        u0 = RadialField(grid, 1.2 * ground.profile.values)
+        built = Counter()
+        init = _Stepper.__init__
+
+        def counted(self, *args):
+            built[args[2]] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(_Stepper, "__init__", counted)
+        trace = run(u0, EvolutionConfig(dt=1e-3, t_end=3.0), params, level=ground.level)
+        assert trace.outcome is Outcome.BLOWUP_DETECTED
+        assert trace.dt_final == 1.25e-4
+        assert built == {1e-3 / 2**k: 1 for k in range(5)}
+
+    def test_one_report_per_tick(self, params, monkeypatch, quiet_probe):
         calls = Counter()
 
         def counted(*args, _fn=functionals.report):
@@ -463,23 +500,24 @@ class TestRefinementPath:
 
     @pytest.mark.parametrize("min_dt,outcome", [
         (1e-12, Outcome.RAN_TO_T_END), (6e-4, Outcome.ABORTED)])
-    def test_nan_window_rerun_is_adopted(self, params, monkeypatch, min_dt, outcome):
+    def test_nan_window_rerun_is_adopted(self, params, monkeypatch, quiet_probe,
+                                         min_dt, outcome):
         # the first window leaves floating-point range and its re-run at dt/2
         # does not: the run goes on exactly as one begun at dt/2 with doubled
         # cadence, unless dt/2 is below min_dt, which aborts on the re-run state
-        cfg = replace(self.cfg, min_dt=min_dt)
         t_end = 0.1 if outcome is Outcome.RAN_TO_T_END else 0.02
         ref = run(self.u0, replace(self.cfg, dt=5e-4, monitor_every=40, t_end=t_end),
                   params)
         _fail_step(monkeypatch, lambda n, k: n == 20 and k == 1)
-        trace = run(self.u0, cfg, params)
+        monkeypatch.setattr(evolve, "MIN_DT", min_dt)
+        trace = run(self.u0, self.cfg, params)
         assert trace.outcome is outcome
         assert trace.dt_final == 5e-4
         assert trace.times == ref.times
         assert trace.times[-1] == trace.final_time == ref.final_time
         assert np.array_equal(trace.final_state.values, ref.final_state.values)
 
-    def test_nan_window_and_rerun_confirm_blowup(self, params, monkeypatch):
+    def test_nan_window_and_rerun_confirm_blowup(self, params, monkeypatch, quiet_probe):
         # the third window and its re-run both leave floating-point range:
         # blow-up, holding the state and time of the last finite tick
         ref = run(self.u0, replace(self.cfg, t_end=0.04), params)

@@ -336,7 +336,7 @@ def test_import_footprint():
         shoot_ode(params, ground.profile.grid)
         print([m for m in lazy if m in sys.modules])
         u0 = RadialField(ground.profile.grid, 0.8 * ground.profile.values)
-        rigidity_probe(u0, params, ground.level, 0.05)
+        rigidity_probe(u0, params, ground.level, 0.05, EvolutionConfig(dt=5e-4))
         print([m for m in lazy if m in sys.modules])
     """
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

@@ -165,11 +165,11 @@ class TestIPrime:
     def test_real_field_zero(self, grid32, params):
         c = build_cutoff(4.0, grid32)
         f = gaussian(grid32, 1.5, 1.0)
-        assert I_prime(f, c, params) == pytest.approx(0.0, abs=1e-14)
+        assert I_prime(f, c) == pytest.approx(0.0, abs=1e-14)
 
     def test_ground_state_zero(self, ground32, params, grid32):
         c = build_cutoff(4.0, grid32)
-        assert I_prime(ground32.profile, c, params) == pytest.approx(0.0, abs=1e-12)
+        assert I_prime(ground32.profile, c) == pytest.approx(0.0, abs=1e-12)
 
     def test_flow_consistency(self, ground32, params, grid32):
         # centered difference of I along the flow matches I' to O(dt^2)+O(h^2)
@@ -179,7 +179,7 @@ class TestIPrime:
         um = RadialField(grid32, _Stepper(grid32, params, -dt).step(u.values))
         up = RadialField(grid32, _Stepper(grid32, params, dt).step(u.values))
         di_num = (I_value(up, c) - I_value(um, c)) / (2.0 * dt)
-        di = I_prime(u, c, params)
+        di = I_prime(u, c)
         scale = max(abs(di), I_value(u, c))
         assert abs(di_num - di) <= 1e-3 * scale
 
@@ -225,11 +225,12 @@ class TestRigidityProbe:
     def test_preconditions(self, ground32, params):
         grid = ground32.profile.grid
         above = RadialField(grid, 1.0 * ground32.profile.values)
+        cfg = EvolutionConfig(dt=5e-4)
         with pytest.raises(ValueError, match="S"):
-            rigidity_probe(above, params, ground32.level, 0.1)
+            rigidity_probe(above, params, ground32.level, 0.1, cfg)
         negative_virial = RadialField(grid, 1.15 * ground32.profile.values)
         with pytest.raises(ValueError, match="virial"):
-            rigidity_probe(negative_virial, params, ground32.level, 0.1)
+            rigidity_probe(negative_virial, params, ground32.level, 0.1, cfg)
 
     # T = 1e-4 is below dt; 0.025 is 50 steps, so the one tick of
     # monitor_every = 50 (or 60) is the last step, with no step after it
@@ -351,7 +352,7 @@ class TestRigidityProbe:
         f = random_smooth_field(grid, rng, complex_phase=True)
         c = build_cutoff(4.0, grid)
         du = node_gradient(grid, f.values)
-        assert I_prime(f, c, params, du) == I_prime(f, c, params)
+        assert I_prime(f, c, du) == I_prime(f, c)
         assert I_double_prime(f, c, params, du) == I_double_prime(f, c, params)
         assert tail_integral(f, 4.0, params, du) == tail_integral(f, 4.0, params)
 
@@ -362,6 +363,32 @@ class TestRigidityProbe:
         delta0 = 1e-6
         with pytest.raises(ValueError, match="R_max"):
             select_cutoff_radius(f, params, delta0)
+
+    def test_radius_selection_needs_a_candidate(self, params):
+        # with R_max <= 3 no radius on the ladder from 1 fits 3R < R_max
+        f = gaussian(build_grid(256, 3.0), 0.1, 0.5)
+        with pytest.raises(ValueError, match="R_max"):
+            select_cutoff_radius(f, params, 1.0)
+
+    def test_radius_selection_is_largest_feasible(self, ground32, params, monkeypatch):
+        # the tail shrinks as R grows, so one tail evaluation, at the largest
+        # radius on the ladder, finds the largest radius passing the criterion
+        u0 = RadialField(ground32.profile.grid, 0.9 * ground32.profile.values)
+        delta0 = ground32.level - report(u0, params).action
+        C = remainder_bound_constant(params)
+        ladder = np.arange(1.0, u0.grid.r_max / 3.0, 0.5)
+        tails = [tail_integral(u0, R, params) for R in ladder]
+        assert all(a >= b for a, b in zip(tails, tails[1:]))
+        feasible = [R for R, tail in zip(ladder, tails) if C * tail <= 0.5 * delta0]
+        calls = []
+
+        def counted(*args, _fn=tail_integral):
+            calls.append(args[1])
+            return _fn(*args)
+
+        monkeypatch.setattr(localized_virial, "tail_integral", counted)
+        assert select_cutoff_radius(u0, params, delta0) == feasible[-1] == ladder[-1]
+        assert calls == [ladder[-1]]
 
 
 def _stepwise_probe(u0, params, level, T, cfg):
@@ -385,7 +412,7 @@ def _stepwise_probe(u0, params, level, T, cfg):
             d2 = I_double_prime(f, cutoff, params)
             rows[k] = {
                 "I": I_series[k],
-                "Iprime": I_prime(f, cutoff, params),
+                "Iprime": I_prime(f, cutoff),
                 "Ipp": d2.total,
                 "Ipp_decomposed": d2.total_decomposed,
                 **d2.terms,
