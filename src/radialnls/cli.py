@@ -21,6 +21,7 @@ digits, so identical configs give byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import enum
 import json
@@ -180,8 +181,19 @@ def _fmt(value) -> str:
 
 
 def write_csv(path: Path, header, rows) -> None:
+    """Write the header line and one line per row.
+
+    rows is a sequence of rows, each cell printed by ``_fmt``, or a 2-D float
+    array, printed in one pass: one "%.17g" template for the whole file filled
+    from the Python floats of ``tolist()``, the same bytes as cell by cell.
+    """
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
+        if isinstance(rows, np.ndarray):
+            n_rows, n_cols = rows.shape
+            line = ",".join(["%.17g"] * n_cols) + "\n"
+            fh.write(line * n_rows % tuple(rows.ravel().tolist()))
+            return
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
@@ -232,14 +244,24 @@ def _datum(cfg: RunConfig):
     return gaussian(cfg.grid(), cfg.amplitude, cfg.width), None
 
 
-def _cmd_ground_state(cfg: RunConfig, outdir: Path):
-    res = _ground(cfg)
+@contextlib.contextmanager
+def _timed(phases: dict, name: str):
+    """Add the wall time of the block to phases[name]."""
+    t0 = time.perf_counter()
+    yield
+    phases[name] = phases.get(name, 0.0) + time.perf_counter() - t0
+
+
+def _cmd_ground_state(cfg: RunConfig, outdir: Path, phases: dict):
+    with _timed(phases, "descent"):
+        res = _ground(cfg)
     grid = res.profile.grid
-    write_csv(
-        outdir / "Q.csv",
-        ["r", "Q"],
-        list(zip(grid.r, res.profile.values.real)),
-    )
+    with _timed(phases, "write"):
+        write_csv(
+            outdir / "Q.csv",
+            ["r", "Q"],
+            np.column_stack((grid.r, res.profile.values.real)),
+        )
     payload = {
         "level": res.level,
         "ode_residual": res.ode_residual,
@@ -251,7 +273,8 @@ def _cmd_ground_state(cfg: RunConfig, outdir: Path):
     }
     rc = 0 if res.converged else 2
     if cfg.with_oracle:
-        oracle = shoot_ode(cfg.params(), grid)
+        with _timed(phases, "oracle"):
+            oracle = shoot_ode(cfg.params(), grid)
         agreement = abs(oracle.level - res.level) / res.level
         payload["oracle"] = {
             "level": oracle.level,
@@ -264,17 +287,18 @@ def _cmd_ground_state(cfg: RunConfig, outdir: Path):
             print(f"oracle disagreement: agreement_rel = {agreement:.3g} exceeds "
                   f"{ORACLE_AGREEMENT_REL}", file=sys.stderr)
             rc = 2
-    write_json(outdir / "result.json", payload)
+    with _timed(phases, "write"):
+        write_json(outdir / "result.json", payload)
     return rc, ["Q.csv", "result.json"]
 
 
-def _cmd_functionals(cfg: RunConfig, outdir: Path):
+def _cmd_functionals(cfg: RunConfig, outdir: Path, phases: dict):
     datum, _ = _datum(cfg)
     write_json(outdir / "report.json", functionals.report(datum, cfg.params()))
     return 0, ["report.json"]
 
 
-def _cmd_evolve(cfg: RunConfig, outdir: Path):
+def _cmd_evolve(cfg: RunConfig, outdir: Path, phases: dict):
     datum, ground = _datum(cfg)
     trace = run_evolution(
         datum, cfg, cfg.params(),
@@ -291,7 +315,7 @@ def _cmd_evolve(cfg: RunConfig, outdir: Path):
         write_csv(
             outdir / name,
             ["r", "Re_u", "Im_u"],
-            list(zip(grid.r, snap.values.real, snap.values.imag)),
+            np.column_stack((grid.r, snap.values.real, snap.values.imag)),
         )
         outputs.append(name)
         snapshots.append({"file": name, "t_requested": snap.t_requested, "t": snap.t})
@@ -308,7 +332,7 @@ def _cmd_evolve(cfg: RunConfig, outdir: Path):
     return (2 if trace.outcome is Outcome.ABORTED else 0), outputs
 
 
-def _cmd_classify(cfg: RunConfig, outdir: Path):
+def _cmd_classify(cfg: RunConfig, outdir: Path, phases: dict):
     params = cfg.params()
     datum, ground = _datum(cfg)
     if ground is None:
@@ -320,7 +344,7 @@ def _cmd_classify(cfg: RunConfig, outdir: Path):
     return 0, ["verdict.json"]
 
 
-def _cmd_sweep(cfg: RunConfig, outdir: Path):
+def _cmd_sweep(cfg: RunConfig, outdir: Path, phases: dict):
     params = cfg.params()
     spec = FamilySpec(
         kind=cfg.family,
@@ -336,7 +360,7 @@ def _cmd_sweep(cfg: RunConfig, outdir: Path):
     return 0, ["sweep.csv"]
 
 
-def _cmd_virial_check(cfg: RunConfig, outdir: Path):
+def _cmd_virial_check(cfg: RunConfig, outdir: Path, phases: dict):
     params = cfg.params()
     ground = _ground(cfg)
     u0 = RadialField(ground.profile.grid, cfg.amplitude * ground.profile.values)
@@ -354,7 +378,10 @@ _VERIFY = tuple(name for name in _EVOLUTION if name != "absorb")
 _PROBE = ("dt", "monitor_every", "splitting_order")
 _FAMILY = ("family", "amplitude", "width")
 
-#: command -> (handler, help, the RunConfig fields it takes as flags)
+#: command -> (handler, help, the RunConfig fields it takes as flags).  A
+#: handler(cfg, outdir, phases) returns (exit code, output names) and may
+#: put the seconds of its phases in phases, which the manifest records as
+#: phases_s (ground-state: descent, oracle, write)
 _COMMANDS = {
     "ground-state": (_cmd_ground_state, "compute Q and the threshold level",
                      _COMMON + ("with_oracle",)),
@@ -418,7 +445,8 @@ def main(argv=None) -> int:
         missing = [p for p in (outdir, *outdir.parents) if not p.exists()]
         outdir.mkdir(parents=True, exist_ok=True)
         created = missing[-1] if missing else None
-        rc, outputs = _COMMANDS[args.command][0](cfg, outdir)
+        phases = {}
+        rc, outputs = _COMMANDS[args.command][0](cfg, outdir, phases)
     except (ValueError, OSError) as exc:
         if created is not None:
             shutil.rmtree(created, ignore_errors=True)
@@ -441,6 +469,8 @@ def main(argv=None) -> int:
         "duration_s": time.perf_counter() - t0,
         "outputs": outputs,
     }
+    if phases:
+        manifest["phases_s"] = phases
     write_json(outdir / "manifest.json", manifest)
     return rc
 

@@ -27,6 +27,7 @@ from .radial_grid import (
     RadialField,
     gradient_norm_sq,
     integrate,
+    r_pow,
 )
 
 
@@ -91,7 +92,7 @@ def report(f: RadialField, params: EquationParams) -> FunctionalReport:
     dens = np.abs(u) ** 2
     mass = integrate(grid, dens)
     kinetic = gradient_norm_sq(f)
-    potential = integrate(grid, params.gamma / grid.r**params.mu * dens)
+    potential = integrate(grid, params.gamma / r_pow(grid, params.mu) * dens)
     quartic = integrate(grid, dens**2)
     energy = 0.5 * kinetic + 0.5 * potential - 0.25 * quartic
     action = 0.5 * params.omega * mass + energy

@@ -109,7 +109,7 @@ def _require_resolved_core(params, grid):
 def _quotient_parts(grid, u, params):
     """(||u||^2_{H^1_{omega,gamma}}, ||u||_4^4), the quotient's numerator and
     denominator parts, from one functional report."""
-    rep = functionals.report(RadialField(grid, u.astype(complex)), params)
+    rep = functionals.report(RadialField(grid, u), params)
     return rep.h1_omega_gamma_sq, rep.quartic
 
 

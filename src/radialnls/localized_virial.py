@@ -32,6 +32,7 @@ from .radial_grid import (
     RadialGrid,
     integrate,
     node_gradient,
+    r_pow,
 )
 
 #: degree-7 bridge coefficients on [1, 3] (ascending powers), exact rationals
@@ -202,6 +203,7 @@ def I_double_prime(
     grid = u.grid
     r = grid.r
     gamma, mu = params.gamma, params.mu
+    rmu = r_pow(grid, mu)
     if du is None:
         du = node_gradient(grid, u.values)
     du2 = np.abs(du) ** 2
@@ -213,18 +215,18 @@ def I_double_prime(
     t_grad = integrate(grid, 4.0 * w1_over_r * du2)
     t_bilap = -integrate(grid, (cutoff.w4 + 4.0 * cutoff.w3 / r) * uu2)
     t_quart = -integrate(grid, (cutoff.w2 + 2.0 * w1_over_r) * uu4)
-    t_pot = 2.0 * mu * integrate(grid, w1_over_r * gamma / r**mu * uu2)
+    t_pot = 2.0 * mu * integrate(grid, w1_over_r * gamma / rmu * uu2)
     total = t_shear + t_grad + t_bilap + t_quart + t_pot
 
     k_node = (
         2.0 * integrate(grid, du2)
-        + mu * integrate(grid, gamma / r**mu * uu2)
+        + mu * integrate(grid, gamma / rmu * uu2)
         - 1.5 * integrate(grid, uu4)
     )
     r1 = 4.0 * integrate(grid, (cutoff.w2 - 2.0) * du2)
     r2 = -integrate(grid, (cutoff.w2 + 2.0 * w1_over_r - 6.0) * uu4)
     r3 = t_bilap
-    r4 = 2.0 * mu * integrate(grid, (w1_over_r - 2.0) * gamma / r**mu * uu2)
+    r4 = 2.0 * mu * integrate(grid, (w1_over_r - 2.0) * gamma / rmu * uu2)
     total_dec = 4.0 * k_node + r1 + r2 + r3 + r4
 
     return VirialSecondDerivative(

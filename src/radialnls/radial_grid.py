@@ -90,7 +90,13 @@ class EquationParams:
 
 @dataclass
 class RadialField:
-    """Complex radial profile sampled at the grid nodes."""
+    """Radial profile sampled at the grid nodes.
+
+    A float64 array is kept real, so the ground-state descent evaluates its
+    real iterates without a complex copy; any other dtype is held complex.
+    Every functional of a real field equals, bit for bit, that of its complex
+    promotion (see ``gradient_norm_sq``), so the dtype never shows in a result.
+    """
 
     grid: RadialGrid
     values: np.ndarray
@@ -101,20 +107,20 @@ class RadialField:
             raise ValueError(
                 f"values must have shape ({self.grid.n},), got {vals.shape}"
             )
-        if not np.issubdtype(vals.dtype, np.complexfloating):
+        if vals.dtype != np.float64 and not np.issubdtype(vals.dtype, np.complexfloating):
             vals = vals.astype(complex)
         self.values = vals
         self.check_finite()
 
     def check_finite(self) -> None:
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise ValueError("field contains non-finite entries")
 
 
 def integrate(grid: RadialGrid, samples: np.ndarray) -> float:
     """Integral over R^3 of a radial sample set: 4 pi h sum g_j r_j^2."""
     samples = np.asarray(samples)
-    if not np.all(np.isfinite(samples)):
+    if not np.isfinite(samples).all():
         raise ValueError("integrand contains non-finite entries")
     return float(np.real(np.dot(grid.weights, samples)))
 
@@ -123,13 +129,17 @@ def gradient_norm_sq(field: RadialField) -> float:
     """int |d_r u|^2 dx with face-centered differences.
 
     The r = 0 face carries no flux; the outer face uses the Dirichlet value
-    u(R_max) = 0.
+    u(R_max) = 0.  The differences are multiplied by 1/h, not divided by h:
+    numpy divides a complex array by a real scalar as a multiply by its
+    reciprocal, so only the multiply gives a real field the bits of its
+    complex promotion when h is not a power of two.
     """
     grid, u = field.grid, field.values
+    inv_h = 1.0 / grid.h
     faces = grid.faces[1:]  # r = h .. R_max; the r = 0 face contributes 0
     du = np.empty(grid.n, dtype=u.dtype)
-    du[:-1] = (u[1:] - u[:-1]) / grid.h
-    du[-1] = (0.0 - u[-1]) / grid.h
+    du[:-1] = (u[1:] - u[:-1]) * inv_h
+    du[-1] = (0.0 - u[-1]) * inv_h
     return float(4.0 * np.pi * grid.h * np.sum(faces**2 * np.abs(du) ** 2))
 
 
@@ -189,6 +199,15 @@ def _check_info(info: int, routine: str) -> None:
 
 
 @lru_cache(maxsize=32)
+def r_pow(grid: RadialGrid, mu: float) -> np.ndarray:
+    """The node powers r_j^mu, computed once per (grid, mu) and shared by
+    every caller, hence read-only."""
+    out = grid.r**mu
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=32)
 def lap_gamma_diagonals(grid: RadialGrid, gamma: float, mu: float) -> Tridiagonal:
     """Tridiagonal Delta_gamma = Delta - gamma/r^mu.
 
@@ -201,7 +220,7 @@ def lap_gamma_diagonals(grid: RadialGrid, gamma: float, mu: float) -> Tridiagona
     lower = area[1:n] * inv[1:]
     upper = area[1:n] * inv[:-1]
     diag = -(area[:n] + area[1 : n + 1]) * inv
-    diag = diag - gamma / r**mu
+    diag = diag - gamma / r_pow(grid, mu)
     lower.setflags(write=False)
     diag.setflags(write=False)
     upper.setflags(write=False)

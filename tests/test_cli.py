@@ -8,7 +8,7 @@ import pytest
 from radialnls import ClassificationVerdict, FunctionalReport
 from radialnls.cli import (
     _COMMANDS, ORACLE_AGREEMENT_REL, ConfigError, RunConfig, _build_parser, main,
-    parse_config,
+    parse_config, write_csv,
 )
 from radialnls.localized_virial import RigidityReport
 
@@ -259,6 +259,23 @@ class TestCommandSurface:
         assert set(manifest["config"]) == set(_COMMANDS[argv[0]][2])
 
 
+class TestWriteCsv:
+    def test_float_array_prints_as_its_rows(self, tmp_path):
+        # the one-pass array branch against the cell-by-cell rows branch
+        rng = np.random.default_rng(3)
+        table = rng.standard_normal((200, 3)) * 10.0 ** rng.uniform(-300, 300, (200, 3))
+        table[:6, 1] = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324]
+        write_csv(tmp_path / "bulk.csv", ["a", "b", "c"], table)
+        write_csv(tmp_path / "rows.csv", ["a", "b", "c"], [tuple(row) for row in table])
+        bulk = (tmp_path / "bulk.csv").read_bytes()
+        assert bulk == (tmp_path / "rows.csv").read_bytes()
+        assert bulk.count(b"\n") == 201
+
+    def test_empty_array_writes_the_header(self, tmp_path):
+        write_csv(tmp_path / "e.csv", ["r", "Q"], np.empty((0, 2)))
+        assert (tmp_path / "e.csv").read_text() == "r,Q\n"
+
+
 class TestGroundStateCommand:
     def test_happy_path(self, tmp_path):
         out = tmp_path / "gs"
@@ -272,9 +289,21 @@ class TestGroundStateCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest) == {
             "command", "config", "versions", "started_at", "duration_s", "outputs",
+            "phases_s",
         }
         assert manifest["command"] == "ground-state"
         assert "Q.csv" in manifest["outputs"]
+        assert set(manifest["phases_s"]) == {"descent", "write"}
+
+    def test_phases_fit_in_the_duration(self, tmp_path):
+        out = tmp_path / "gs"
+        assert main(["ground-state", "--with-oracle", "--n", "1024", "--r-max", "16",
+                     "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        phases = manifest["phases_s"]
+        assert set(phases) == {"descent", "oracle", "write"}
+        assert all(v >= 0.0 for v in phases.values())
+        assert sum(phases.values()) <= manifest["duration_s"]
 
     def test_oracle_block_keys(self, tmp_path):
         out = tmp_path / "gs"

@@ -1,12 +1,15 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from radialnls import (
     EquationParams,
     RadialField,
     ScalingPair,
     build_grid,
+    gradient_norm_sq,
     report,
 )
 from radialnls.fields import gaussian
@@ -276,3 +279,71 @@ class TestRadialSobolevRatio:
     def test_r_validation(self, gauss, fine_grid):
         with pytest.raises(ValueError):
             radial_sobolev_ratio(gauss, fine_grid.r_max + 1.0)
+
+
+def complex_gradient_norm_sq(grid, u):
+    """The face-centered gradient norm as the complex formula with ``/ h``
+    computes it: the reference a real field must match bit for bit."""
+    u = u.astype(complex)
+    faces = grid.faces[1:]
+    du = np.empty(grid.n, dtype=complex)
+    du[:-1] = (u[1:] - u[:-1]) / grid.h
+    du[-1] = (0.0 - u[-1]) / grid.h
+    return float(4.0 * np.pi * grid.h * np.sum(faces**2 * np.abs(du) ** 2))
+
+
+def outcome(fn, *args):
+    """fn(*args), or the message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestRealField:
+    """A float64 field stays real, and its report is that of its complex
+    promotion: the descent evaluates real iterates through the one report."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(16, 512),
+        r_max=st.floats(1.01, 64.0),
+        seed=st.integers(0, 2**32 - 1),
+        exponents=st.tuples(st.integers(-150, 150), st.integers(-150, 150)),
+        zero_share=st.floats(0.0, 1.0),
+        gamma=st.floats(0.0, 8.0),
+        mu=st.floats(0.01, 1.99),
+        omega=st.floats(0.01, 8.0),
+    )
+    def test_report_equals_that_of_the_complex_promotion(
+        self, n, r_max, seed, exponents, zero_share, gamma, mu, omega
+    ):
+        grid = build_grid(n, r_max)
+        assume(math.frexp(grid.h)[0] != 0.5)  # h is not a power of two
+        rng = np.random.default_rng(seed)
+        lo, hi = sorted(exponents)
+        # signed entries of magnitude 10^lo .. 10^hi, some exactly zero
+        u = rng.standard_normal(n) * 10.0 ** rng.uniform(lo, hi, n)
+        u[rng.random(n) < zero_share] = 0.0
+        params = EquationParams(gamma=gamma, mu=mu, omega=omega)
+        real = RadialField(grid, u)
+        assert real.values.dtype == np.float64
+        promoted = RadialField(grid, u.astype(complex))
+        with np.errstate(over="ignore"):  # large entries overflow the quartic
+            assert outcome(report, real, params) == outcome(report, promoted, params)
+            assert gradient_norm_sq(real) == complex_gradient_norm_sq(grid, u)
+
+    def test_only_float64_stays_real(self):
+        grid = build_grid(64, 8.0)
+        assert RadialField(grid, np.ones(grid.n)).values.dtype == np.float64
+        for dtype in (np.float32, np.int64):
+            field = RadialField(grid, np.ones(grid.n, dtype=dtype))
+            assert field.values.dtype == np.complex128
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_real_field_rejected(self, bad):
+        grid = build_grid(64, 8.0)
+        vals = np.ones(grid.n)
+        vals[5] = bad
+        with pytest.raises(ValueError, match="^field contains non-finite entries$"):
+            RadialField(grid, vals)

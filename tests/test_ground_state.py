@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from scipy.integrate import DOP853, solve_ivp
 import radialnls
 from radialnls import (
     EquationParams,
+    EvolutionConfig,
     RadialField,
     ScalingPair,
     build_grid,
@@ -20,6 +22,7 @@ from radialnls import (
     report,
     shoot_ode,
 )
+from radialnls.evolve import _Stepper, run
 from radialnls.fields import gaussian
 from radialnls.functionals import NEHARI_PAIR
 from radialnls.ground_state import (
@@ -34,6 +37,7 @@ from radialnls.ground_state import (
     _shoot_classify,
     _shoot_start,
 )
+from radialnls.radial_grid import CrankNicolson, lap_gamma_diagonals
 
 from helpers import random_smooth_field
 
@@ -90,6 +94,8 @@ class TestMinimizeQuotient:
     def test_converges_and_positive(self, ground_default):
         res = ground_default
         assert res.converged
+        # the iterates stay real; the returned profile is complex
+        assert res.profile.values.dtype == np.complex128
         q = res.profile.values.real
         assert np.all(q >= 0.0)
         assert q.max() > 1.0
@@ -381,6 +387,89 @@ class TestScalingLawFreeEquation:
             lvl[omega] = minimize_quotient(params, grid).level
         for omega in (0.5, 2.0):
             assert lvl[omega] / lvl[1.0] == pytest.approx(omega**0.5, rel=1e-3)
+
+
+class TestSmallMuLimit:
+    @pytest.mark.parametrize("gamma,omega", [(1.0, 1.0), (4.0, 0.25)])
+    def test_level_tends_to_the_free_level_at_omega_plus_gamma(self, gamma, omega):
+        # at mu = 0 the discrete Delta_gamma is exactly Delta - gamma, so the
+        # level there is the free (gamma = 0) level at frequency omega + gamma
+        # on the same grid; a quadratic in mu carries the descent's levels to
+        # mu = 0 (measured 2.8e-7 at (1, 1) and 1.2e-6 at (4, 1/4))
+        grid = build_grid(4096, 32.0)
+        mus = (0.005, 0.01, 0.02, 0.04)
+        levels = [minimize_quotient(EquationParams(gamma, mu, omega), grid).level
+                  for mu in mus]
+        limit = np.polyval(np.polyfit(mus, levels, 2), 0.0)
+        free = minimize_quotient(EquationParams(0.0, 1.0, omega + gamma), grid).level
+        assert limit == pytest.approx(free, rel=5e-6)
+
+
+class TestScaleCovariance:
+    """u_lam(t, r) = lam u(lam^2 t, lam r) maps (gamma, mu, omega) on (n, h) to
+    (gamma lam^(2-mu), mu, lam^2 omega) on (n, h/lam).  At lam = 2 and mu = 1
+    every factor is a power of two, so the discrete maps scale exactly.  This
+    checks the discrete law across grids; TestScalingLawFreeEquation and
+    ACCEPTANCE 3 check the continuum law on one grid."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(16, 512),
+        r_max=st.floats(2.01, 64.0),
+        gamma=st.floats(0.0, 8.0),
+        omega=st.floats(0.01, 8.0),
+        tau=st.floats(1e-4, 0.5),
+        order=st.sampled_from([2, 4]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_operator_and_steps_scale_exactly_at_mu_one(
+        self, n, r_max, gamma, omega, tau, order, seed
+    ):
+        grid, half = build_grid(n, r_max), build_grid(n, r_max / 2.0)
+        params = EquationParams(gamma, 1.0, omega)
+        scaled = EquationParams(2.0 * gamma, 1.0, 4.0 * omega)
+        lap = lap_gamma_diagonals(grid, params.gamma, params.mu)
+        lap_scaled = lap_gamma_diagonals(half, scaled.gamma, scaled.mu)
+        for a, b in zip(lap, lap_scaled):
+            assert np.array_equal(4.0 * a, b)
+        rng = np.random.default_rng(seed)
+        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        assert np.array_equal(
+            2.0 * CrankNicolson(lap, tau)(u), CrankNicolson(lap_scaled, tau / 4.0)(2.0 * u)
+        )
+        step = _Stepper(grid, params, tau, order).step(u, 3)
+        assert np.array_equal(
+            2.0 * step, _Stepper(half, scaled, tau / 4.0, order).step(2.0 * u, 3)
+        )
+
+    def test_run_scales_exactly_at_mu_one(self):
+        # dt = 0.04 is refined five times on the way, on both sides
+        grid, half = build_grid(512, 32.0), build_grid(512, 16.0)
+        u0 = RadialField(grid, 0.8 * np.exp(-((grid.r / 2.0) ** 2)))
+        cfg = EvolutionConfig(dt=0.04, t_end=0.5, monitor_every=10)
+        trace = run(u0, cfg, EquationParams(0.5, 1.0, 1.0))
+        scaled = run(
+            RadialField(half, 2.0 * u0.values),
+            replace(cfg, dt=cfg.dt / 4.0, t_end=cfg.t_end / 4.0,
+                    decay_window=cfg.decay_window / 4.0),
+            EquationParams(1.0, 1.0, 4.0),
+        )
+        assert trace.dt_final < cfg.dt
+        assert scaled.outcome is trace.outcome
+        assert scaled.dt_final == trace.dt_final / 4.0
+        assert scaled.final_time == trace.final_time / 4.0
+        assert np.array_equal(scaled.final_state.values, 2.0 * trace.final_state.values)
+
+    @pytest.mark.parametrize("gamma,mu,omega", [(1.0, 1.0, 4.0), (1.0, 0.3, 0.25),
+                                                (4.0, 1.5, 2.0)])
+    def test_descent_level_doubles(self, gamma, mu, omega):
+        # the level scales as lam^(4-d) = lam; the descent's own iteration
+        # is not scale-free, so the agreement is to round-off, not exact
+        level = minimize_quotient(EquationParams(gamma, mu, omega), build_grid(4096, 32.0)).level
+        coarse = minimize_quotient(
+            EquationParams(gamma / 2.0 ** (2.0 - mu), mu, omega / 4.0), build_grid(4096, 64.0)
+        ).level
+        assert level == pytest.approx(2.0 * coarse, rel=1e-15, abs=0.0)
 
 
 class TestCoreResolution:

@@ -11,7 +11,7 @@ from radialnls import (
     integrate,
 )
 from radialnls.radial_grid import (
-    CrankNicolson, Tridiagonal, _OddEvenLU, lap_gamma_diagonals,
+    CrankNicolson, Tridiagonal, _OddEvenLU, lap_gamma_diagonals, r_pow,
 )
 
 from helpers import embed_field, random_smooth_field
@@ -294,6 +294,14 @@ class TestFieldValidation:
         vals[0] = np.inf
         with pytest.raises(ValueError):
             RadialField(grid_small, vals)
+
+
+class TestRPow:
+    def test_one_read_only_array_per_grid_and_mu(self, grid_small):
+        rmu = r_pow(grid_small, 0.7)
+        assert r_pow(grid_small, 0.7) is rmu
+        assert not rmu.flags.writeable
+        assert np.array_equal(rmu, grid_small.r**0.7)
 
 
 class TestEmbed:
