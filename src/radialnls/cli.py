@@ -232,18 +232,6 @@ def write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
-def _ground(cfg: RunConfig):
-    return minimize_quotient(cfg.params(), cfg.grid())
-
-
-def _datum(cfg: RunConfig):
-    """The datum and, for family cQ, the ground state it scales (else None)."""
-    if cfg.family == "cQ":
-        ground = _ground(cfg)
-        return RadialField(ground.profile.grid, cfg.amplitude * ground.profile.values), ground
-    return gaussian(cfg.grid(), cfg.amplitude, cfg.width), None
-
-
 @contextlib.contextmanager
 def _timed(phases: dict, name: str):
     """Add the wall time of the block to phases[name]."""
@@ -252,9 +240,21 @@ def _timed(phases: dict, name: str):
     phases[name] = phases.get(name, 0.0) + time.perf_counter() - t0
 
 
-def _cmd_ground_state(cfg: RunConfig, outdir: Path, phases: dict):
+def _ground(cfg: RunConfig, phases: dict):
     with _timed(phases, "descent"):
-        res = _ground(cfg)
+        return minimize_quotient(cfg.params(), cfg.grid())
+
+
+def _datum(cfg: RunConfig, phases: dict):
+    """The datum and, for family cQ, the ground state it scales (else None)."""
+    if cfg.family == "cQ":
+        ground = _ground(cfg, phases)
+        return RadialField(ground.profile.grid, cfg.amplitude * ground.profile.values), ground
+    return gaussian(cfg.grid(), cfg.amplitude, cfg.width), None
+
+
+def _cmd_ground_state(cfg: RunConfig, outdir: Path, phases: dict):
+    res = _ground(cfg, phases)
     grid = res.profile.grid
     with _timed(phases, "write"):
         write_csv(
@@ -293,54 +293,49 @@ def _cmd_ground_state(cfg: RunConfig, outdir: Path, phases: dict):
 
 
 def _cmd_functionals(cfg: RunConfig, outdir: Path, phases: dict):
-    datum, _ = _datum(cfg)
-    write_json(outdir / "report.json", functionals.report(datum, cfg.params()))
+    datum, _ = _datum(cfg, phases)
+    with _timed(phases, "report"):
+        rep = functionals.report(datum, cfg.params())
+    with _timed(phases, "write"):
+        write_json(outdir / "report.json", rep)
     return 0, ["report.json"]
 
 
 def _cmd_evolve(cfg: RunConfig, outdir: Path, phases: dict):
-    datum, ground = _datum(cfg)
-    trace = run_evolution(
-        datum, cfg, cfg.params(),
-        level=None if ground is None else ground.level,
-        snapshot_times=cfg.snapshot_times,
-    )
-    header, rows = trace.as_rows()
-    write_csv(outdir / "trace.csv", header, rows)
-    outputs = ["trace.csv"]
-    grid = datum.grid
-    snapshots = []
-    for i, snap in enumerate(trace.snapshots):
-        name = f"snapshot_{i:03d}.csv"
-        write_csv(
-            outdir / name,
-            ["r", "Re_u", "Im_u"],
-            np.column_stack((grid.r, snap.values.real, snap.values.imag)),
+    datum, ground = _datum(cfg, phases)
+    with _timed(phases, "run"):
+        trace = run_evolution(
+            datum, cfg, cfg.params(),
+            level=None if ground is None else ground.level,
+            snapshot_times=cfg.snapshot_times,
         )
-        outputs.append(name)
-        snapshots.append({"file": name, "t_requested": snap.t_requested, "t": snap.t})
-    write_json(
-        outdir / "result.json",
-        {
-            "outcome": trace.outcome,
-            "final_time": trace.final_time,
-            "dt_final": trace.dt_final,
-            "snapshots": snapshots,
-        },
-    )
-    outputs.append("result.json")
+    with _timed(phases, "write"):
+        write_csv(outdir / "trace.csv", *trace.as_rows())
+        snapshots = []
+        for i, snap in enumerate(trace.snapshots):
+            name = f"snapshot_{i:03d}.csv"
+            write_csv(outdir / name, ["r", "Re_u", "Im_u"],
+                      np.column_stack((datum.grid.r, snap.values.real, snap.values.imag)))
+            snapshots.append({"file": name, "t_requested": snap.t_requested, "t": snap.t})
+        write_json(outdir / "result.json", {
+            "outcome": trace.outcome, "final_time": trace.final_time,
+            "dt_final": trace.dt_final, "snapshots": snapshots,
+        })
+    outputs = ["trace.csv", *(snap["file"] for snap in snapshots), "result.json"]
     return (2 if trace.outcome is Outcome.ABORTED else 0), outputs
 
 
 def _cmd_classify(cfg: RunConfig, outdir: Path, phases: dict):
     params = cfg.params()
-    datum, ground = _datum(cfg)
+    datum, ground = _datum(cfg, phases)
     if ground is None:
-        ground = _ground(cfg)
+        ground = _ground(cfg, phases)
     verdict = classify_datum(datum, params, ground)
     if cfg.verify:
-        verdict = verify_empirically(verdict, datum, cfg, params)
-    write_json(outdir / "verdict.json", verdict)
+        with _timed(phases, "verify"):
+            verdict = verify_empirically(verdict, datum, cfg, params)
+    with _timed(phases, "write"):
+        write_json(outdir / "verdict.json", verdict)
     return 0, ["verdict.json"]
 
 
@@ -351,21 +346,25 @@ def _cmd_sweep(cfg: RunConfig, outdir: Path, phases: dict):
         amplitudes=tuple(cfg.amplitudes),
         widths=tuple(cfg.widths),
     )
-    ground = _ground(cfg)
-    header, rows = sweep_family(
-        spec, params, ground, cfg,
-        verify=cfg.verify, workers=cfg.workers,
-    )
-    write_csv(outdir / "sweep.csv", header, rows)
+    ground = _ground(cfg, phases)
+    with _timed(phases, "rows"):
+        header, rows = sweep_family(
+            spec, params, ground, cfg,
+            verify=cfg.verify, workers=cfg.workers,
+        )
+    with _timed(phases, "write"):
+        write_csv(outdir / "sweep.csv", header, rows)
     return 0, ["sweep.csv"]
 
 
 def _cmd_virial_check(cfg: RunConfig, outdir: Path, phases: dict):
     params = cfg.params()
-    ground = _ground(cfg)
+    ground = _ground(cfg, phases)
     u0 = RadialField(ground.profile.grid, cfg.amplitude * ground.profile.values)
-    report = rigidity_probe(u0, params, ground.level, cfg.t_probe, cfg)
-    write_json(outdir / "probe.json", report)
+    with _timed(phases, "probe"):
+        report = rigidity_probe(u0, params, ground.level, cfg.t_probe, cfg)
+    with _timed(phases, "write"):
+        write_json(outdir / "probe.json", report)
     return 0, ["probe.json"]
 
 
@@ -379,9 +378,9 @@ _PROBE = ("dt", "monitor_every", "splitting_order")
 _FAMILY = ("family", "amplitude", "width")
 
 #: command -> (handler, help, the RunConfig fields it takes as flags).  A
-#: handler(cfg, outdir, phases) returns (exit code, output names) and may
-#: put the seconds of its phases in phases, which the manifest records as
-#: phases_s (ground-state: descent, oracle, write)
+#: handler(cfg, outdir, phases) returns (exit code, output names) and puts
+#: the seconds of its phases in phases (descent, its own phase, write),
+#: which the manifest records as phases_s
 _COMMANDS = {
     "ground-state": (_cmd_ground_state, "compute Q and the threshold level",
                      _COMMON + ("with_oracle",)),
@@ -468,9 +467,8 @@ def main(argv=None) -> int:
         "started_at": started.isoformat(),
         "duration_s": time.perf_counter() - t0,
         "outputs": outputs,
+        "phases_s": phases,
     }
-    if phases:
-        manifest["phases_s"] = phases
     write_json(outdir / "manifest.json", manifest)
     return rc
 

@@ -27,9 +27,14 @@ straight-line function generated from that tableau, with the floats of a
 loop over it.  The same loop runs once more at the final amplitude and
 records its accepted steps, and DOP853's own dense output of those steps
 samples the profile onto the grid, so one integrator serves the sign tests
-and the profile.  The two routes share nothing but the
-functionals, so agreement certifies the level; both reject a grid too coarse
-for the core of Q, whose width is 1/sqrt(omega).
+and the profile.  The two routes are not independent in the
+level: the oracle starts at r0 = h/2, samples its profile onto the same grid
+and reads its level through the descent's midpoint quadrature
+(``_residuals``).  So agreement certifies the two solvers on the command's
+grid, not the discretisation; a grid too coarse for the potential's length
+gamma^(-1/(2-mu)) leaves both levels wrong by the same amount (ROADMAP item
+2).  Both reject a grid too coarse for the core of Q, whose width is
+1/sqrt(omega).
 """
 
 from __future__ import annotations
@@ -88,7 +93,6 @@ class GroundStateResult:
     ode_residual: float
     k_residuals: dict
     iterations: int
-    params: EquationParams
     converged: bool
     method: str
     grad_norm: float = 0.0
@@ -229,7 +233,6 @@ def minimize_quotient(params: EquationParams, grid: RadialGrid) -> GroundStateRe
         ode_residual=res,
         k_residuals=k_res,
         iterations=iterations,
-        params=params,
         converged=converged,
         method="minimize_quotient",
         grad_norm=grad_rel,
@@ -513,7 +516,6 @@ def shoot_ode(params: EquationParams, grid: RadialGrid) -> GroundStateResult:
         ode_residual=res,
         k_residuals=k_res,
         iterations=iterations,
-        params=params,
         converged=True,
         method="shoot_ode",
         shoot_amplitude=a,

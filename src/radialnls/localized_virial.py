@@ -6,8 +6,10 @@ The unit cutoff equals r^2 up to r = 1, a fixed degree-7 Hermite bridge on
 the estimates use; the plateau value is the bridge value at 3, which is
 23/7).  The bridge matches value and first three derivatives of r^2 at r = 1
 and first four derivatives of the constant at r = 3; its second derivative
-never exceeds 2, verified on a fine sample at build time.  The scaled weight
-is chi_R(r) = R^2 chi(r/R).
+never exceeds 2.  That bound and the remainder constant C = 60 + 4 mu gamma
+are proved in exact rational arithmetic on the bridge coefficients by
+``tests/test_virial.py::TestExactBridgeBounds``.  The scaled weight is
+chi_R(r) = R^2 chi(r/R).
 
 I''(t) is assembled in two algebraically identical forms: the five-integral
 form of the virial identity and the decomposition 4 K_gamma + R1 + R2 + R3 +
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -36,19 +37,17 @@ from .radial_grid import (
 )
 
 #: degree-7 bridge coefficients on [1, 3] (ascending powers), exact rationals
-_BRIDGE = tuple(
-    float(c)
-    for c in (
-        Fraction(-151, 28),
-        Fraction(405, 16),
-        Fraction(-189, 4),
-        Fraction(765, 16),
-        Fraction(-105, 4),
-        Fraction(127, 16),
-        Fraction(-5, 4),
-        Fraction(9, 112),
-    )
+BRIDGE = (
+    Fraction(-151, 28),
+    Fraction(405, 16),
+    Fraction(-189, 4),
+    Fraction(765, 16),
+    Fraction(-105, 4),
+    Fraction(127, 16),
+    Fraction(-5, 4),
+    Fraction(9, 112),
 )
+_BRIDGE = tuple(float(c) for c in BRIDGE)
 #: plateau value chi(3) = 23/7
 PLATEAU = float(Fraction(23, 7))
 
@@ -81,54 +80,18 @@ def chi_derivatives(x) -> np.ndarray:
     return out
 
 
-#: points per block of the sampled sup bounds; a multiple of 8 keeps each
-#: point in the SIMD lane position it has in one unblocked array
-_BLOCK = 8192
-
-
-def _sampled_max(f, start: float, stop: float, num: int):
-    """Elementwise max of f(x) over the blocks x of np.linspace(start, stop,
-    num), built _BLOCK points at a time, so only one block is held."""
-    step = (stop - start) / (num - 1)
-    maxima = []
-    for i in range(0, num, _BLOCK):
-        x = np.arange(i, min(i + _BLOCK, num), dtype=float) * step + start
-        if i + _BLOCK >= num:
-            x[-1] = stop
-        maxima.append(f(x))
-    return np.max(maxima, axis=0)
-
-
-@lru_cache(maxsize=1)
-def _verify_bridge() -> float:
-    """The sampled max of chi'' on [0, 4], which must not exceed 2."""
-    d2_max = float(_sampled_max(lambda x: chi_derivatives(x)[2].max(), 0.0, 4.0, 40001))
-    if d2_max > 2.0 + 1e-10:
-        raise RuntimeError(
-            "internal error: cutoff bridge violates the curvature bound"
-        )
-    return d2_max
-
-
-@lru_cache(maxsize=1)
-def remainder_constants() -> tuple[float, float, float, float]:
-    """Sup bounds (c1, c2, c3, c4) of the remainder brace factors over x >= 1."""
-
-    def braces(x):
-        d = chi_derivatives(x)
-        return [np.abs(d[2] - 2.0).max(), np.abs(d[2] + 2.0 * d[1] / x - 6.0).max(),
-                np.abs(d[4] + 4.0 * d[3] / x).max(), np.abs(d[1] / x - 2.0).max()]
-
-    m1, m2, m3, m4 = map(float, _sampled_max(braces, 1.0, 4.0, 200001))
-    return max(m1, 2.0), max(m2, 6.0), m3, max(m4, 2.0)
-
-
 def remainder_bound_constant(params: EquationParams) -> float:
-    """C such that |R1+..+R4| <= C * int_{r>=R}(|grad u|^2 + |u|^4 + R^-mu
+    """C = 60 + 4 mu gamma, such that |R1+..+R4| <= C * int_{r>=R}(|grad u|^2
+    + |u|^4 + R^-mu |u|^2) dx for every R >= 1.
 
-    |u|^2) dx for every R >= 1, from the cutoff derivative bounds."""
-    c1, c2, c3, c4 = remainder_constants()
-    return max(4.0 * c1, c2, c3 + 2.0 * params.mu * params.gamma * c4)
+    C = max(4 c1, c2, c3 + 2 mu gamma c4), where c1..c4 are the sups over
+    x >= 1 of the brace factors |chi'' - 2|, |chi'' + 2 chi'/x - 6|,
+    |chi'''' + 4 chi'''/x| and |chi'/x - 2|: c3 = 60 (at x = 1+) and c4 = 2
+    are attained, and 4 c1 and c2 stay below 60.
+    ``tests/test_virial.py::TestExactBridgeBounds`` proves each in exact
+    arithmetic.
+    """
+    return 60.0 + 4.0 * params.mu * params.gamma
 
 
 @dataclass(frozen=True)
@@ -152,7 +115,6 @@ def build_cutoff(R: float, grid: RadialGrid) -> VirialCutoff:
         raise ValueError(
             f"cutoff needs 3R < R_max: R={R}, R_max={grid.r_max}"
         )
-    _verify_bridge()
     d = chi_derivatives(grid.r / R)
     return VirialCutoff(
         R=float(R),

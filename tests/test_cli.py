@@ -259,6 +259,28 @@ class TestCommandSurface:
         assert set(manifest["config"]) == set(_COMMANDS[argv[0]][2])
 
 
+    @pytest.mark.parametrize("argv,phases", [
+        pytest.param(["ground-state", "--with-oracle", "--n", "1024"],
+                     {"descent", "oracle", "write"}, id="ground-state"),
+        pytest.param(["functionals"], {"descent", "report", "write"}, id="functionals"),
+        pytest.param(["evolve", "--t-end", "0.05"], {"descent", "run", "write"},
+                     id="evolve"),
+        pytest.param(["classify", "--verify", "--t-end", "0.05"],
+                     {"descent", "verify", "write"}, id="classify"),
+        pytest.param(["sweep", "--amplitudes", "0.7,1.1"], {"descent", "rows", "write"},
+                     id="sweep"),
+        pytest.param(["virial-check", "--t-probe", "0.05"], {"descent", "probe", "write"},
+                     id="virial-check"),
+    ])
+    def test_phases_fit_in_the_duration(self, tmp_path, argv, phases):
+        out = tmp_path / "o"
+        assert main(argv + ["--r-max", "16", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["phases_s"]) == phases
+        assert all(v >= 0.0 for v in manifest["phases_s"].values())
+        assert sum(manifest["phases_s"].values()) <= manifest["duration_s"]
+
+
 class TestWriteCsv:
     def test_float_array_prints_as_its_rows(self, tmp_path):
         # the one-pass array branch against the cell-by-cell rows branch
@@ -294,16 +316,6 @@ class TestGroundStateCommand:
         assert manifest["command"] == "ground-state"
         assert "Q.csv" in manifest["outputs"]
         assert set(manifest["phases_s"]) == {"descent", "write"}
-
-    def test_phases_fit_in_the_duration(self, tmp_path):
-        out = tmp_path / "gs"
-        assert main(["ground-state", "--with-oracle", "--n", "1024", "--r-max", "16",
-                     "--out", str(out)]) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        phases = manifest["phases_s"]
-        assert set(phases) == {"descent", "oracle", "write"}
-        assert all(v >= 0.0 for v in phases.values())
-        assert sum(phases.values()) <= manifest["duration_s"]
 
     def test_oracle_block_keys(self, tmp_path):
         out = tmp_path / "gs"

@@ -1,8 +1,5 @@
-import os
-import subprocess
-import sys
 from dataclasses import fields, replace
-from pathlib import Path
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,7 +27,6 @@ from radialnls.localized_virial import (
     RigidityReport,
     chi_derivatives,
     remainder_bound_constant,
-    remainder_constants,
     select_cutoff_radius,
     tail_integral,
 )
@@ -89,57 +85,158 @@ class TestCutoffShape:
             build_cutoff(12.0, grid32)
         build_cutoff(5.0, grid32)
 
-    def test_remainder_constants(self, params):
-        c1, c2, c3, c4 = remainder_constants()
-        assert c1 >= 2.0 and c2 >= 6.0 and c3 > 0.0 and c4 >= 2.0
-        C = remainder_bound_constant(params)
-        assert C >= max(4.0 * c1, c2)
+    def test_remainder_constants(self):
+        # the exact constant; TestExactBridgeBounds proves it
+        for gamma, mu in [(0.0, 1.0), (1.0, 1.0), (4.0, 1.5), (2512.0, 0.3)]:
+            params = EquationParams(gamma=gamma, mu=mu, omega=1.0)
+            assert remainder_bound_constant(params) == 60.0 + 4.0 * mu * gamma
 
 
-class TestSampledBounds:
-    def test_equal_to_the_unblocked_table(self):
-        """remainder_constants() and the _verify_bridge() maximum equal, to
-        the last bit, the same expressions on one unblocked linspace table."""
-        xs = np.linspace(1.0, 4.0, 200001)
-        d = chi_derivatives(xs)
-        ref = (
-            max(float(np.abs(d[2] - 2.0).max()), 2.0),
-            max(float(np.abs(d[2] + 2.0 * d[1] / xs - 6.0).max()), 6.0),
-            float(np.abs(d[4] + 4.0 * d[3] / xs).max()),
-            max(float(np.abs(d[1] / xs - 2.0).max()), 2.0),
-        )
-        assert [c.hex() for c in remainder_constants()] == [c.hex() for c in ref]
-        d2_max = float(chi_derivatives(np.linspace(0.0, 4.0, 40001))[2].max())
-        assert localized_virial._verify_bridge().hex() == d2_max.hex()
+# exact polynomial arithmetic on ascending coefficient lists of Fractions
 
-    @pytest.mark.parametrize("start, stop, num", [(1.0, 4.0, 200001), (0.0, 4.0, 40001)])
-    def test_blocks_are_the_linspace(self, start, stop, num):
-        """The blocks hold at most _BLOCK points, a multiple of 8, and in
-        order they are exactly np.linspace(start, stop, num)."""
-        blocks = []
-        localized_virial._sampled_max(
-            lambda x: blocks.append(x.copy()) or x.max(), start, stop, num
-        )
-        assert localized_virial._BLOCK % 8 == 0
-        assert max(len(b) for b in blocks) <= localized_virial._BLOCK
-        assert np.array_equal(np.concatenate(blocks), np.linspace(start, stop, num))
+def _deriv(p):
+    return [k * c for k, c in enumerate(p)][1:]
 
-    def test_first_use_peak_is_small(self):
-        """In a fresh interpreter the first remainder_constants() and
-        _verify_bridge() peak below 2 MiB of traced memory; one 200001-point
-        table of chi and its four derivatives alone takes 8 MB."""
-        env = dict(os.environ, PYTHONPATH=str(Path(localized_virial.__file__).parents[1]))
-        code = """if True:
-            import tracemalloc
-            from radialnls import localized_virial
-            tracemalloc.start()
-            localized_virial.remainder_constants()
-            localized_virial._verify_bridge()
-            print(tracemalloc.get_traced_memory()[1])
-        """
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        assert int(out) < 2 * 2**20
+
+def _value(p, x):
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def _add(*polys):
+    return [sum((p[k] for p in polys if k < len(p)), Fraction(0))
+            for k in range(max(map(len, polys)))]
+
+
+def _scale(s, p):
+    return [s * c for c in p]
+
+
+def _times_x(p):
+    return [Fraction(0), *p]
+
+
+def _trim(p):
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _remainder(a, b):
+    """The remainder of a divided by b (trimmed, nonzero)."""
+    a = _trim(a)
+    while len(a) >= len(b):
+        f, shift = a[-1] / b[-1], len(a) - len(b)
+        for i, c in enumerate(b):
+            a[shift + i] -= f * c
+        a = _trim(a)
+    return a
+
+
+def _divide_root(p, a):
+    """p / (x - a) by synthetic division; a must be a root of p."""
+    out, acc = [], Fraction(0)
+    for c in reversed(p):
+        acc = acc * a + c
+        out.append(acc)
+    assert out[-1] == 0, f"{a} is not a root"
+    return out[-2::-1]
+
+
+def _sign_changes(seq, x):
+    signs = [v > 0 for v in (_value(p, x) for p in seq) if v != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _roots_between(p, lo, hi):
+    """The number of distinct roots of p in (lo, hi) by Sturm's theorem;
+    p(lo) and p(hi) must be nonzero."""
+    seq = [_trim(p), _trim(_deriv(p))]
+    while len(seq[-1]) > 1:
+        r = _remainder(seq[-2], seq[-1])
+        if not r:
+            break
+        seq.append(_scale(-1, r))
+    seq = [q for q in seq if q]
+    return _sign_changes(seq, lo) - _sign_changes(seq, hi)
+
+
+class TestExactBridgeBounds:
+    """The cutoff bounds behind remainder_bound_constant, proved in exact
+    rational arithmetic on localized_virial.BRIDGE: no float, no sampled
+    point.
+
+    Each inequality f >= 0 on the bridge [1, 3] is proved by dividing out the
+    roots f has at an endpoint, then showing by a Sturm count that the
+    quotient has no root in [1, 3], and that f(2) > 0.  So f > 0 on (1, 3),
+    and f vanishes at an endpoint exactly to the divided order.
+    """
+
+    d = [list(localized_virial.BRIDGE)]  # chi on the bridge and its derivatives
+    for _ in range(4):
+        d.append(_deriv(d[-1]))
+    x = [Fraction(0), Fraction(1)]
+
+    #: name -> (f, {endpoint: order of the root of f there})
+    INEQUALITIES = {
+        "chi'' <= 2": (_add([Fraction(2)], _scale(-1, d[2])), {1: 2}),
+        "chi' >= 0": (d[1], {3: 4}),
+        "chi' <= 4x": (_add(_scale(4, x), _scale(-1, d[1])), {}),
+        "chi'' - 2 >= -15": (_add(d[2], [Fraction(13)]), {}),
+        "x chi'' + 2 chi' - 6x <= 60x":
+            (_add(_scale(66, x), _scale(-1, _times_x(d[2])), _scale(-2, d[1])), {}),
+        "x chi'' + 2 chi' - 6x >= -60x":
+            (_add(_scale(54, x), _times_x(d[2]), _scale(2, d[1])), {}),
+        "x chi'''' + 4 chi''' <= 60x":
+            (_add(_scale(60, x), _scale(-1, _times_x(d[4])), _scale(-4, d[3])), {}),
+        "x chi'''' + 4 chi''' >= -60x":
+            (_add(_scale(60, x), _times_x(d[4]), _scale(4, d[3])), {1: 1}),
+    }
+
+    def test_sturm_count(self):
+        F = Fraction
+        assert _roots_between([F(15, 4), F(-4), F(1)], 1, 3) == 2  # roots 3/2, 5/2
+        assert _roots_between([F(4), F(-4), F(1)], 1, 3) == 1  # double root 2
+        assert _roots_between([F(1), F(0), F(1)], 1, 3) == 0
+        assert _roots_between([F(-4), F(1)], 1, 3) == 0  # root 4
+        assert _divide_root([F(4), F(-4), F(1)], 2) == [F(-2), F(1)]
+
+    def test_endpoint_conditions(self):
+        # a C^3 join to x^2 at 1 and a C^4 join to the plateau 23/7 at 3
+        assert [_value(q, 1) for q in self.d[:4]] == [1, 2, 2, 0]
+        assert [_value(q, 3) for q in self.d] == [Fraction(23, 7), 0, 0, 0, 0]
+        assert PLATEAU == float(Fraction(23, 7))
+
+    @pytest.mark.parametrize("name", list(INEQUALITIES))
+    def test_inequality_on_the_bridge(self, name):
+        f, roots = self.INEQUALITIES[name]
+        q = f
+        for a, order in roots.items():
+            for _ in range(order):
+                q = _divide_root(q, a)
+        assert _value(q, 1) != 0 and _value(q, 3) != 0
+        assert _roots_between(q, 1, 3) == 0
+        assert _value(f, 2) > 0
+
+    def test_constant(self):
+        # the sups over x >= 1 of the brace factors, by the inequalities:
+        # |chi'' - 2| <= 15 (its upper side is chi'' <= 2); c2 <= 60; c3 = 60,
+        # attained at 1+ where chi''' = 0 and chi'''' = -60; 0 <= chi'/x <= 4,
+        # so c4 = 2, attained at 3 where chi' = 0.  On the plateau x >= 3 the
+        # braces are 2, 6, 0 and 2; at x = 1 the core branch makes all four 0.
+        c1, c2, c3, c4 = 15, 60, 60, 2
+        assert (_value(self.d[3], 1), _value(self.d[4], 1)) == (0, -c3)
+        assert _value(self.d[1], 3) == 0
+        assert (max(2, c1), max(6, c2), max(0, c3), max(2, c4)) == (c1, c2, c3, c4)
+        # the float products below are exact, so C must equal the exact value
+        for gamma, mu in [(0.0, 1.0), (1.0, 1.0), (4.0, 1.5), (0.5, 0.25), (3.0, 1.75)]:
+            mu_gamma = Fraction(mu) * Fraction(gamma)
+            exact = max(4 * c1, c2, c3 + 2 * mu_gamma * c4)
+            params = EquationParams(gamma=gamma, mu=mu, omega=1.0)
+            assert Fraction(remainder_bound_constant(params)) == exact
 
 
 class TestIValue:
@@ -253,6 +350,7 @@ class TestRigidityProbe:
         assert rep.forms_max_rel_gap <= 1e-10
         assert rep.remainder_bound_ok
         assert rep.second_diff_max_rel_err <= 1e-3
+        assert rep.bound_constant == 64.0
 
     def test_caller_config_unchanged(self, ground32, params):
         grid = ground32.profile.grid
