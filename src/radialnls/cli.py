@@ -125,7 +125,7 @@ def parse_config(
     Overrides win over file values.  A key the command does not read and a
     malformed value are rejected with the offending line number, and so is a
     file value that the grid, the equation parameters or, for commands that
-    evolve, the evolution config rejects.
+    evolve, the evolution config rejects, and a non-finite amplitude.
     """
     reads = _COMMANDS[command][2]
     cfg = RunConfig()
@@ -161,6 +161,9 @@ def parse_config(
         cfg.params()
         if "dt" in reads:
             cfg.validate(grid)
+        for key in ("amplitude", "amplitudes"):
+            if key in reads and not np.all(np.isfinite(getattr(cfg, key))):
+                raise ValueError(f"{key} must be finite, got {getattr(cfg, key)}")
     except ValueError as exc:
         key = str(exc).split(" ", 1)[0]
         if key in lines:

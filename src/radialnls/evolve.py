@@ -269,9 +269,9 @@ def run(
     With `level` supplied (the ground-state action) and data strictly below
     it with positive virial, the K_gamma lower bound is monitored at every
     tick and required for decay detection.  Snapshots are taken at the first
-    monitor tick at or past each requested time, which must be finite and
-    >= 0, and record both times; requesting every tick time records the
-    state at every tick.
+    monitor tick at or past each requested time, which must lie in
+    [0, t_end] (with the 1e-12 slack of the tick matching), and record both
+    times; requesting every tick time records the state at every tick.
 
     The flow advances in windows of `monitor_every` steps, and one rule
     refines them.  A step-doubling error probe above LOCAL_ERROR_TOL at the
@@ -288,8 +288,11 @@ def run(
     """
     grid = u0.grid
     cfg.validate(grid)
-    if not all(0.0 <= t < np.inf for t in snapshot_times):
-        raise ValueError(f"snapshot_times must be finite and >= 0, got {snapshot_times}")
+    if not all(0.0 <= t <= cfg.t_end + 1e-12 for t in snapshot_times):
+        raise ValueError(
+            f"snapshot_times must be finite and lie in [0, t_end = {cfg.t_end}], "
+            f"got {snapshot_times}"
+        )
 
     rep = functionals.report(u0, params)
     m0, e0, S0 = rep.mass, rep.energy, rep.action

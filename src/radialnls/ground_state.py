@@ -22,9 +22,11 @@ Each sign test is one DOP853 integration over Python floats (the tableau and
 step-size rule of scipy's solve_ivp, Hairer-Norsett-Wanner I, Sec. II.5) that
 stops at the first zero crossing or upturn.  The tableau is read on the
 first shot from scipy's DOP853 coefficient file, loaded by path, so no
-command loads scipy.integrate, and each attempted step runs as one
-straight-line function generated from that tableau, with the floats of a
-loop over it.  The same loop runs once more at the final amplitude and
+command loads scipy.integrate, and the whole loop of a sign test (attempts,
+error norm, step-size rule and events) runs as one function generated from
+that tableau, with the floats of a loop over it.  The bisection stops once
+the bracket is within SHOOT_RTOL relative, the resolution of that sign
+test.  The same loop runs once more at the final amplitude and
 records its accepted steps, and DOP853's own dense output of those steps
 samples the profile onto the grid, so one integrator serves the sign tests
 and the profile.  The two routes are not independent in the
@@ -289,21 +291,31 @@ def _dop853():
     )
 
 
+#: solve_ivp's step-size rule: safety factor and the clip of the per-step factor
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+
+
 @lru_cache(maxsize=None)
-def _dop853_step():
-    """One DOP853 attempt as a straight-line function built from scipy's
+def _dop853_shot():
+    """The loop of one sign test as one function generated from scipy's
     tableau, which stays the only copy of its coefficients.
 
-    step(r, h, r_new, q, p, fp, omega, gamma, mu) returns q, q' and q'' at
-    r_new, the E5 and E3 sums of q and of q', and the stage derivatives of q
-    and of q' as tuples.  Zero entries are dropped and each weighted sum keeps
-    the tableau's left-to-right order, so every float equals that of a loop
-    over the tableau: a sum started at 0.0 differs only in the sign of a zero
-    sum, which q + h * sum absorbs.  q'' is ``_shoot_accel``'s expression, and
-    at the end of the step it is taken at r_new, which can differ from r + h.
+    shot(r, q, p, fp, h_abs, r_end, omega, gamma, mu, steps) runs the DOP853
+    attempts, the error norm and solve_ivp's step-size rule from the start
+    (r, q, q', q'') and the first step size h_abs, and returns the sign of
+    ``_shoot_classify``; when `steps` is a list it records each accepted step
+    there.  Zero entries are dropped and each weighted sum keeps the tableau's
+    left-to-right order, so every float equals that of a loop over the
+    tableau: a sum started at 0.0 differs only in the sign of a zero sum,
+    which q + h * sum absorbs.  q'' is ``_shoot_accel``'s expression, and at
+    the end of a step it is taken at r_new, which can differ from r + h.  The
+    builtins min, max and abs of the rule are written as comparisons with
+    their NaN and tie behaviour: min(x, y) is x unless y < x, max(x, y) is x
+    unless y > x, and a -0.0 or a NaN sign left by abs moves no result.
     """
     dop = _dop853()
     n = dop.n_stages
+    err_exp = -1.0 / (_DOP853_ERROR_ORDER + 1)
 
     def wsum(weights, k):
         return " + ".join(f"{float(w)!r} * {k}{j}" for j, w in enumerate(weights) if w != 0.0)
@@ -311,30 +323,73 @@ def _dop853_step():
     def accel(r, q, dq):
         return f"-2.0 / {r} * {dq} + omega * {q} + gamma / {r}**mu * {q} - {q} * {q} * {q}"
 
-    src = ["def step(r, h, r_new, q, p, fp, omega, gamma, mu):", "    kq0, kp0 = p, fp"]
+    body = ["kq0, kp0 = p, fp"]
     for s in range(1, n):
-        src += [
-            f"    ys = q + h * ({wsum(dop.A[s, :s], 'kq')})",
-            f"    kq{s} = p + h * ({wsum(dop.A[s, :s], 'kp')})",
-            f"    rs = r + {float(dop.C[s])!r} * h",
-            f"    kp{s} = {accel('rs', 'ys', f'kq{s}')}",
+        body += [
+            f"ys = q + h * ({wsum(dop.A[s, :s], 'kq')})",
+            f"kq{s} = p + h * ({wsum(dop.A[s, :s], 'kp')})",
+            f"rs = r + {float(dop.C[s])!r} * h",
+            f"kp{s} = {accel('rs', 'ys', f'kq{s}')}",
         ]
+    body += [
+        f"q_new = q + h * ({wsum(dop.B, 'kq')})",
+        f"kq{n} = p + h * ({wsum(dop.B, 'kp')})",
+        f"kp{n} = {accel('r_new', 'q_new', f'kq{n}')}",
+        "aq, an = -q if q < 0.0 else q, -q_new if q_new < 0.0 else q_new",
+        f"sq = {SHOOT_ATOL!r} + (an if an > aq else aq) * {SHOOT_RTOL!r}",
+        f"aq, an = -p if p < 0.0 else p, -kq{n} if kq{n} < 0.0 else kq{n}",
+        f"sp = {SHOOT_ATOL!r} + (an if an > aq else aq) * {SHOOT_RTOL!r}",
+        f"e5q, e5p = ({wsum(dop.E5, 'kq')}) / sq, ({wsum(dop.E5, 'kp')}) / sp",
+        f"e3q, e3p = ({wsum(dop.E3, 'kq')}) / sq, ({wsum(dop.E3, 'kp')}) / sp",
+        "err5 = e5q * e5q + e5p * e5p",
+        "err3 = e3q * e3q + e3p * e3p",
+        "if err5 == 0.0 and err3 == 0.0:",
+        "    err = 0.0",
+        "else:",
+        "    err = h * err5 / sqrt(2.0 * (err5 + 0.01 * err3))",
+        "if err < 1.0:",
+        f"    factor = {_MAX_FACTOR!r} if err == 0.0 else {_SAFETY!r} * err**{err_exp!r}",
+        f"    if not factor < {_MAX_FACTOR!r}:",
+        f"        factor = {_MAX_FACTOR!r}",
+        "    if rejected and not factor < 1.0:",
+        "        factor = 1.0",
+        "    h_abs *= factor",
+        "    break",
+        f"factor = {_SAFETY!r} * err**{err_exp!r}",
+        f"h_abs *= factor if factor > {_MIN_FACTOR!r} else {_MIN_FACTOR!r}",
+        "rejected = True",
+    ]
     kq = ", ".join(f"kq{j}" for j in range(n + 1))
     kp = ", ".join(f"kp{j}" for j in range(n + 1))
-    src += [
-        f"    q_new = q + h * ({wsum(dop.B, 'kq')})",
-        f"    kq{n} = p + h * ({wsum(dop.B, 'kp')})",
-        f"    kp{n} = {accel('r_new', 'q_new', f'kq{n}')}",
-        f"    return (q_new, kq{n}, kp{n}, {wsum(dop.E5, 'kq')}, {wsum(dop.E5, 'kp')},",
-        f"            {wsum(dop.E3, 'kq')}, {wsum(dop.E3, 'kp')}, ({kq}), ({kp}))",
+    src = [
+        "def shot(r, q, p, fp, h_abs, r_end, omega, gamma, mu, steps):",
+        "    while True:",
+        "        min_step = 10.0 * ulp(r)",
+        "        if min_step > h_abs:",
+        "            h_abs = min_step",
+        "        rejected = False",
+        "        while True:",
+        "            if h_abs < min_step:",
+        "                return +1  # solve_ivp's failed status records no event",
+        "            r_new = r + h_abs",
+        "            if r_end < r_new:",
+        "                r_new = r_end",
+        "            h = r_new - r",
+        "            h_abs = h",
+        *("            " + line for line in body),
+        "        if steps is not None:",
+        f"            steps.append((r, h, q, p, q_new, ({kq}), ({kp})))",
+        "        if q >= 0.0 and q_new <= 0.0:",
+        "            return -1",
+        f"        if p <= 0.0 and kq{n} >= 0.0:",
+        "            return +1",
+        "        if r_new >= r_end:",
+        "            return +1",
+        f"        r, q, p, fp = r_new, q_new, kq{n}, kp{n}",
     ]
-    namespace = {}
+    namespace = {"ulp": math.ulp, "sqrt": math.sqrt}
     exec("\n".join(src), namespace)
-    return namespace["step"]
-
-
-#: solve_ivp's step-size rule: safety factor and the clip of the per-step factor
-_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+    return namespace["shot"]
 
 
 def _shoot_classify(params, r0, r_end, a, steps=None):
@@ -342,16 +397,16 @@ def _shoot_classify(params, r0, r_end, a, steps=None):
 
     One DOP853 integration over Python floats with solve_ivp's tolerances and
     step-size rule, stopped at the first event: q falling through 0 (-1) or q'
-    rising through 0 (+1).  Each attempt is one call of the generated kernel
-    ``_dop853_step()``.  If both happen in one step the crossing came first,
-    because q' changes sign once per step and q cannot fall after its minimum.
-    A step-size underflow and reaching r_end both count as +1; a start value
-    q(r0) < 0 has already crossed zero and counts as -1.  A list passed as
-    `steps` receives each accepted step, the last one included, as (r, h, q,
-    q', q at r + h, the stage derivatives of q, those of q').
+    rising through 0 (+1).  This prologue picks the first step as
+    solve_ivp's select_initial_step does; the loop is the generated function
+    ``_dop853_shot()``.  If both events happen in one step the crossing came
+    first, because q' changes sign once per step and q cannot fall after its
+    minimum.  A step-size underflow and reaching r_end both count as +1; a
+    start value q(r0) < 0 has already crossed zero and counts as -1.  A list
+    passed as `steps` receives each accepted step, the last one included, as
+    (r, h, q, q', q at r + h, the stage derivatives of q, those of q').
     """
     accel = _shoot_accel(params)
-    step = _dop853_step()
     err_exp = -1.0 / (_DOP853_ERROR_ORDER + 1)
     gamma, mu, omega = float(params.gamma), float(params.mu), float(params.omega)
     rtol, atol = SHOOT_RTOL, SHOOT_ATOL
@@ -380,48 +435,7 @@ def _shoot_classify(params, r0, r_end, a, steps=None):
     else:
         h1 = (0.01 / max(d1, d2)) ** (-err_exp)
     h_abs = min(100.0 * h0, h1, length)
-
-    while True:
-        min_step = 10.0 * math.ulp(r)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                return +1  # solve_ivp's failed status records no event
-            r_new = min(r + h_abs, r_end)
-            h = r_new - r
-            h_abs = h
-            q_new, p_new, fp_new, e5q, e5p, e3q, e3p, kq, kp = step(
-                r, h, r_new, q, p, fp, omega, gamma, mu
-            )
-            sq = atol + max(abs(q), abs(q_new)) * rtol
-            sp = atol + max(abs(p), abs(p_new)) * rtol
-            e5q, e5p, e3q, e3p = e5q / sq, e5p / sp, e3q / sq, e3p / sp
-            err5 = e5q * e5q + e5p * e5p
-            err3 = e3q * e3q + e3p * e3p
-            if err5 == 0.0 and err3 == 0.0:
-                err = 0.0
-            else:
-                err = h * err5 / math.sqrt(2.0 * (err5 + 0.01 * err3))
-            if err < 1.0:
-                factor = _MAX_FACTOR if err == 0.0 else min(
-                    _MAX_FACTOR, _SAFETY * err**err_exp
-                )
-                if rejected:
-                    factor = min(1.0, factor)
-                h_abs *= factor
-                break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * err**err_exp)
-            rejected = True
-        if steps is not None:
-            steps.append((r, h, q, p, q_new, kq, kp))
-        if q >= 0.0 and q_new <= 0.0:
-            return -1
-        if p <= 0.0 and p_new >= 0.0:
-            return +1
-        if r_new >= r_end:
-            return +1
-        r, q, p, fp = r_new, q_new, p_new, fp_new
+    return _dop853_shot()(r, q, p, fp, h_abs, r_end, omega, gamma, mu, steps)
 
 
 def _dense_sample(params, steps, x):
@@ -461,8 +475,11 @@ def shoot_ode(params: EquationParams, grid: RadialGrid) -> GroundStateResult:
     zero the bracket moves down (to lo/8, lo); while the high end turns back
     up it moves up (to hi, 2 hi); a RuntimeError names the last bracket if
     the start values leave float range first.  Bisection runs until the
-    midpoint is no longer a new float (at most MAX_BISECT halvings); each sign
-    test is the scalar DOP853 loop of ``_shoot_classify``.  The same loop runs
+    bracket width is at most SHOOT_RTOL times its low end, the relative
+    tolerance of the sign test, so that no halving fixes digits the
+    integrator does not resolve (or until the midpoint is no longer a new
+    float, at most MAX_BISECT halvings); each sign test is the scalar DOP853
+    loop of ``_shoot_classify``.  The same loop runs
     once more at the final amplitude and records its accepted steps; their
     DOP853 dense output gives the profile on the grid up to the last step,
     and an exponential tail fill replaces it past the matching radius.
@@ -494,7 +511,7 @@ def shoot_ode(params: EquationParams, grid: RadialGrid) -> GroundStateResult:
     iterations = 0
     for _ in range(MAX_BISECT):
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+        if mid == lo or mid == hi or hi - lo <= SHOOT_RTOL * lo:
             break
         iterations += 1
         if _shoot_classify(params, r0, r_end, mid) > 0:

@@ -84,6 +84,8 @@ class TestParseConfig:
         ("virial-check", "splitting_order = 3"),
         ("evolve", "decay_window = 0"),
         ("evolve", "dt = 1e-300"),
+        ("classify", "amplitude = nan"),
+        ("sweep", "amplitudes = 0.5, inf"),
     ])
     def test_file_value_rejected_with_its_line(self, tmp_path, command, line):
         key = line.split()[0]
@@ -148,6 +150,22 @@ class TestExitCodes:
         assert rc == 1
         assert f"validation error: {name} must be finite" in capsys.readouterr().err
         assert not (out / "report.json").exists()
+
+    # a non-finite amplitude is named before any ground state or field is built
+    @pytest.mark.parametrize("command,flag,value", [
+        ("functionals", "--amplitude", "nan"),
+        ("evolve", "--amplitude", "inf"),
+        ("classify", "--amplitude", "inf"),
+        ("virial-check", "--amplitude", "-inf"),
+        ("sweep", "--amplitudes", "0.5,nan"),
+    ])
+    def test_non_finite_amplitude_exits_one(self, tmp_path, capsys, command, flag, value):
+        out = tmp_path / "o"
+        rc = main([command, "--n", "512", "--r-max", "16", f"{flag}={value}", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"validation error: {flag[2:]} must be finite, got ")
+        assert not out.exists()
 
 
 class TestUsageErrors:
@@ -432,6 +450,19 @@ class TestEvolveCommand:
         assert rc == 1
         assert "validation error: snapshot_times must be finite" in capsys.readouterr().err
         assert not (out / "result.json").exists()
+
+    def test_snapshot_past_t_end_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "ev"
+        rc = main([
+            "evolve", "--family", "gaussian", "--amplitude", "0.3", "--n", "256",
+            "--r-max", "8", "--t-end", "0.01", "--snapshot-times", "0.005,5",
+            "--out", str(out),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: snapshot_times must be finite")
+        assert "t_end = 0.01" in err
+        assert not out.exists()
 
     def test_infinite_t_end_exits_one(self, tmp_path, capsys):
         rc = main([

@@ -379,6 +379,18 @@ class TestDetectors:
         assert len(trace.snapshots) == 2
         assert trace.snapshots[0][0] == pytest.approx(0.05)
 
+    def test_snapshot_times_end_at_t_end(self, ground_small_state, params):
+        # t_end itself (within the 1e-12 slack of the tick matching) is the
+        # last tick; a later time would never be recorded, so it is rejected
+        grid = ground_small_state.profile.grid
+        u0 = RadialField(grid, 0.5 * ground_small_state.profile.values)
+        cfg = EvolutionConfig(dt=1e-3, t_end=0.02, monitor_every=10,
+                              decay_window=np.inf)
+        trace = run(u0, cfg, params, snapshot_times=(cfg.t_end + 5e-13,))
+        assert [s.t for s in trace.snapshots] == [trace.final_time]
+        with pytest.raises(ValueError, match=r"snapshot_times must be finite and lie in"):
+            run(u0, cfg, params, snapshot_times=(0.01, cfg.t_end + 1e-9))
+
     def test_snapshot_records_tick_time(self, ground_small_state, params):
         # ticks fall every 0.02: the snapshot asked for at 0.13 holds the
         # state of the tick at 0.14 and says so

@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import DOP853, solve_ivp
 
 import radialnls
@@ -31,11 +32,11 @@ from radialnls.ground_state import (
     SHOOT_BRACKET,
     SHOOT_RTOL,
     _dense_sample,
-    _dop853_step,
     _residuals,
     _shoot_accel,
     _shoot_classify,
     _shoot_start,
+    _tail_fill,
 )
 from radialnls.radial_grid import CrankNicolson, lap_gamma_diagonals
 
@@ -85,9 +86,81 @@ def _loop_step(r, h, r_new, q, p, fp, omega, gamma, mu):
             wsum(DOP853.E3, kq), wsum(DOP853.E3, kp), tuple(kq), tuple(kp))
 
 
+def _reference_classify(params, r0, r_end, a, steps=None):
+    """The sign test as a plain loop over `_loop_step`, with solve_ivp's
+    step-size rule written with abs, min and max: the reference for the
+    generated loop of ``_shoot_classify``."""
+    accel = _shoot_accel(params)
+    err_exp = -1.0 / (DOP853.error_estimator_order + 1)
+    gamma, mu, omega = float(params.gamma), float(params.mu), float(params.omega)
+    rtol, atol = SHOOT_RTOL, SHOOT_ATOL
+
+    def rms(x, y):
+        return math.sqrt(0.5 * (x * x + y * y))
+
+    r = r0
+    q, p = _shoot_start(params, r0, a)
+    if q < 0.0:
+        return -1
+    fp = accel(r, q, p)
+    length = r_end - r
+    sq, sp = atol + abs(q) * rtol, atol + abs(p) * rtol
+    d0, d1 = rms(q / sq, p / sp), rms(p / sq, fp / sp)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, length)
+    if not h0 > 0.0:
+        return +1
+    p1 = p + h0 * fp
+    d2 = rms((p1 - p) / sq, (accel(r + h0, q + h0 * p, p1) - fp) / sp) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (-err_exp)
+    h_abs = min(100.0 * h0, h1, length)
+    while True:
+        min_step = 10.0 * math.ulp(r)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return +1
+            r_new = min(r + h_abs, r_end)
+            h = r_new - r
+            h_abs = h
+            q_new, p_new, fp_new, e5q, e5p, e3q, e3p, kq, kp = _loop_step(
+                r, h, r_new, q, p, fp, omega, gamma, mu
+            )
+            sq = atol + max(abs(q), abs(q_new)) * rtol
+            sp = atol + max(abs(p), abs(p_new)) * rtol
+            e5q, e5p, e3q, e3p = e5q / sq, e5p / sp, e3q / sq, e3p / sp
+            err5 = e5q * e5q + e5p * e5p
+            err3 = e3q * e3q + e3p * e3p
+            if err5 == 0.0 and err3 == 0.0:
+                err = 0.0
+            else:
+                err = h * err5 / math.sqrt(2.0 * (err5 + 0.01 * err3))
+            if err < 1.0:
+                factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err**err_exp)
+                if rejected:
+                    factor = min(1.0, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(0.2, 0.9 * err**err_exp)
+            rejected = True
+        if steps is not None:
+            steps.append((r, h, q, p, q_new, kq, kp))
+        if q >= 0.0 and q_new <= 0.0:
+            return -1
+        if p <= 0.0 and p_new >= 0.0:
+            return +1
+        if r_new >= r_end:
+            return +1
+        r, q, p, fp = r_new, q_new, p_new, fp_new
+
+
 def _flat(record):
     for x in record:
-        yield from (_flat(x) if isinstance(x, tuple) else (x,))
+        yield from (_flat(x) if isinstance(x, (tuple, list)) else (x,))
 
 
 class TestMinimizeQuotient:
@@ -236,15 +309,74 @@ class TestShootOde:
         assert np.isfinite(res.level) and res.level > 0.0
 
     @pytest.mark.parametrize("gamma, n, amplitude, level", [
-        (1.0, 4096, 5.894779341478749, 36.97681866238725),
-        (0.0, 2048, 4.337388366955185, 18.89717614305621),
+        (1.0, 4096, 5.894779341479392, 36.9768186623876),
+        (0.0, 2048, 4.337388366953945, 18.897176143482646),
     ])
     def test_pinned_values(self, gamma, n, amplitude, level):
-        # amplitude and level that solve_ivp sign tests give; the scalar loop
-        # must reproduce them
+        # amplitude and level that a bisection of solve_ivp sign tests under
+        # the same stop rule gives (43 bisections at both points); the scalar
+        # loop must reproduce them
         res = shoot_ode(EquationParams(gamma=gamma, mu=1.0, omega=1.0), build_grid(n, 32.0))
         assert res.shoot_amplitude == pytest.approx(amplitude, rel=1e-12, abs=0.0)
         assert res.level == pytest.approx(level, rel=1e-12, abs=0.0)
+
+
+def _bit_exhaustion_level(params, grid):
+    """The oracle's level with the bisection run until the midpoint is no
+    longer a new float, from SHOOT_BRACKET (which must hold the separatrix)."""
+    r0, r_end = grid.h / 2.0, grid.r_max
+    lo, hi = SHOOT_BRACKET
+    assert _shoot_classify(params, r0, r_end, lo) > 0 > _shoot_classify(params, r0, r_end, hi)
+    while 0.5 * (lo + hi) not in (lo, hi):
+        mid = 0.5 * (lo + hi)
+        if _shoot_classify(params, r0, r_end, mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    a = 0.5 * (lo + hi)
+    steps = []
+    _shoot_classify(params, r0, r_end, a, steps)
+    q = _tail_fill(grid, _dense_sample(params, steps, grid.r), a)
+    return _residuals(RadialField(grid, q.astype(complex)), params)[0]
+
+
+class TestStopRule:
+    def test_bisection_stops_at_the_integrators_resolution(
+        self, params_default, grid_default, monkeypatch
+    ):
+        """Replaying the sign tests: every bisection halves a bracket wider than
+        SHOOT_RTOL relative, the final bracket is not, and the amplitude is its
+        midpoint."""
+        tests = []
+
+        def recording(params, r0, r_end, a, steps=None):
+            sign = _shoot_classify(params, r0, r_end, a, steps)
+            if steps is None:
+                tests.append((a, sign))
+            return sign
+
+        monkeypatch.setattr(ground_state, "_shoot_classify", recording)
+        res = shoot_ode(params_default, grid_default)
+        assert res.iterations <= 45
+        search, bisection = tests[: -res.iterations], tests[-res.iterations:]
+        lo = max(a for a, sign in search if sign > 0)
+        hi = min(a for a, sign in search if sign < 0)
+        for a, sign in bisection:
+            assert hi - lo > SHOOT_RTOL * lo and a == 0.5 * (lo + hi)
+            lo, hi = (a, hi) if sign > 0 else (lo, a)
+        assert hi - lo <= SHOOT_RTOL * lo
+        assert res.shoot_amplitude == 0.5 * (lo + hi)
+
+    @pytest.mark.parametrize("point, n", [
+        ((1.0, 1.0, 1.0), 4096), ((0.0, 1.0, 1.0), 2048), ((3.9, 1.19, 0.26), 4096),
+    ])
+    def test_level_matches_bit_exhaustion(self, point, n):
+        # the last ~12 halvings fix digits the sign test does not resolve;
+        # the level moves by at most 3.5e-11 relative over the threshold
+        # workload's points
+        params, grid = EquationParams(*point), build_grid(n, 32.0)
+        level = shoot_ode(params, grid).level
+        assert level == pytest.approx(_bit_exhaustion_level(params, grid), rel=1e-10, abs=0.0)
 
 
 class TestShootClassify:
@@ -279,22 +411,50 @@ class TestShootClassify:
         assert _shoot_classify(params_default, r0, r_end, 1e8) == -1
 
 
-class TestDop853Step:
-    @settings(max_examples=300, deadline=None)
+def _assert_same_shot(params, r0, r_end, a):
+    """The generated loop and the reference loop give the same sign and record
+    the same steps; a NaN (a stage that left float range) must match a NaN."""
+    got, ref = [], []
+    sign = _shoot_classify(params, r0, r_end, a, got)
+    assert sign == _reference_classify(params, r0, r_end, a, ref)
+    assert all(len(kq) == len(kp) == 13 for *_, kq, kp in got)
+    assert all(x == y or (x != x and y != y) for x, y in zip(_flat(got), _flat(ref), strict=True))
+
+
+#: the separatrix amplitude at (gamma, mu, omega) = (1, 1, 1) from r0 = h/2
+#: on build_grid(4096, 32.0) (test_pinned_values)
+A_STAR = 5.894779341479392
+
+
+class TestShootLoop:
+    @settings(max_examples=60, deadline=None)
+    @given(t=st.floats(-1.0, 1.0))
+    def test_bit_identical_near_the_separatrix(self, t):
+        """Within 2^-40 of the separatrix each shot runs its longest, to the
+        far end of the core before it turns up or crosses."""
+        r0 = build_grid(4096, 32.0).h / 2.0
+        _assert_same_shot(EquationParams(1.0, 1.0, 1.0), r0, 32.0, A_STAR * (1.0 + t * 2.0**-40))
+
+    @settings(max_examples=100, deadline=None)
     @given(
-        r=st.floats(1e-3, 32.0), h=st.floats(1e-9, 0.5), r_new=st.floats(1e-3, 33.0),
-        q=st.floats(-10.0, 10.0), p=st.floats(-10.0, 10.0), fp=st.floats(-100.0, 100.0),
         gamma=st.floats(0.0, 10.0), mu=st.floats(0.0, 2.0, exclude_min=True, exclude_max=True),
-        omega=st.floats(1e-3, 10.0),
+        omega=st.floats(1e-2, 10.0), r_end=st.floats(1.0, 40.0),
+        start=st.one_of(
+            st.tuples(st.floats(-3.0, 2.0), st.floats(-8.0, -1.0)).map(
+                lambda e: (10.0 ** e[0], 10.0 ** e[1])),
+            st.tuples(st.floats(100.0, 103.0), st.floats(1e-3, 3.0)).map(
+                lambda e: (10.0 ** e[0], e[1] / 10.0 ** e[0])),
+        ),
     )
-    def test_bit_identical_to_the_tableau_loop(self, r, h, r_new, q, p, fp, gamma, mu, omega):
-        """The generated kernel returns exactly what the loop over the tableau
-        computes, both 13-entry stage tuples included; a NaN (a stage that
-        left float range) must match a NaN."""
-        got = _dop853_step()(r, h, r_new, q, p, fp, omega, gamma, mu)
-        ref = _loop_step(r, h, r_new, q, p, fp, omega, gamma, mu)
-        assert len(got[7]) == len(got[8]) == 13
-        assert all(x == y or (x != x and y != y) for x, y in zip(_flat(got), _flat(ref), strict=True))
+    @example(gamma=1.0, mu=1.0, omega=1.0, r_end=32.0, start=(5e102, 0.5 / 5e102))
+    @example(gamma=1.0, mu=1.0, omega=1.0, r_end=32.0, start=(5.0, 1e-8))
+    def test_bit_identical_to_the_tableau_loop(self, gamma, mu, omega, r_end, start):
+        """Ordinary amplitudes, whose first steps are often rejected (13 of
+        128 attempts at the second example), and amplitudes up to 1e103 from
+        r0 ~ 1/a, where the cube overflows and the stages turn NaN until the
+        step size underflows (the first example: 22 attempts, all NaN)."""
+        a, r0 = start
+        _assert_same_shot(EquationParams(gamma, mu, omega), r0, r_end, a)
 
 
 class TestDenseSample:
