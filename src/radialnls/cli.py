@@ -323,6 +323,7 @@ def _cmd_evolve(cfg: RunConfig, outdir: Path, phases: dict):
         write_json(outdir / "result.json", {
             "outcome": trace.outcome, "final_time": trace.final_time,
             "dt_final": trace.dt_final, "snapshots": snapshots,
+            "snapshots_unreached": trace.snapshots_unreached,
         })
     outputs = ["trace.csv", *(snap["file"] for snap in snapshots), "result.json"]
     return (2 if trace.outcome is Outcome.ABORTED else 0), outputs
@@ -362,8 +363,7 @@ def _cmd_sweep(cfg: RunConfig, outdir: Path, phases: dict):
 
 def _cmd_virial_check(cfg: RunConfig, outdir: Path, phases: dict):
     params = cfg.params()
-    ground = _ground(cfg, phases)
-    u0 = RadialField(ground.profile.grid, cfg.amplitude * ground.profile.values)
+    u0, ground = _datum(cfg, phases)
     with _timed(phases, "probe"):
         report = rigidity_probe(u0, params, ground.level, cfg.t_probe, cfg)
     with _timed(phases, "write"):

@@ -156,6 +156,7 @@ class EvolutionTrace:
     final_state: RadialField | None = None
     dt_final: float = 0.0
     snapshots: list = dataclass_field(default_factory=list)  # Snapshot records
+    snapshots_unreached: list = dataclass_field(default_factory=list)  # sorted times
 
     def as_rows(self):
         header = ["t", "mass_drift", "energy_drift", "l4", "grad", "K_gamma", "k_bound_ok"]
@@ -271,7 +272,9 @@ def run(
     tick and required for decay detection.  Snapshots are taken at the first
     monitor tick at or past each requested time, which must lie in
     [0, t_end] (with the 1e-12 slack of the tick matching), and record both
-    times; requesting every tick time records the state at every tick.
+    times; requesting every tick time records the state at every tick.  The
+    requested times still pending when the run stops land, sorted, in
+    trace.snapshots_unreached.
 
     The flow advances in windows of `monitor_every` steps, and one rule
     refines them.  A step-doubling error probe above LOCAL_ERROR_TOL at the
@@ -411,6 +414,7 @@ def run(
     trace.final_time = t
     trace.dt_final = dt
     trace.final_state = RadialField(grid, u)
+    trace.snapshots_unreached = pending_snapshots
     return trace
 
 

@@ -15,9 +15,9 @@ Oracle route: bisection shooting on the amplitude of the radial profile ODE
 
     Q'' + (2/r) Q' - omega Q - (gamma/r^mu) Q + Q^3 = 0,
 
-started at r = h/2 from the local expansion forced by the singular potential,
-with an exponential tail fill past the matching radius.  Small amplitudes turn
-back up and large ones cross zero, so a geometric search finds the bracket.
+started at r = h/2 from the local expansion forced by the singular potential.
+Small amplitudes turn back up and large ones cross zero, so a geometric search
+finds the bracket.
 Each sign test is one DOP853 integration over Python floats (the tableau and
 step-size rule of scipy's solve_ivp, Hairer-Norsett-Wanner I, Sec. II.5) that
 stops at the first zero crossing or upturn.  The tableau is read on the
@@ -27,9 +27,9 @@ error norm, step-size rule and events) runs as one function generated from
 that tableau, with the floats of a loop over it.  The bisection stops once
 the bracket is within SHOOT_RTOL relative, the resolution of that sign
 test.  The same loop runs once more at the final amplitude and
-records its accepted steps, and DOP853's own dense output of those steps
-samples the profile onto the grid, so one integrator serves the sign tests
-and the profile.  The two routes are not independent in the
+records its accepted steps, and DOP853's own dense output of those steps,
+clipped at zero, samples the profile onto the grid, so one integrator serves
+the sign tests and the profile.  The two routes are not independent in the
 level: the oracle starts at r0 = h/2, samples its profile onto the same grid
 and reads its level through the descent's midpoint quadrature
 (``_residuals``).  So agreement certifies the two solvers on the command's
@@ -74,11 +74,10 @@ J_REL_TOL = 1e-12
 GRAD_TOL = 1e-10
 NEWTON_STEPS = 6
 
-#: DOP853 tolerances of the shooting integration, the bisection cap, and the
-#: amplitude bracket the search starts from
+#: DOP853 tolerances of the shooting integration and the amplitude bracket
+#: the search starts from
 SHOOT_RTOL = 1e-12
 SHOOT_ATOL = 1e-14
-MAX_BISECT = 200
 SHOOT_BRACKET = (0.5, 30.0)
 
 #: largest grid spacing, in units of the core width 1/sqrt(omega), that both
@@ -125,10 +124,11 @@ def _residuals(profile, params):
     return rep.action, {p: rep.k(p, params) for p in RESIDUAL_PAIRS}
 
 
-def _el_residual(grid, u, params):
-    """-omega Q + Delta_gamma Q + Q^3 as a raw array (real input)."""
+def _residual_norm(grid, u, params):
+    """Weighted L^2 norm of -omega Q + Delta_gamma Q + Q^3 (real input)."""
     lap = lap_gamma_diagonals(grid, params.gamma, params.mu)
-    return -params.omega * u + lap.apply(u) + u**3
+    residual = -params.omega * u + lap.apply(u) + u**3
+    return float(np.sqrt(np.dot(grid.weights, residual**2)))
 
 
 def _newton_polish(grid, u, params):
@@ -139,12 +139,7 @@ def _newton_polish(grid, u, params):
     """
     lap = lap_gamma_diagonals(grid, params.gamma, params.mu)
     lower, diag, upper = lap
-    w = grid.weights
-
-    def res_norm(q):
-        return float(np.sqrt(np.dot(w, _el_residual(grid, q, params) ** 2)))
-
-    best, best_res = u, res_norm(u)
+    best, best_res = u, _residual_norm(grid, u, params)
     q = u
     for _ in range(NEWTON_STEPS):
         F = params.omega * q - lap.apply(q) - q**3
@@ -158,7 +153,7 @@ def _newton_polish(grid, u, params):
             break
         # far-field round-off may cross zero at ~1e-17 amplitude; fold it back
         q_new = np.abs(q_new)
-        r_new = res_norm(q_new)
+        r_new = _residual_norm(grid, q_new, params)
         if r_new < best_res:
             best, best_res = q_new, r_new
         if r_new >= best_res and q is not u:
@@ -477,13 +472,13 @@ def shoot_ode(params: EquationParams, grid: RadialGrid) -> GroundStateResult:
     the start values leave float range first.  Bisection runs until the
     bracket width is at most SHOOT_RTOL times its low end, the relative
     tolerance of the sign test, so that no halving fixes digits the
-    integrator does not resolve (or until the midpoint is no longer a new
-    float, at most MAX_BISECT halvings); each sign test is the scalar DOP853
-    loop of ``_shoot_classify``.  The same loop runs
+    integrator does not resolve; each sign test is the scalar DOP853 loop of
+    ``_shoot_classify``.  The search leaves 0 < lo < hi <= 60 lo (the start
+    bracket (0.5, 30), or (lo, 2 lo), or (lo/8, lo)), so the bisection takes
+    at most ceil(log2(59 / SHOOT_RTOL)) = 46 halvings.  The same loop runs
     once more at the final amplitude and records its accepted steps; their
-    DOP853 dense output gives the profile on the grid up to the last step,
-    and an exponential tail fill replaces it past the matching radius.
-    ``iterations`` of the result counts the bisections.
+    DOP853 dense output, clipped at zero, is the profile on the grid (0 past
+    the last step).  ``iterations`` of the result counts the bisections.
     A grid with h sqrt(omega) > MAX_CORE_SPACING is rejected with a ValueError.
     """
     _require_resolved_core(params, grid)
@@ -509,10 +504,8 @@ def shoot_ode(params: EquationParams, grid: RadialGrid) -> GroundStateResult:
         while sign(lo) < 0:
             lo, hi = lo / 8.0, lo
     iterations = 0
-    for _ in range(MAX_BISECT):
+    while hi - lo > SHOOT_RTOL * lo:
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi or hi - lo <= SHOOT_RTOL * lo:
-            break
         iterations += 1
         if _shoot_classify(params, r0, r_end, mid) > 0:
             lo = mid
@@ -521,53 +514,16 @@ def shoot_ode(params: EquationParams, grid: RadialGrid) -> GroundStateResult:
     a = 0.5 * (lo + hi)
     steps = []
     _shoot_classify(params, r0, r_end, a, steps)
-    q = _tail_fill(grid, _dense_sample(params, steps, grid.r), a)
+    q = np.maximum(_dense_sample(params, steps, grid.r), 0.0)
     profile = RadialField(grid, q.astype(complex))
-    res = float(
-        np.sqrt(np.dot(grid.weights, _el_residual(grid, q, params) ** 2))
-    )
     level, k_res = _residuals(profile, params)
     return GroundStateResult(
         profile=profile,
         level=level,
-        ode_residual=res,
+        ode_residual=_residual_norm(grid, q, params),
         k_residuals=k_res,
         iterations=iterations,
         converged=True,
         method="shoot_ode",
         shoot_amplitude=a,
     )
-
-
-def _tail_fill(grid, q, a):
-    """Replace the post-separatrix garbage with a decaying exponential tail.
-
-    Anchors q1 r1 e^{-k (r - r1)}/r (its exponent is never positive) where q
-    has fallen to ~1e-8 of the amplitude; past the anchor the bisection
-    iterate has peeled off the separatrix and carries no information.
-    """
-    floor = 1e-8 * a
-    bad = np.nonzero((q <= floor) | (np.gradient(q) > 0.0))[0]
-    core_end = None
-    # first index past the main descent where the profile stops decaying
-    peak = int(np.argmax(q))
-    for idx in bad:
-        if idx > peak and q[idx] < 0.5 * a:
-            core_end = idx
-            break
-    if core_end is None or core_end < peak + 3:
-        q[q < 0.0] = 0.0
-        return q
-    i2, i1 = core_end - 1, core_end - 2
-    r1, r2 = grid.r[i1], grid.r[i2]
-    q1, q2 = q[i1], q[i2]
-    if q1 <= 0.0 or q2 <= 0.0 or q2 >= q1:
-        q[core_end:] = 0.0
-        return q
-    k = -np.log((q2 * r2) / (q1 * r1)) / (r2 - r1)
-    if not np.isfinite(k) or k <= 0.0:
-        q[core_end:] = 0.0
-        return q
-    rr = grid.r[core_end:]
-    q[core_end:] = q1 * r1 * np.exp(-k * (rr - r1)) / rr
-    return q

@@ -438,6 +438,21 @@ class TestEvolveCommand:
         assert snap["file"] == "snapshot_000.csv"
         assert snap["t_requested"] == 0.05
         assert snap["t"] == pytest.approx(0.05)
+        assert result["snapshots_unreached"] == []
+
+    def test_unreached_snapshot_times_listed(self, tmp_path):
+        # blow-up is detected at t = 0.1, before the second requested time
+        out = tmp_path / "ev"
+        rc = main([
+            "evolve", "--family", "gaussian", "--amplitude", "5", "--n", "512",
+            "--r-max", "8", "--t-end", "0.3", "--snapshot-times", "0.05,0.25",
+            "--out", str(out),
+        ])
+        assert rc == 0
+        result = json.loads((out / "result.json").read_text())
+        assert result["outcome"] == "blowup_detected"
+        assert [snap["t_requested"] for snap in result["snapshots"]] == [0.05]
+        assert result["snapshots_unreached"] == [0.25]
 
     @pytest.mark.parametrize("times", ["nan,0.02", "-0.01", "inf"])
     def test_bad_snapshot_time_exits_one(self, tmp_path, capsys, times):

@@ -377,6 +377,7 @@ class TestDetectors:
                               decay_window=np.inf)
         trace = run(u0, cfg, params, snapshot_times=(0.05, 0.1))
         assert len(trace.snapshots) == 2
+        assert trace.snapshots_unreached == []
         assert trace.snapshots[0][0] == pytest.approx(0.05)
 
     def test_snapshot_times_end_at_t_end(self, ground_small_state, params):
@@ -390,6 +391,17 @@ class TestDetectors:
         assert [s.t for s in trace.snapshots] == [trace.final_time]
         with pytest.raises(ValueError, match=r"snapshot_times must be finite and lie in"):
             run(u0, cfg, params, snapshot_times=(0.01, cfg.t_end + 1e-9))
+
+    def test_unreached_snapshot_times_are_kept(self, params):
+        # the run stops with blowup_detected at t = 0.1; 0.25 was asked for
+        # and never reached, and the trace says so
+        f = gaussian(build_grid(512, 8.0), 5.0, 1.0)
+        cfg = EvolutionConfig(dt=1e-3, t_end=0.3)
+        trace = run(f, cfg, params, snapshot_times=(0.25, 0.05))
+        assert trace.outcome is Outcome.BLOWUP_DETECTED
+        assert trace.final_time < 0.25
+        assert [s.t_requested for s in trace.snapshots] == [0.05]
+        assert trace.snapshots_unreached == [0.25]
 
     def test_snapshot_records_tick_time(self, ground_small_state, params):
         # ticks fall every 0.02: the snapshot asked for at 0.13 holds the

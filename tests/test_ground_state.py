@@ -36,7 +36,6 @@ from radialnls.ground_state import (
     _shoot_accel,
     _shoot_classify,
     _shoot_start,
-    _tail_fill,
 )
 from radialnls.radial_grid import CrankNicolson, lap_gamma_diagonals
 
@@ -310,12 +309,13 @@ class TestShootOde:
 
     @pytest.mark.parametrize("gamma, n, amplitude, level", [
         (1.0, 4096, 5.894779341479392, 36.9768186623876),
-        (0.0, 2048, 4.337388366953945, 18.897176143482646),
+        (0.0, 2048, 4.337388366953945, 18.897176143571315),
     ])
     def test_pinned_values(self, gamma, n, amplitude, level):
-        # amplitude and level that a bisection of solve_ivp sign tests under
-        # the same stop rule gives (43 bisections at both points); the scalar
-        # loop must reproduce them
+        # the amplitude that a bisection of solve_ivp sign tests under the
+        # same stop rule gives (43 bisections at both points), and the level
+        # of the clipped dense sample at it; the scalar loop must reproduce
+        # them
         res = shoot_ode(EquationParams(gamma=gamma, mu=1.0, omega=1.0), build_grid(n, 32.0))
         assert res.shoot_amplitude == pytest.approx(amplitude, rel=1e-12, abs=0.0)
         assert res.level == pytest.approx(level, rel=1e-12, abs=0.0)
@@ -336,7 +336,7 @@ def _bit_exhaustion_level(params, grid):
     a = 0.5 * (lo + hi)
     steps = []
     _shoot_classify(params, r0, r_end, a, steps)
-    q = _tail_fill(grid, _dense_sample(params, steps, grid.r), a)
+    q = np.maximum(_dense_sample(params, steps, grid.r), 0.0)
     return _residuals(RadialField(grid, q.astype(complex)), params)[0]
 
 
@@ -364,6 +364,33 @@ class TestStopRule:
         for a, sign in bisection:
             assert hi - lo > SHOOT_RTOL * lo and a == 0.5 * (lo + hi)
             lo, hi = (a, hi) if sign > 0 else (lo, a)
+        assert hi - lo <= SHOOT_RTOL * lo
+        assert res.shoot_amplitude == 0.5 * (lo + hi)
+
+    @pytest.mark.parametrize("a_star", [
+        0.5 + 1e-7, 1.0, 5.9, 30.0 - 1e-4, 30.0 + 1e-7, 60.0, 0.49999,
+        0.0625 - 1e-9, 0.0625 + 1e-9, 1e-7, 1e4,
+    ])
+    def test_terminates_within_46_halvings(self, a_star, monkeypatch):
+        """The bracket search leaves 0 < lo < hi <= 60 lo, so the loop ends
+        after at most ceil(log2(59 / SHOOT_RTOL)) = 46 halvings, whatever the
+        separatrix position: a synthetic sign test with its separatrix at
+        a_star, near the bracket ends and the search's steps.  The recording
+        shot runs at amplitude 1, where the profile ODE turns back up, since
+        it only feeds the profile."""
+        tests = []
+
+        def synthetic(params, r0, r_end, a, steps=None):
+            if steps is None:
+                tests.append(a)
+                return +1 if a < a_star else -1
+            return _shoot_classify(params, r0, r_end, 1.0, steps)
+
+        monkeypatch.setattr(ground_state, "_shoot_classify", synthetic)
+        res = shoot_ode(EquationParams(1.0, 1.0, 1.0), build_grid(1024, 32.0))
+        assert 0 < res.iterations <= 46
+        lo = max([a for a in tests if a < a_star])
+        hi = min([a for a in tests if a >= a_star])
         assert hi - lo <= SHOOT_RTOL * lo
         assert res.shoot_amplitude == 0.5 * (lo + hi)
 
@@ -465,8 +492,7 @@ class TestDenseSample:
         its event.  The comparison stops where the profile falls below 1e-6
         of the amplitude: past that the separatrix instability, which grows
         like exp(2 sqrt(omega) r), has amplified the round-off by which the
-        two step sequences differ, and the tail fill discards the sample
-        below 1e-8 of the amplitude anyway."""
+        two step sequences differ."""
         params = EquationParams(*point)
         r0, r_end = grid_default.h / 2.0, grid_default.r_max
         a = shoot_ode(params, grid_default).shoot_amplitude
