@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -469,11 +470,12 @@ def shoot_ode(params: EquationParams, grid: RadialGrid) -> GroundStateResult:
     The bracket search starts from SHOOT_BRACKET.  While the low end crosses
     zero the bracket moves down (to lo/8, lo); while the high end turns back
     up it moves up (to hi, 2 hi); a RuntimeError names the last bracket if
-    the start values leave float range first.  Bisection runs until the
+    the amplitude drops below the smallest normal float or the start values
+    leave float range first.  Bisection runs until the
     bracket width is at most SHOOT_RTOL times its low end, the relative
     tolerance of the sign test, so that no halving fixes digits the
     integrator does not resolve; each sign test is the scalar DOP853 loop of
-    ``_shoot_classify``.  The search leaves 0 < lo < hi <= 60 lo (the start
+    ``_shoot_classify``.  The search leaves a normal lo < hi <= 60 lo (the start
     bracket (0.5, 30), or (lo, 2 lo), or (lo/8, lo)), so the bisection takes
     at most ceil(log2(59 / SHOOT_RTOL)) = 46 halvings.  The same loop runs
     once more at the final amplitude and records its accepted steps; their
@@ -488,10 +490,10 @@ def shoot_ode(params: EquationParams, grid: RadialGrid) -> GroundStateResult:
 
     def sign(a):
         q0, dq0 = _shoot_start(params, r0, a)
-        if not (a > 0.0 and all(map(math.isfinite, (q0, dq0, accel(r0, q0, dq0))))):
+        if not (a >= sys.float_info.min and all(map(math.isfinite, (q0, dq0, accel(r0, q0, dq0))))):
             raise RuntimeError(
-                f"shooting bracket search: the start values at amplitude {a} "
-                f"leave float range; last bracket ({lo}, {hi})"
+                f"shooting bracket search: amplitude {a} or its start values "
+                f"leave the normal float range; last bracket ({lo}, {hi})"
             )
         return _shoot_classify(params, r0, r_end, a)
 

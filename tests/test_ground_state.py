@@ -369,7 +369,7 @@ class TestStopRule:
 
     @pytest.mark.parametrize("a_star", [
         0.5 + 1e-7, 1.0, 5.9, 30.0 - 1e-4, 30.0 + 1e-7, 60.0, 0.49999,
-        0.0625 - 1e-9, 0.0625 + 1e-9, 1e-7, 1e4,
+        0.0625 - 1e-9, 0.0625 + 1e-9, 1e-7, 1e4, 5e-308,
     ])
     def test_terminates_within_46_halvings(self, a_star, monkeypatch):
         """The bracket search leaves 0 < lo < hi <= 60 lo, so the loop ends
@@ -393,6 +393,15 @@ class TestStopRule:
         hi = min([a for a in tests if a >= a_star])
         assert hi - lo <= SHOOT_RTOL * lo
         assert res.shoot_amplitude == 0.5 * (lo + hi)
+
+    def test_subnormal_separatrix_raises(self, monkeypatch):
+        """Below the smallest normal float SHOOT_RTOL * lo underflows and a
+        one-ulp bracket would never meet the stop rule, so the downward
+        search raises before its low end turns subnormal."""
+        monkeypatch.setattr(ground_state, "_shoot_classify",
+                            lambda params, r0, r_end, a, steps=None: +1 if a < 1e-315 else -1)
+        with pytest.raises(RuntimeError, match="normal float range"):
+            shoot_ode(EquationParams(1.0, 1.0, 1.0), build_grid(1024, 32.0))
 
     @pytest.mark.parametrize("point, n", [
         ((1.0, 1.0, 1.0), 4096), ((0.0, 1.0, 1.0), 2048), ((3.9, 1.19, 0.26), 4096),
