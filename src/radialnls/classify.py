@@ -5,7 +5,9 @@ splits the data: nonnegative predicts scattering, negative predicts blow-up,
 and the sign is the same for every admissible scaling pair.  The empirical
 side evolves every datum once, on its own grid with the caller's config, and
 reads the detector outcome off the trace; above the threshold that label is
-recorded, but the theorem predicts nothing to compare it with.
+recorded, but the theorem predicts nothing to compare it with.  The two
+families are c Q and the Gaussians c exp(-(r/w)^2) of ``gaussian``, which
+the command line also uses for single data.
 """
 
 from __future__ import annotations
@@ -13,12 +15,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from . import evolve, functionals
 from .evolve import EvolutionConfig, Outcome
-from .fields import gaussian
 from .functionals import DEFAULT_PAIRS, VIRIAL_PAIR
 from .ground_state import GroundStateResult
-from .radial_grid import EquationParams, RadialField
+from .radial_grid import EquationParams, RadialField, RadialGrid
 
 
 class Predicted(enum.Enum):
@@ -96,6 +99,14 @@ def verify_empirically(
         Outcome.BLOWUP_DETECTED: Empirical.BLOWUP,
     }.get(trace.outcome, Empirical.INCONCLUSIVE)
     return replace(verdict, empirical=empirical)
+
+
+def gaussian(grid: RadialGrid, amplitude: float = 1.0, width: float = 1.0) -> RadialField:
+    """amplitude * exp(-(r/width)^2); the width must be positive and finite."""
+    if not (0.0 < width < np.inf):
+        raise ValueError(f"width must lie in (0, inf), got {width}")
+    vals = amplitude * np.exp(-((grid.r / width) ** 2))
+    return RadialField(grid, vals.astype(complex))
 
 
 @dataclass(frozen=True)

@@ -38,12 +38,12 @@ from . import __version__, functionals
 from .classify import (
     FamilySpec,
     classify as classify_datum,
+    gaussian,
     sweep as sweep_family,
     verify_empirically,
 )
 from .localized_virial import rigidity_probe
 from .evolve import EvolutionConfig, Outcome, run as run_evolution
-from .fields import gaussian
 from .functionals import ScalingPair
 from .ground_state import minimize_quotient, shoot_ode
 from .radial_grid import EquationParams, RadialField, build_grid
@@ -313,7 +313,13 @@ def _cmd_evolve(cfg: RunConfig, outdir: Path, phases: dict):
             snapshot_times=cfg.snapshot_times,
         )
     with _timed(phases, "write"):
-        write_csv(outdir / "trace.csv", *trace.as_rows())
+        write_csv(
+            outdir / "trace.csv",
+            ["t", "mass_drift", "energy_drift", "l4", "grad", "K_gamma", "k_bound_ok"],
+            np.column_stack((trace.times, trace.mass_drift, trace.energy_drift,
+                             trace.l4_norm, trace.grad_norm, trace.virial_K,
+                             trace.k_lower_bound_ok)),
+        )
         snapshots = []
         for i, snap in enumerate(trace.snapshots):
             name = f"snapshot_{i:03d}.csv"

@@ -39,6 +39,7 @@ disabled.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass, field as dataclass_field
 from typing import NamedTuple
 
@@ -123,6 +124,11 @@ class EvolutionConfig:
             raise ValueError(f"dt must be >= min_dt; dt={self.dt}, min_dt={MIN_DT}")
         if not (self.t_end > 0.0):
             raise ValueError("t_end must be positive")
+        if not np.isfinite(self.t_end / self.dt):
+            raise ValueError(
+                f"t_end must span a finite number of steps; t_end/dt = "
+                f"{self.t_end}/{self.dt} overflows"
+            )
         if self.monitor_every < 1:
             raise ValueError("monitor_every must be >= 1")
         if self.absorb and not (0.0 < self.absorb_width <= grid.r_max / 4.0):
@@ -157,21 +163,6 @@ class EvolutionTrace:
     dt_final: float = 0.0
     snapshots: list = dataclass_field(default_factory=list)  # Snapshot records
     snapshots_unreached: list = dataclass_field(default_factory=list)  # sorted times
-
-    def as_rows(self):
-        header = ["t", "mass_drift", "energy_drift", "l4", "grad", "K_gamma", "k_bound_ok"]
-        rows = list(
-            zip(
-                self.times,
-                self.mass_drift,
-                self.energy_drift,
-                self.l4_norm,
-                self.grad_norm,
-                self.virial_K,
-                [int(b) for b in self.k_lower_bound_ok],
-            )
-        )
-        return header, rows
 
 
 def absorbing_profile(grid: RadialGrid, width: float, strength: float) -> np.ndarray:
@@ -364,8 +355,9 @@ def run(
     outcome = None
     while outcome is None and t < cfg.t_end - 1e-14:
         u_save, t_save, rep_save = u, t, rep
-        steps_left = int(np.ceil((cfg.t_end - t) / dt - 1e-9))
-        n_window = min(every, max(steps_left, 1))
+        # kept a float: (t_end - t)/dt overflows once dt has refined far enough
+        steps_left = np.ceil((cfg.t_end - t) / dt - 1e-9)
+        n_window = int(min(every, max(steps_left, 1)))
 
         # local error probe by step doubling at the window start
         try:
@@ -431,15 +423,15 @@ def _decay_detected(trace, cfg, monitor_bound):
     t_now = trace.times[-1]
     if t_now < cfg.decay_window:
         return False
-    start = t_now - cfg.decay_window
-    idx = [i for i, tt in enumerate(trace.times) if tt >= start - 1e-12]
-    if len(idx) < 5:
+    # tick times strictly increase, so the window is a suffix of the trace
+    i0 = bisect_left(trace.times, t_now - cfg.decay_window - 1e-12)
+    if len(trace.times) - i0 < 5:
         return False
-    if not all(trace.virial_K[i] > 0.0 for i in idx):
+    if not all(k > 0.0 for k in trace.virial_K[i0:]):
         return False
-    if monitor_bound and not all(trace.k_lower_bound_ok[i] for i in idx):
+    if monitor_bound and not all(trace.k_lower_bound_ok[i0:]):
         return False
-    l4 = [trace.l4_norm[i] for i in idx]
+    l4 = trace.l4_norm[i0:]
     running_min = l4[0]
     for v in l4[1:]:
         if v > DECAY_RIPPLE * running_min:

@@ -113,10 +113,10 @@ def _require_resolved_core(params, grid):
 
 
 def _quotient_parts(grid, u, params):
-    """(||u||^2_{H^1_{omega,gamma}}, ||u||_4^4), the quotient's numerator and
-    denominator parts, from one functional report."""
+    """(||u||^2_{H^1_{omega,gamma}}, ||u||_4^4, ||u||_2^2): the quotient's
+    numerator and denominator parts and the mass, from one functional report."""
     rep = functionals.report(RadialField(grid, u), params)
-    return rep.h1_omega_gamma_sq, rep.quartic
+    return rep.h1_omega_gamma_sq, rep.quartic, rep.mass
 
 
 def _residuals(profile, params):
@@ -125,28 +125,29 @@ def _residuals(profile, params):
     return rep.action, {p: rep.k(p, params) for p in RESIDUAL_PAIRS}
 
 
-def _residual_norm(grid, u, params):
-    """Weighted L^2 norm of -omega Q + Delta_gamma Q + Q^3 (real input)."""
+def _residual(grid, u, params):
+    """The residual -omega u + Delta_gamma u + u^3 of the stationary equation
+    (real input) and its weighted L^2 norm."""
     lap = lap_gamma_diagonals(grid, params.gamma, params.mu)
     residual = -params.omega * u + lap.apply(u) + u**3
-    return float(np.sqrt(np.dot(grid.weights, residual**2)))
+    return residual, float(np.sqrt(np.dot(grid.weights, residual**2)))
 
 
 def _newton_polish(grid, u, params):
     """Newton iteration on the stationary equation; tridiagonal Jacobian.
 
-    Returns the refined profile, keeping the input if a step degrades the
-    residual or breaks positivity of the core.
+    Each step solves the residual's Jacobian Delta_gamma - omega + 3 q^2
+    against the residual of q, which was computed when q was accepted.
+    Returns the refined profile and its residual norm, keeping the input if
+    a step degrades the residual or breaks positivity of the core.
     """
-    lap = lap_gamma_diagonals(grid, params.gamma, params.mu)
-    lower, diag, upper = lap
-    best, best_res = u, _residual_norm(grid, u, params)
-    q = u
+    lower, diag, upper = lap_gamma_diagonals(grid, params.gamma, params.mu)
+    residual, best_res = _residual(grid, u, params)
+    best = q = u
     for _ in range(NEWTON_STEPS):
-        F = params.omega * q - lap.apply(q) - q**3
-        jacobian = Tridiagonal(-lower, params.omega - diag - 3.0 * q**2, -upper)
+        jacobian = Tridiagonal(lower, diag - params.omega + 3.0 * q**2, upper)
         try:
-            dq = jacobian.factor().solve(F)
+            dq = jacobian.factor().solve(residual)
         except np.linalg.LinAlgError:
             break
         q_new = q - dq
@@ -154,7 +155,7 @@ def _newton_polish(grid, u, params):
             break
         # far-field round-off may cross zero at ~1e-17 amplitude; fold it back
         q_new = np.abs(q_new)
-        r_new = _residual_norm(grid, q_new, params)
+        residual, r_new = _residual(grid, q_new, params)
         if r_new < best_res:
             best, best_res = q_new, r_new
         if r_new >= best_res and q is not u:
@@ -175,12 +176,12 @@ def minimize_quotient(params: EquationParams, grid: RadialGrid) -> GroundStateRe
     r = grid.r
     u = np.exp(-(r**2))
 
-    A, B = _quotient_parts(grid, u, params)
+    A, B, _ = _quotient_parts(grid, u, params)
     if B <= 0.0 or A <= 0.0:
         raise RuntimeError("initial iterate degenerate; cannot start descent")
     u = u * np.sqrt(A / B)
-    # A, B always hold the parts of the current iterate u
-    A, B = _quotient_parts(grid, u, params)
+    # A, B, M always hold the parts and the mass of the current iterate u
+    A, B, M = _quotient_parts(grid, u, params)
     J = A**2 / (4.0 * B)
     grad_rel = np.inf
     iterations = 0
@@ -194,7 +195,7 @@ def minimize_quotient(params: EquationParams, grid: RadialGrid) -> GroundStateRe
             )
         # Sobolev gradient of J: (A/B) u - (A/B)^2 H^{-1}(u^3)
         g = (A / B) * u - (A / B) ** 2 * solve_helmholtz(grid, u**3, params)
-        grad_rel = float(np.sqrt(integrate(grid, g**2)) / np.sqrt(integrate(grid, u**2)))
+        grad_rel = float(np.sqrt(integrate(grid, g**2)) / np.sqrt(M))
         if grad_rel < GRAD_TOL:
             converged = True
             break
@@ -202,7 +203,7 @@ def minimize_quotient(params: EquationParams, grid: RadialGrid) -> GroundStateRe
         accepted = False
         for _ in range(40):
             v = np.abs(u - step * g)
-            Av, Bv = _quotient_parts(grid, v, params)
+            Av, Bv, _ = _quotient_parts(grid, v, params)
             if Bv > 0.0:
                 Jv = Av**2 / (4.0 * Bv)
                 if Jv < J:
@@ -214,7 +215,7 @@ def minimize_quotient(params: EquationParams, grid: RadialGrid) -> GroundStateRe
             # line search exhausted: J is at its round-off floor
             converged = True
             break
-        A, B = _quotient_parts(grid, u, params)
+        A, B, M = _quotient_parts(grid, u, params)
         J_new = A**2 / (4.0 * B)
         if abs(J - J_new) <= J_REL_TOL * abs(J):
             J = J_new
@@ -522,7 +523,7 @@ def shoot_ode(params: EquationParams, grid: RadialGrid) -> GroundStateResult:
     return GroundStateResult(
         profile=profile,
         level=level,
-        ode_residual=_residual_norm(grid, q, params),
+        ode_residual=_residual(grid, q, params)[1],
         k_residuals=k_res,
         iterations=iterations,
         converged=True,

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -284,9 +285,11 @@ def rigidity_probe(
     sides for the second difference.
     """
     grid = u0.grid
-    if not (np.isfinite(T) and T >= cfg.dt):
+    # a dt <= 0 is left for validate to name
+    if not (np.isfinite(T) and T >= cfg.dt and (cfg.dt <= 0.0 or np.isfinite(T / cfg.dt))):
         raise ValueError(
-            f"probe horizon T must be finite and at least dt; got T={T}, dt={cfg.dt}"
+            f"probe horizon T must be finite, at least dt and a finite number of "
+            f"steps; got T={T}, dt={cfg.dt}"
         )
     # the identity holds for the conservative flow only, so absorb stays off
     EvolutionConfig(
@@ -310,27 +313,26 @@ def rigidity_probe(
     C = remainder_bound_constant(params)
     stepper = _Stepper(grid, params, cfg.dt, cfg.splitting_order, None)
 
-    tick_steps = list(range(cfg.monitor_every, n_steps + 1, cfg.monitor_every))
-    if tick_steps[-1:] != [n_steps]:
-        tick_steps.append(n_steps)
-    tick_set = set(tick_steps)
-    # I is read at each tick and at the steps on either side of it (for the
-    # second difference); between those marks the flow runs as one call
-    marks = sorted(
-        {m for k in tick_steps for m in (k - 1, k, k + 1) if 0 <= m <= n_steps}
-    )
-    I_at = {}  # step index -> I at that mark
-    ticks = {}  # step index -> the quantities recorded at that monitor tick
+    every = cfg.monitor_every
+    I_at = {}  # step index -> I at that step
+    ticks = {}  # tick step -> the quantities recorded at that monitor tick
     u = u0.values.astype(complex)
     k_prev = 0
     try:
-        for k in marks:
-            if k > k_prev:
-                u = stepper.step(u, k - k_prev)
-                k_prev = k
-            f = RadialField(grid, u)
-            I_at[k] = I_value(f, cutoff)
-            if k in tick_set:
+        # the ticks are the multiples of monitor_every and the last step; I is
+        # read at each tick and at the steps on either side of it (for the
+        # second difference), in step order, and between those reads the flow
+        # runs as one call
+        for tick in chain(range(every, n_steps, every), (n_steps,)):
+            for k in range(tick - 1, min(tick + 1, n_steps) + 1):
+                if k not in I_at:  # else read for the tick before, and u is at k
+                    if k > k_prev:
+                        u = stepper.step(u, k - k_prev)
+                        k_prev = k
+                    I_at[k] = I_value(RadialField(grid, u), cutoff)
+                if k != tick:
+                    continue
+                f = RadialField(grid, u)
                 du = node_gradient(grid, u)
                 d2 = I_double_prime(f, cutoff, params, du)
                 ticks[k] = {
@@ -349,6 +351,7 @@ def rigidity_probe(
             "not satisfy the convexity hypotheses numerically"
         ) from exc
 
+    tick_steps = list(ticks)
     terms = {key: [row[key] for row in ticks.values()] for key in ticks[tick_steps[0]]}
     ipp = np.array(terms["Ipp"])
     ipp_dec = np.array(terms["Ipp_decomposed"])

@@ -22,8 +22,7 @@ from radialnls import (
     sweep,
     verify_empirically,
 )
-from radialnls.classify import SWEEP_HEADER, family_fields
-from radialnls.fields import gaussian
+from radialnls.classify import SWEEP_HEADER, family_fields, gaussian
 from radialnls.functionals import VIRIAL_PAIR
 
 from helpers import embed_field

@@ -86,6 +86,7 @@ class TestParseConfig:
         ("evolve", "dt = 1e-300"),
         ("classify", "amplitude = nan"),
         ("sweep", "amplitudes = 0.5, inf"),
+        ("evolve", "t_end = 1e308"),
     ])
     def test_file_value_rejected_with_its_line(self, tmp_path, command, line):
         key = line.split()[0]
@@ -226,6 +227,22 @@ class TestUsageErrors:
         assert "validation error: probe horizon" in capsys.readouterr().err
         assert not out.exists()
 
+    # each horizon is more steps than a float can count
+    @pytest.mark.parametrize("argv", [
+        ["evolve", "--t-end", "1e308"],
+        ["classify", "--verify", "--t-end", "1e308"],
+        ["virial-check", "--t-probe", "1e308"],
+    ], ids=lambda argv: argv[0])
+    def test_horizon_beyond_float_steps_exits_one(self, tmp_path, capsys, argv):
+        out = tmp_path / "run" / "deep"
+        rc = main([*argv, "--n", "512", "--r-max", "16", "--dt", "1e-11",
+                   "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
 
 _COMMON_FLAGS = ["--config", "--gamma", "--mu", "--omega", "--n", "--r-max", "--out"]
 _EVOLUTION_FLAGS = [
@@ -310,6 +327,17 @@ class TestWriteCsv:
         bulk = (tmp_path / "bulk.csv").read_bytes()
         assert bulk == (tmp_path / "rows.csv").read_bytes()
         assert bulk.count(b"\n") == 201
+
+    def test_flag_column_prints_as_integers(self, tmp_path):
+        # trace.csv's k_bound_ok column: bools stacked with floats print as
+        # the 1 and 0 of int(flag)
+        times, flags = [0.0, 0.25, 1e-300], [True, False, True]
+        write_csv(tmp_path / "bulk.csv", ["t", "ok"], np.column_stack((times, flags)))
+        write_csv(tmp_path / "rows.csv", ["t", "ok"],
+                  [(t, int(b)) for t, b in zip(times, flags)])
+        bulk = (tmp_path / "bulk.csv").read_text()
+        assert bulk == (tmp_path / "rows.csv").read_text()
+        assert bulk.splitlines()[1:] == ["0,1", "0.25,0", "1e-300,1"]
 
     def test_empty_array_writes_the_header(self, tmp_path):
         write_csv(tmp_path / "e.csv", ["r", "Q"], np.empty((0, 2)))

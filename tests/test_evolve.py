@@ -18,11 +18,11 @@ from radialnls import (
 )
 from radialnls import evolve, functionals
 from radialnls.evolve import (
-    _SMALL_ANGLE, _W0, _W1, FlowBlowup, Snapshot, _k_bound_ok, _rotate, _Stepper,
-    absorbing_profile,
+    _SMALL_ANGLE, _W0, _W1, DECAY_NET_DROP, DECAY_RIPPLE, EvolutionTrace, FlowBlowup,
+    Snapshot, _decay_detected, _k_bound_ok, _rotate, _Stepper, absorbing_profile,
 )
 from radialnls.radial_grid import CrankNicolson, lap_gamma_diagonals
-from radialnls.fields import gaussian
+from radialnls.classify import gaussian
 from radialnls.functionals import VIRIAL_PAIR
 
 from helpers import embed_field, random_smooth_field
@@ -302,6 +302,14 @@ class TestValidation:
             EvolutionConfig(dt=1e-5, t_end=1.0).validate(grid)
         EvolutionConfig(dt=1e-4, t_end=1.0).validate(grid)
 
+    def test_horizon_beyond_float_steps_rejected(self):
+        # t_end/dt steps overflow to inf: the message names t_end, so a
+        # config file line can be cited
+        grid = build_grid(512, 16.0)
+        with pytest.raises(ValueError, match=r"^t_end must span a finite number of steps"):
+            EvolutionConfig(dt=1e-11, t_end=1e308).validate(grid)
+        EvolutionConfig(dt=1e-3, t_end=1e300).validate(grid)
+
 
 class TestAbsorbingLayer:
     def test_mass_nonincreasing(self, params, rng):
@@ -369,6 +377,15 @@ class TestDetectors:
         cfg = EvolutionConfig(dt=1e-3, t_end=1.0, decay_window=np.inf)
         trace = run(f, cfg, params)
         assert trace.outcome is Outcome.ABORTED
+
+    def test_refined_dt_past_float_steps_aborts(self, params, monkeypatch):
+        # t_end/dt is finite at the first dt and overflows after about 18
+        # halvings, well before dt reaches MIN_DT
+        _set_constants(monkeypatch, dict(LOCAL_ERROR_TOL=1e-30))
+        u0 = gaussian(build_grid(512, 16.0), 0.3, 1.0)
+        trace = run(u0, EvolutionConfig(dt=1e-3, t_end=1e300), params)
+        assert trace.outcome is Outcome.ABORTED
+        assert trace.dt_final < evolve.MIN_DT
 
     def test_snapshots_recorded(self, ground_small_state, params):
         grid = ground_small_state.profile.grid
@@ -550,3 +567,125 @@ class TestRefinementPath:
         assert trace.outcome is Outcome.BLOWUP_DETECTED
         assert trace.times[-1] == trace.final_time == ref.final_time
         assert np.array_equal(trace.final_state.values, ref.final_state.values)
+
+
+def _decay_detected_full_scan(trace, cfg, monitor_bound):
+    """Reference decay test: the window found by scanning every tick."""
+    t_now = trace.times[-1]
+    if t_now < cfg.decay_window:
+        return False
+    start = t_now - cfg.decay_window
+    idx = [i for i, tt in enumerate(trace.times) if tt >= start - 1e-12]
+    if len(idx) < 5:
+        return False
+    if not all(trace.virial_K[i] > 0.0 for i in idx):
+        return False
+    if monitor_bound and not all(trace.k_lower_bound_ok[i] for i in idx):
+        return False
+    l4 = [trace.l4_norm[i] for i in idx]
+    running_min = l4[0]
+    for v in l4[1:]:
+        if v > DECAY_RIPPLE * running_min:
+            return False
+        running_min = min(running_min, v)
+    return l4[-1] <= DECAY_NET_DROP * l4[0]
+
+
+#: L^4 ratios between ticks, mostly drops, with rises on either side of the
+#: ripple bound
+_L4_FACTORS = (0.9, 0.97, 0.97, 0.99, 0.99, 1.0, 1.04, DECAY_RIPPLE, 1.06, 1.2)
+
+
+@st.composite
+def _decay_cases(draw):
+    """(trace, cfg, monitor_bound) with strictly increasing tick times.
+
+    The window is drawn to span 4-6 ticks or freely; in "boundary" mode one
+    tick sits exactly at t_now - decay_window - 1e-12, the edge of the
+    window's slack."""
+    steps = draw(st.lists(st.floats(1e-3, 1.0), min_size=0, max_size=40))
+    times = [0.0]
+    for dt in steps:
+        times.append(times[-1] + dt)
+    mode = draw(st.sampled_from(["span", "boundary", "free"]))
+    span = draw(st.integers(4, 6))
+    if mode == "free" or len(times) < span:
+        window = draw(st.one_of(st.floats(1e-3, 45.0), st.just(np.inf)))
+    else:
+        window = times[-1] - times[-span]
+        edge = times[-1] - window - 1e-12
+        if mode == "boundary" and edge >= 0.0 and edge not in times:
+            times = sorted(times + [edge])
+    n = len(times)
+    flags = st.sampled_from([True] * 15 + [False])
+    trace = EvolutionTrace(
+        times=times,
+        virial_K=draw(st.lists(st.sampled_from([1.0] * 15 + [0.0, -1.0]),
+                               min_size=n, max_size=n)),
+        k_lower_bound_ok=draw(st.lists(flags, min_size=n, max_size=n)),
+    )
+    l4 = [1.0]
+    for factor in draw(st.lists(st.sampled_from(_L4_FACTORS), min_size=n - 1,
+                                max_size=n - 1)):
+        l4.append(l4[-1] * factor)
+    trace.l4_norm = l4
+    return trace, EvolutionConfig(decay_window=window), draw(st.booleans())
+
+
+class _WindowReads(list):
+    """A list that records the positions read and refuses a full scan."""
+
+    def __init__(self, values, reads):
+        super().__init__(values)
+        self.reads = reads
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            self.reads.extend(range(*key.indices(len(self))))
+        else:
+            self.reads.append(key)
+        return super().__getitem__(key)
+
+    def __iter__(self):
+        raise AssertionError("the decay test scanned a whole trace list")
+
+
+class TestDecayWindow:
+    @settings(max_examples=400, deadline=None)
+    @given(case=_decay_cases())
+    def test_matches_full_scan(self, case):
+        trace, cfg, monitor_bound = case
+        assert _decay_detected(trace, cfg, monitor_bound) == _decay_detected_full_scan(
+            trace, cfg, monitor_bound)
+
+    def test_window_boundary_tick_counts(self):
+        # five ticks from t = 1 - 1e-12, exactly on the slack's edge, to t = 3:
+        # the first counts, so the window is full and shows decay
+        times = [0.0, 1.0 - 1e-12, 1.5, 2.0, 2.5, 3.0]
+        trace = EvolutionTrace(times=times, virial_K=[-1.0] + [1.0] * 5,
+                               k_lower_bound_ok=[False] + [True] * 5,
+                               l4_norm=[5.0, 1.0, 0.99, 0.98, 0.97, 0.96])
+        cfg = EvolutionConfig(decay_window=2.0)
+        assert _decay_detected(trace, cfg, True)
+        assert _decay_detected_full_scan(trace, cfg, True)
+
+    @pytest.mark.parametrize("ticks", [10**3, 10**5])
+    def test_reads_only_its_window(self, ticks):
+        # a flat L^4 norm: the test reads the whole window and says no, and
+        # reads a bisection's worth of times besides
+        reads = {name: [] for name in ("times", "virial_K", "k_lower_bound_ok",
+                                       "l4_norm")}
+        every = 0.05
+        trace = EvolutionTrace(
+            times=_WindowReads([k * every for k in range(ticks)], reads["times"]),
+            virial_K=_WindowReads([1.0] * ticks, reads["virial_K"]),
+            k_lower_bound_ok=_WindowReads([True] * ticks, reads["k_lower_bound_ok"]),
+            l4_norm=_WindowReads([1.0] * ticks, reads["l4_norm"]),
+        )
+        assert not _decay_detected(trace, EvolutionConfig(decay_window=2.0), True)
+        window = int(2.0 / every) + 1
+        for name, positions in reads.items():
+            assert all(p >= ticks - window - 1 for p in positions
+                       if name != "times"), name
+        assert len(reads["times"]) <= 2 + ticks.bit_length()
+

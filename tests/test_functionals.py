@@ -12,7 +12,7 @@ from radialnls import (
     gradient_norm_sq,
     report,
 )
-from radialnls.fields import gaussian
+from radialnls.classify import gaussian
 from radialnls.functionals import DEFAULT_PAIRS, NEHARI_PAIR, VIRIAL_PAIR
 
 from helpers import fd_check_k, radial_sobolev_ratio, random_smooth_field

@@ -24,7 +24,7 @@ from radialnls import (
     shoot_ode,
 )
 from radialnls.evolve import _Stepper, run
-from radialnls.fields import gaussian
+from radialnls.classify import gaussian
 from radialnls.functionals import NEHARI_PAIR
 from radialnls.ground_state import (
     MAX_CORE_SPACING,
@@ -32,12 +32,16 @@ from radialnls.ground_state import (
     SHOOT_BRACKET,
     SHOOT_RTOL,
     _dense_sample,
+    _newton_polish,
+    _quotient_parts,
     _residuals,
     _shoot_accel,
     _shoot_classify,
     _shoot_start,
 )
-from radialnls.radial_grid import CrankNicolson, lap_gamma_diagonals
+from radialnls.radial_grid import (
+    CrankNicolson, Tridiagonal, integrate, lap_gamma_diagonals,
+)
 
 from helpers import random_smooth_field
 
@@ -239,6 +243,64 @@ class TestMinimizeQuotient:
             assert s >= ground_default.level * (1.0 - 1e-3)
             count += 1
         assert count >= 15
+
+
+def _two_residual_polish(grid, u, params):
+    """Reference Newton polish: each step evaluates the residual once as the
+    right-hand side and once more to accept the new iterate."""
+    lap = lap_gamma_diagonals(grid, params.gamma, params.mu)
+    lower, diag, upper = lap
+
+    def residual_norm(v):
+        res = -params.omega * v + lap.apply(v) + v**3
+        return float(np.sqrt(np.dot(grid.weights, res**2)))
+
+    best, best_res = u, residual_norm(u)
+    q = u
+    steps = 0
+    for _ in range(ground_state.NEWTON_STEPS):
+        F = params.omega * q - lap.apply(q) - q**3
+        jacobian = Tridiagonal(-lower, params.omega - diag - 3.0 * q**2, -upper)
+        try:
+            dq = jacobian.factor().solve(F)
+        except np.linalg.LinAlgError:
+            break
+        q_new = q - dq
+        if not np.all(np.isfinite(q_new)) or q_new.max() <= 0.0:
+            break
+        q_new = np.abs(q_new)
+        r_new = residual_norm(q_new)
+        steps += 1
+        if r_new < best_res:
+            best, best_res = q_new, r_new
+        if r_new >= best_res and q is not u:
+            break
+        q = q_new
+    return best, best_res, steps
+
+
+class TestNewtonPolish:
+    @pytest.mark.parametrize("gamma,mu,omega", [
+        (1.0, 1.0, 1.0), (3.2, 0.4, 2.5), (0.7, 1.15, 0.3)])
+    def test_equals_two_residual_reference(self, gamma, mu, omega):
+        # the residual that accepts an iterate is the next step's right-hand
+        # side, and the negated system gives the same step to the last bit
+        params = EquationParams(gamma=gamma, mu=mu, omega=omega)
+        grid = build_grid(1024, 16.0)
+        q = minimize_quotient(params, grid).profile.values.real
+        u = q * (1.0 + 1e-3 * np.exp(-grid.r**2))
+        want, want_res, steps = _two_residual_polish(grid, u, params)
+        got, got_res = _newton_polish(grid, u, params)
+        assert steps >= 2
+        assert want is not u
+        assert np.array_equal(got, want)
+        assert got_res == want_res
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_quotient_mass_is_the_integral(self, grid_small, params_default, seed):
+        # the descent reads its relative gradient off this mass
+        u = np.abs(random_smooth_field(grid_small, np.random.default_rng(seed)).values.real)
+        assert _quotient_parts(grid_small, u, params_default)[2] == integrate(grid_small, u**2)
 
 
 class TestShootOde:

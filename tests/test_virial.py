@@ -18,7 +18,7 @@ from radialnls import (
 )
 from radialnls import localized_virial
 from radialnls.evolve import _Stepper
-from radialnls.fields import gaussian
+from radialnls.classify import gaussian
 from radialnls.functionals import report
 from radialnls.radial_grid import node_gradient
 from radialnls.localized_virial import (
@@ -338,6 +338,51 @@ class TestRigidityProbe:
         cfg = EvolutionConfig(dt=5e-4, t_end=1.0, monitor_every=every)
         with pytest.raises(ValueError, match="^probe horizon T"):
             rigidity_probe(u0, params, ground32.level, T, cfg)
+
+    def test_horizon_beyond_float_steps_rejected(self, ground32, params):
+        # T/dt overflows to inf; a dt of 0 is still named as dt
+        u0 = RadialField(ground32.profile.grid, 0.9 * ground32.profile.values)
+        with pytest.raises(ValueError, match="^probe horizon T"):
+            rigidity_probe(u0, params, ground32.level, 1e308, EvolutionConfig(dt=5e-4))
+        with pytest.raises(ValueError, match="^dt must lie"):
+            rigidity_probe(u0, params, ground32.level, 1.0, EvolutionConfig(dt=0.0))
+
+    def test_long_horizon_reaches_its_first_step(self, ground32, params, monkeypatch):
+        # 1e303 steps: the ticks are walked in step order, not listed first
+        class FirstStep(Exception):
+            pass
+
+        def step(self, u, n=1):
+            raise FirstStep(n)
+
+        monkeypatch.setattr(_Stepper, "step", step)
+        u0 = RadialField(ground32.profile.grid, 0.9 * ground32.profile.values)
+        cfg = EvolutionConfig(dt=1e-3, monitor_every=20)
+        with pytest.raises(FirstStep) as exc:
+            rigidity_probe(u0, params, ground32.level, 1e300, cfg)
+        assert exc.value.args == (19,)
+
+    @pytest.mark.parametrize("every", [1, 2, 3, 7, 20])
+    def test_step_calls_run_between_marks(self, ground32, params, monkeypatch, every):
+        # I is read at every tick and the steps beside it; the flow runs as
+        # one call from each such step to the next
+        grid = ground32.profile.grid
+        u0 = RadialField(grid, 0.9 * ground32.profile.values)
+        cfg = EvolutionConfig(dt=5e-4, monitor_every=every)
+        n_steps = 47
+        calls = []
+        original = _Stepper.step
+
+        def step(self, u, n=1):
+            calls.append(n)
+            return original(self, u, n)
+
+        monkeypatch.setattr(_Stepper, "step", step)
+        rep = rigidity_probe(u0, params, ground32.level, n_steps * cfg.dt, cfg)
+        ticks = sorted({*range(every, n_steps + 1, every), n_steps})
+        marks = sorted({m for k in ticks for m in (k - 1, k, k + 1) if 0 <= m <= n_steps})
+        assert calls == [b - a for a, b in zip([0] + marks, marks) if b > a]
+        assert rep.times == [k * cfg.dt for k in ticks]
 
     def test_convexity_for_scattering_datum(self, ground32, params):
         grid = ground32.profile.grid
