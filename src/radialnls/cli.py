@@ -14,8 +14,8 @@ Every command writes its results plus a manifest into the output
 directory.  This module is the only one that knows how results look from
 outside: JSON files are written from the result dataclasses by the one rule
 in ``_json_ready``.
-Data files carry no timestamps and floats are printed at 17 significant
-digits, so identical configs give byte-identical outputs.
+Data files carry no timestamps; CSV floats have 17 significant digits and JSON
+floats the shortest form that round-trips, so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -209,7 +209,7 @@ def _json_key(key) -> str:
 
 def _json_ready(obj):
     """The one JSON rule: dataclasses by their fields, ScalingPair keys as
-    "(alpha,beta)", enums by value, floats at 17 significant digits."""
+    "(alpha,beta)", enums by value, floats in their shortest round-trip form."""
     if isinstance(obj, dict):
         return {_json_key(k): _json_ready(v) for k, v in obj.items()}
     if is_dataclass(obj) and not isinstance(obj, type):
@@ -221,7 +221,7 @@ def _json_ready(obj):
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        return float("%.17g" % float(obj))
+        return float(obj)
     if isinstance(obj, np.ndarray):
         return [_json_ready(v) for v in obj.tolist()]
     if isinstance(obj, enum.Enum):
@@ -243,9 +243,19 @@ def _timed(phases: dict, name: str):
     phases[name] = phases.get(name, 0.0) + time.perf_counter() - t0
 
 
+def _unconverged(res) -> str:
+    """The message of a descent that ran out of iterations."""
+    return (f"ground state did not converge in {res.iterations} descent "
+            f"iterations (grad_norm = {res.grad_norm:.3g})")
+
+
 def _ground(cfg: RunConfig, phases: dict):
+    """The converged ground state; a RuntimeError (exit 2) otherwise."""
     with _timed(phases, "descent"):
-        return minimize_quotient(cfg.params(), cfg.grid())
+        res = minimize_quotient(cfg.params(), cfg.grid())
+    if not res.converged:
+        raise RuntimeError(_unconverged(res))
+    return res
 
 
 def _datum(cfg: RunConfig, phases: dict):
@@ -257,7 +267,8 @@ def _datum(cfg: RunConfig, phases: dict):
 
 
 def _cmd_ground_state(cfg: RunConfig, outdir: Path, phases: dict):
-    res = _ground(cfg, phases)
+    with _timed(phases, "descent"):
+        res = minimize_quotient(cfg.params(), cfg.grid())
     grid = res.profile.grid
     with _timed(phases, "write"):
         write_csv(
@@ -275,6 +286,8 @@ def _cmd_ground_state(cfg: RunConfig, outdir: Path, phases: dict):
         "grad_norm": res.grad_norm,
     }
     rc = 0 if res.converged else 2
+    if not res.converged:
+        print(f"numerical failure: {_unconverged(res)}", file=sys.stderr)
     if cfg.with_oracle:
         with _timed(phases, "oracle"):
             oracle = shoot_ode(cfg.params(), grid)

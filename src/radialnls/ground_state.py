@@ -2,14 +2,23 @@
 
 Primary route: minimize the scale-invariant quotient
 
-    J(f) = ||f||_{H^1_{omega,gamma}}^4 / (4 ||f||_{L^4}^4),
+    J(f) = ||f||_H^4 / (4 ||f||_4^4),   H = omega - Delta_gamma,
 
-which equals the action at the Nehari rescaling of f, by gradient descent in
-the (omega - Delta_gamma)^{-1} metric with backtracking, modulus projection,
-and Nehari renormalization, followed by a few Newton steps on the stationary
-equation to drive the pointwise residual to round-off.  The standing-wave
-experiments need that last refinement: the profile instability amplifies any
-stationarity defect exponentially in time.
+which equals the action at the Nehari rescaling of f.  With A = ||u||_H^2 and
+B = ||u||_4^4, each descent iteration takes the full Sobolev-gradient step
+u - g, g = (A/B) u - (A/B)^2 H^{-1}(u^3), and rescales its modulus onto the
+Nehari set A = B.  That step never raises J.  At A = B it is |w| with
+w = H^{-1}(u^3), and in the quadrature inner product, where H is self-adjoint
+and positive definite,
+
+    B = <Hw, u> <= ||w||_H sqrt(A)   and   ||w||_H^2 = <u^3, w> <= B^{3/4} ||w||_4
+
+(Cauchy-Schwarz in H, then Hoelder), so J(w) <= B^3 / (4 ||w||_H^4)
+<= A^2 / (4 B) = J(u), with equality only at a critical point; |w| keeps
+||w||_4 and does not raise ||w||_H.  So a step that does not lower J ends the
+descent, converged at J's round-off floor.  At most two Newton steps take the
+stationary equation's residual to round-off, as the standing-wave experiments
+need: the profile instability amplifies any stationarity defect exponentially.
 
 Oracle route: bisection shooting on the amplitude of the radial profile ODE
 
@@ -68,12 +77,12 @@ from .radial_grid import (
 RESIDUAL_PAIRS = tuple(DEFAULT_PAIRS[:4])
 
 #: descent stops after MAX_ITER iterations, at a relative quotient change of
-#: J_REL_TOL, or at a relative Sobolev gradient of GRAD_TOL; NEWTON_STEPS
-#: Newton steps then polish the profile
+#: J_REL_TOL, at a relative Sobolev gradient of GRAD_TOL, or when its full
+#: step does not lower J; NEWTON_STEPS Newton steps then polish the profile
 MAX_ITER = 2000
 J_REL_TOL = 1e-12
 GRAD_TOL = 1e-10
-NEWTON_STEPS = 6
+NEWTON_STEPS = 2
 
 #: DOP853 tolerances of the shooting integration and the amplitude bracket
 #: the search starts from
@@ -138,8 +147,9 @@ def _newton_polish(grid, u, params):
 
     Each step solves the residual's Jacobian Delta_gamma - omega + 3 q^2
     against the residual of q, which was computed when q was accepted.
-    Returns the refined profile and its residual norm, keeping the input if
-    a step degrades the residual or breaks positivity of the core.
+    Returns the iterate of least residual norm among the input and the
+    NEWTON_STEPS steps, and that norm; a singular Jacobian or a step that
+    breaks positivity of the core ends the iteration.
     """
     lower, diag, upper = lap_gamma_diagonals(grid, params.gamma, params.mu)
     residual, best_res = _residual(grid, u, params)
@@ -158,24 +168,20 @@ def _newton_polish(grid, u, params):
         residual, r_new = _residual(grid, q_new, params)
         if r_new < best_res:
             best, best_res = q_new, r_new
-        if r_new >= best_res and q is not u:
-            break
         q = q_new
     return best, best_res
 
 
 def minimize_quotient(params: EquationParams, grid: RadialGrid) -> GroundStateResult:
-    """Compute the ground state by Nehari-quotient descent.
+    """Compute the ground state by Nehari-quotient descent (module docstring).
 
-    The iterate stays real and positive (modulus projection never increases
-    the quotient) and is renormalized to the Nehari set each step, so the
-    reported level is the action at the minimizer.  A grid with
+    The iterate stays real and positive and is renormalized to the Nehari set
+    each step, so the reported level is the action at the minimizer;
+    ``converged`` is False when MAX_ITER iterations ran out.  A grid with
     h sqrt(omega) > MAX_CORE_SPACING is rejected with a ValueError.
     """
     _require_resolved_core(params, grid)
-    r = grid.r
-    u = np.exp(-(r**2))
-
+    u = np.exp(-(grid.r**2))
     A, B, _ = _quotient_parts(grid, u, params)
     if B <= 0.0 or A <= 0.0:
         raise RuntimeError("initial iterate degenerate; cannot start descent")
@@ -183,45 +189,26 @@ def minimize_quotient(params: EquationParams, grid: RadialGrid) -> GroundStateRe
     # A, B, M always hold the parts and the mass of the current iterate u
     A, B, M = _quotient_parts(grid, u, params)
     J = A**2 / (4.0 * B)
-    grad_rel = np.inf
-    iterations = 0
-    converged = False
-    for it in range(MAX_ITER):
-        iterations = it + 1
+    converged = True
+    for iterations in range(1, MAX_ITER + 1):
         if B < 1e-280 or A < 1e-280:
-            raise RuntimeError(
-                "iterate collapsed to the zero field; reduce the descent step "
-                "or start from a wider profile"
-            )
+            raise RuntimeError("iterate collapsed to the zero field")
         # Sobolev gradient of J: (A/B) u - (A/B)^2 H^{-1}(u^3)
         g = (A / B) * u - (A / B) ** 2 * solve_helmholtz(grid, u**3, params)
         grad_rel = float(np.sqrt(integrate(grid, g**2)) / np.sqrt(M))
         if grad_rel < GRAD_TOL:
-            converged = True
             break
-        step = 1.0
-        accepted = False
-        for _ in range(40):
-            v = np.abs(u - step * g)
-            Av, Bv, _ = _quotient_parts(grid, v, params)
-            if Bv > 0.0:
-                Jv = Av**2 / (4.0 * Bv)
-                if Jv < J:
-                    u = v * np.sqrt(Av / Bv)
-                    accepted = True
-                    break
-            step *= 0.5
-        if not accepted:
-            # line search exhausted: J is at its round-off floor
-            converged = True
-            break
+        v = np.abs(u - g)
+        Av, Bv, _ = _quotient_parts(grid, v, params)
+        if not (Bv > 0.0 and Av**2 / (4.0 * Bv) < J):
+            break  # only a critical point stops the full step: J is at its round-off floor
+        u = v * np.sqrt(Av / Bv)
         A, B, M = _quotient_parts(grid, u, params)
-        J_new = A**2 / (4.0 * B)
-        if abs(J - J_new) <= J_REL_TOL * abs(J):
-            J = J_new
-            converged = True
+        J, J_old = A**2 / (4.0 * B), J
+        if abs(J_old - J) <= J_REL_TOL * abs(J_old):
             break
-        J = J_new
+    else:
+        converged = False
 
     u, res = _newton_polish(grid, u, params)
     profile = RadialField(grid, u.astype(complex))

@@ -17,7 +17,6 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import get_lapack_funcs
 
 
@@ -193,7 +192,7 @@ class TridiagonalLU:
 
 def _check_info(info: int, routine: str) -> None:
     if info > 0:
-        raise LinAlgError("singular tridiagonal matrix")
+        raise np.linalg.LinAlgError("singular tridiagonal matrix")
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of {routine}")
 

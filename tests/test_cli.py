@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -10,6 +11,7 @@ from radialnls.cli import (
     _COMMANDS, ORACLE_AGREEMENT_REL, ConfigError, RunConfig, _build_parser, main,
     parse_config, write_csv,
 )
+from radialnls.ground_state import MAX_ITER
 from radialnls.localized_virial import RigidityReport
 
 
@@ -56,6 +58,25 @@ class TestParseConfig:
         path = write_cfg(tmp_path, "# comment\n\ngamma = 0.5  # trailing\n")
         assert parse_config("functionals", path).gamma == 0.5
 
+    def test_line_without_equals_cites_line(self, tmp_path):
+        path = write_cfg(tmp_path, BASE + "gamma 2\n")
+        with pytest.raises(ConfigError, match=r"run.cfg:6: expected 'key = value', got 'gamma 2'$"):
+            parse_config("functionals", path)
+
+    @pytest.mark.parametrize("text,value", [
+        ("true", True), ("ON", True), ("false", False), ("0", False), ("No", False),
+        ("off", False),
+    ])
+    def test_boolean_values(self, tmp_path, text, value):
+        path = write_cfg(tmp_path, BASE + f"with_oracle = {text}\n")
+        assert parse_config("ground-state", path).with_oracle is value
+
+    def test_bad_boolean_cites_line(self, tmp_path):
+        path = write_cfg(tmp_path, BASE + "with_oracle = maybe\n")
+        with pytest.raises(ConfigError, match=re.escape(
+                "run.cfg:6: bad value for with_oracle: not a boolean: ' maybe'")):
+            parse_config("ground-state", path)
+
 
     def test_seed_key_unknown(self, tmp_path):
         path = write_cfg(tmp_path, BASE + "seed = 3\n")
@@ -87,6 +108,8 @@ class TestParseConfig:
         ("classify", "amplitude = nan"),
         ("sweep", "amplitudes = 0.5, inf"),
         ("evolve", "t_end = 1e308"),
+        ("evolve", "t_end = 0"),
+        ("evolve", "monitor_every = 0"),
     ])
     def test_file_value_rejected_with_its_line(self, tmp_path, command, line):
         key = line.split()[0]
@@ -424,6 +447,38 @@ class TestGroundStateCommand:
             outs.append(out)
         for fname in ("Q.csv", "result.json"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+
+#: a point where the descent runs out of iterations (ROADMAP item 2)
+UNCONVERGED = ["--gamma", "100", "--mu", "1.5", "--n", "512", "--r-max", "16"]
+
+
+class TestUnconvergedGroundState:
+    def test_ground_state_writes_its_files_and_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "gs"
+        assert main(["ground-state", *UNCONVERGED, "--out", str(out)]) == 2
+        result = json.loads((out / "result.json").read_text())
+        assert result["converged"] is False
+        assert result["iterations"] == MAX_ITER
+        assert capsys.readouterr().err == (
+            f"numerical failure: ground state did not converge in {MAX_ITER} descent "
+            f"iterations (grad_norm = {result['grad_norm']:.3g})\n")
+        assert sorted(p.name for p in out.iterdir()) == ["Q.csv", "manifest.json", "result.json"]
+
+    @pytest.mark.parametrize("argv", [
+        ["functionals"],
+        ["evolve", "--t-end", "0.01"],
+        ["classify"],
+        ["sweep", "--amplitudes", "0.5"],
+        ["virial-check", "--t-probe", "0.05"],
+    ])
+    def test_other_commands_exit_two_before_writing(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        assert main([*argv, *UNCONVERGED, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"numerical failure: ground state did not converge in {MAX_ITER} descent iterations")
+        assert list(out.iterdir()) == []
 
 
 class TestFunctionalsCommand:

@@ -40,7 +40,7 @@ from radialnls.ground_state import (
     _shoot_start,
 )
 from radialnls.radial_grid import (
-    CrankNicolson, Tridiagonal, integrate, lap_gamma_diagonals,
+    CrankNicolson, Tridiagonal, integrate, lap_gamma_diagonals, solve_helmholtz,
 )
 
 from helpers import random_smooth_field
@@ -273,8 +273,6 @@ def _two_residual_polish(grid, u, params):
         steps += 1
         if r_new < best_res:
             best, best_res = q_new, r_new
-        if r_new >= best_res and q is not u:
-            break
         q = q_new
     return best, best_res, steps
 
@@ -301,6 +299,57 @@ class TestNewtonPolish:
         # the descent reads its relative gradient off this mass
         u = np.abs(random_smooth_field(grid_small, np.random.default_rng(seed)).values.real)
         assert _quotient_parts(grid_small, u, params_default)[2] == integrate(grid_small, u**2)
+
+
+class TestFullStep:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(64, 1024),
+        r_max=st.floats(4.0, 32.0),
+        gamma=st.one_of(st.just(0.0), st.floats(0.0, 1000.0)),
+        mu=st.floats(0.0, 2.0, exclude_min=True, exclude_max=True),
+        omega=st.floats(0.1, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_never_raises_the_quotient(self, n, r_max, gamma, mu, omega, seed):
+        # the module docstring's proof, on the descent's own expressions: from
+        # a nonnegative field on the Nehari set, |u - g| has a lower quotient
+        grid = build_grid(n, min(r_max, MAX_CORE_SPACING * n / math.sqrt(omega)))
+        params = EquationParams(gamma=gamma, mu=mu, omega=omega)
+        u = np.abs(random_smooth_field(grid, np.random.default_rng(seed)).values.real)
+        A, B, _ = _quotient_parts(grid, u, params)
+        u = u * np.sqrt(A / B)
+        A, B, _ = _quotient_parts(grid, u, params)
+        J = A**2 / (4.0 * B)
+        g = (A / B) * u - (A / B) ** 2 * solve_helmholtz(grid, u**3, params)
+        Av, Bv, _ = _quotient_parts(grid, np.abs(u - g), params)
+        assert Bv > 0.0
+        assert Av**2 / (4.0 * Bv) < J
+
+    def test_one_trial_per_iteration_and_two_newton_steps(
+        self, grid_small, params_default, monkeypatch
+    ):
+        # two evaluations before the loop, then the trial and the accepted
+        # iterate in each iteration; the polish factors one Jacobian per step
+        parts = ground_state._quotient_parts
+        calls, factors = [], []
+
+        def counted_parts(*args):
+            calls.append(args)
+            return parts(*args)
+
+        class CountedTridiagonal(Tridiagonal):
+            def factor(self):
+                factors.append(self)
+                return super().factor()
+
+        monkeypatch.setattr(ground_state, "_quotient_parts", counted_parts)
+        monkeypatch.setattr(ground_state, "Tridiagonal", CountedTridiagonal)
+        res = minimize_quotient(params_default, grid_small)
+        assert res.converged
+        assert len(calls) == 2 + 2 * res.iterations
+        assert ground_state.NEWTON_STEPS == 2
+        assert 1 <= len(factors) <= 2
 
 
 class TestShootOde:

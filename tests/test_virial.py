@@ -85,6 +85,11 @@ class TestCutoffShape:
             build_cutoff(12.0, grid32)
         build_cutoff(5.0, grid32)
 
+    @pytest.mark.parametrize("R", [0.0, -1.0, float("nan")])
+    def test_build_requires_positive_radius(self, grid32, R):
+        with pytest.raises(ValueError, match="^R must be positive$"):
+            build_cutoff(R, grid32)
+
     def test_remainder_constants(self):
         # the exact constant; TestExactBridgeBounds proves it
         for gamma, mu in [(0.0, 1.0), (1.0, 1.0), (4.0, 1.5), (2512.0, 0.3)]:
