@@ -148,8 +148,6 @@ def parse_config(
             setattr(cfg, key, parsed)
             lines[key] = lineno
     for key, value in (overrides or {}).items():
-        if value is None:
-            continue
         if key not in reads:
             raise ConfigError(f"unknown key {key!r} for {command}")
         setattr(cfg, key, value)
@@ -222,8 +220,6 @@ def _json_ready(obj):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
         return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [_json_ready(v) for v in obj.tolist()]
     if isinstance(obj, enum.Enum):
         return obj.value
     return obj
@@ -345,7 +341,11 @@ def _cmd_evolve(cfg: RunConfig, outdir: Path, phases: dict):
             "snapshots_unreached": trace.snapshots_unreached,
         })
     outputs = ["trace.csv", *(snap["file"] for snap in snapshots), "result.json"]
-    return (2 if trace.outcome is Outcome.ABORTED else 0), outputs
+    if trace.outcome is not Outcome.ABORTED:
+        return 0, outputs
+    print(f"numerical failure: evolution aborted at t = {trace.final_time:.6g}: "
+          f"dt_final = {trace.dt_final:.3g} is below the refinement floor", file=sys.stderr)
+    return 2, outputs
 
 
 def _cmd_classify(cfg: RunConfig, outdir: Path, phases: dict):
@@ -448,8 +448,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command.  The output directory is made before any computation,
-    so an unusable ``--out`` fails first; a run that exits 1 removes the
-    directories it made."""
+    so an unusable ``--out`` fails first; a run that ends in an error (exit 1,
+    or exit 2 by a raised RuntimeError) removes the directories it made."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     started = datetime.datetime.now(datetime.timezone.utc)
@@ -468,16 +468,14 @@ def main(argv=None) -> int:
         created = missing[-1] if missing else None
         phases = {}
         rc, outputs = _COMMANDS[args.command][0](cfg, outdir, phases)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         if created is not None:
             shutil.rmtree(created, ignore_errors=True)
-        kind = ("configuration" if isinstance(exc, ConfigError)
-                else "validation" if isinstance(exc, ValueError) else "file")
-        print(f"{kind} error: {exc}", file=sys.stderr)
-        return 1
-    except RuntimeError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
+        kind = ("numerical failure" if isinstance(exc, RuntimeError)
+                else "configuration error" if isinstance(exc, ConfigError)
+                else "validation error" if isinstance(exc, ValueError) else "file error")
+        print(f"{kind}: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, RuntimeError) else 1
     manifest = {
         "command": args.command,
         "config": {name: getattr(cfg, name) for name in _COMMANDS[args.command][2]},

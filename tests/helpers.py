@@ -1,7 +1,7 @@
 """Fields and checks that only the tests use: random smooth fields, the
 zero-padded embedding onto a larger domain, the finite-difference check of
-K^{alpha,beta} (with the rescaling and interpolant behind it), and the
-radial Sobolev ratio."""
+K^{alpha,beta} (with the rescaling and interpolant behind it), the
+radial Sobolev ratio, and the evolve constants under which a run aborts."""
 
 from __future__ import annotations
 
@@ -10,6 +10,10 @@ from scipy.interpolate import PchipInterpolator
 
 from radialnls import EquationParams, RadialField, RadialGrid, ScalingPair, integrate, report
 from radialnls.radial_grid import node_gradient
+
+#: probe and floor constants under which every window refines until dt
+#: passes the floor, so a run aborts
+ABORTING = dict(LOCAL_ERROR_TOL=1e-30, MIN_DT=1e-5)
 
 
 def random_smooth_field(

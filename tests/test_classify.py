@@ -76,6 +76,21 @@ class TestClassify:
         assert v.predicted is Predicted.OUT_OF_SCOPE
 
 
+class TestUnconvergedGround:
+    """Both entry points refuse a ground state whose descent did not
+    converge, before any row or functional is computed."""
+
+    def test_classify_rejects(self, ground16, params):
+        with pytest.raises(ValueError, match="ground state result did not converge"):
+            classify(cq(ground16, 0.9), params, replace(ground16, converged=False))
+
+    def test_sweep_rejects(self, ground16, params):
+        spec = FamilySpec(kind="cQ", amplitudes=(0.5,))
+        with pytest.raises(ValueError, match="ground state result did not converge"):
+            sweep(spec, params, replace(ground16, converged=False),
+                  EvolutionConfig(dt=1e-3, t_end=0.1), verify=False)
+
+
 class TestKSigns:
     """Below the threshold classify's sign of K^{alpha,beta} is the same for
     every pair in DEFAULT_PAIRS."""

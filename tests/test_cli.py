@@ -11,8 +11,11 @@ from radialnls.cli import (
     _COMMANDS, ORACLE_AGREEMENT_REL, ConfigError, RunConfig, _build_parser, main,
     parse_config, write_csv,
 )
+from radialnls import cli, evolve
 from radialnls.ground_state import MAX_ITER
 from radialnls.localized_virial import RigidityReport
+
+from helpers import ABORTING
 
 
 #: the blow-up factor is the constant evolve.BLOWUP_GRAD_FACTOR; its name
@@ -53,6 +56,10 @@ class TestParseConfig:
         path = write_cfg(tmp_path, "omega = 1.0\n")
         cfg = parse_config("functionals", path, {"omega": 2.0})
         assert cfg.omega == 2.0
+
+    def test_override_key_the_command_does_not_read(self):
+        with pytest.raises(ConfigError, match=r"^unknown key 'dt' for functionals$"):
+            parse_config("functionals", None, {"dt": 1e-3})
 
     def test_comments_and_blanks(self, tmp_path):
         path = write_cfg(tmp_path, "# comment\n\ngamma = 0.5  # trailing\n")
@@ -119,6 +126,21 @@ class TestParseConfig:
 
 
 class TestExitCodes:
+    def test_raised_numerical_failure_removes_the_directory_it_made(
+            self, tmp_path, capsys, monkeypatch):
+        # the oracle raises after Q.csv is written: the new directory goes too
+        def failing(*args):
+            raise RuntimeError("bracket search left floating-point range")
+
+        monkeypatch.setattr(cli, "shoot_ode", failing)
+        out = tmp_path / "new" / "gs"
+        rc = main(["ground-state", "--with-oracle", "--n", "512", "--r-max", "16",
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "numerical failure: bracket search left floating-point range\n")
+        assert not (tmp_path / "new").exists()
+
     def test_bad_constraint_exits_one(self, tmp_path, capsys):
         rc = main(["functionals", "--mu", "2.5", "--out", str(tmp_path / "o")])
         assert rc == 1
@@ -478,7 +500,7 @@ class TestUnconvergedGroundState:
         err = capsys.readouterr().err
         assert err.startswith(
             f"numerical failure: ground state did not converge in {MAX_ITER} descent iterations")
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
 
 class TestFunctionalsCommand:
@@ -581,6 +603,26 @@ class TestEvolveCommand:
         assert err.startswith("validation error: dt must be >= min_dt")
         assert "Traceback" not in err
         assert not out.exists()
+
+
+    def test_aborted_run_writes_its_files_and_names_the_failure(
+            self, tmp_path, capsys, monkeypatch):
+        for name, value in ABORTING.items():
+            monkeypatch.setattr(evolve, name, value)
+        out = tmp_path / "ab"
+        rc = main([
+            "evolve", "--family", "gaussian", "--amplitude", "0.3", "--n", "512",
+            "--r-max", "16", "--t-end", "1", "--out", str(out),
+        ])
+        assert rc == 2
+        result = json.loads((out / "result.json").read_text())
+        assert result["outcome"] == "aborted"
+        assert result["dt_final"] < ABORTING["MIN_DT"]
+        assert capsys.readouterr().err == (
+            f"numerical failure: evolution aborted at t = {result['final_time']:.6g}: "
+            f"dt_final = {result['dt_final']:.3g} is below the refinement floor\n")
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.json", "result.json", "trace.csv"]
 
 
 class TestClassifyCommand:

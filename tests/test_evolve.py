@@ -18,14 +18,14 @@ from radialnls import (
 )
 from radialnls import evolve, functionals
 from radialnls.evolve import (
-    _SMALL_ANGLE, _W0, _W1, DECAY_NET_DROP, DECAY_RIPPLE, EvolutionTrace, FlowBlowup,
+    _SMALL_ANGLE, _W0, _W1, DECAY_NET_DROP, DECAY_RIPPLE, EvolutionTrace,
     Snapshot, _decay_detected, _k_bound_ok, _rotate, _Stepper, absorbing_profile,
 )
 from radialnls.radial_grid import CrankNicolson, lap_gamma_diagonals
 from radialnls.classify import gaussian
 from radialnls.functionals import VIRIAL_PAIR
 
-from helpers import embed_field, random_smooth_field
+from helpers import ABORTING, embed_field, random_smooth_field
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +42,12 @@ def params():
 
 
 class TestStep:
+    def test_non_finite_state_raises(self, grid_small, params):
+        u = np.zeros(grid_small.n, dtype=complex)
+        u[3] = np.nan
+        with pytest.raises(RuntimeError, match="state left floating-point range"):
+            _Stepper(grid_small, params, 1e-3).step(u)
+
     def test_zero(self, grid_small, params):
         out = _Stepper(grid_small, params, 1e-3).step(np.zeros(grid_small.n, dtype=complex))
         assert np.all(out == 0.0)
@@ -451,10 +457,6 @@ class TestMonitorKBound:
         assert _k_bound_ok(rep, rep.action, ground_small_state.level, params)
 
 
-#: probe and floor constants under which every window refines until dt
-#: passes the floor, so a run aborts
-ABORTING = dict(LOCAL_ERROR_TOL=1e-30, MIN_DT=1e-5)
-
 #: one cheap Gaussian run per outcome: (n, R_max, amplitude, config,
 #: evolve constants)
 OUTCOME_RUNS = {
@@ -473,21 +475,6 @@ def _set_constants(monkeypatch, constants):
         monkeypatch.setattr(evolve, name, value)
 
 
-def _fail_step(monkeypatch, fail):
-    """Make _Stepper.step raise FlowBlowup on its k-th call with n steps
-    whenever fail(n, k) holds."""
-    original = _Stepper.step
-    calls = Counter()
-
-    def step(self, u, n=1):
-        calls[n] += 1
-        if fail(n, calls[n]):
-            raise FlowBlowup("injected")
-        return original(self, u, n)
-
-    monkeypatch.setattr(_Stepper, "step", step)
-
-
 class TestRefinementPath:
     u0 = gaussian(build_grid(512, 16.0), 0.3, 1.0)
     cfg = EvolutionConfig(dt=1e-3, t_end=0.1, monitor_every=20,
@@ -496,7 +483,7 @@ class TestRefinementPath:
     @pytest.fixture()
     def quiet_probe(self, monkeypatch):
         """A loose error tolerance keeps the probe quiet: only injected
-        failures refine."""
+        spikes refine."""
         monkeypatch.setattr(evolve, "LOCAL_ERROR_TOL", 1.0)
 
     @pytest.mark.parametrize("outcome", list(OUTCOME_RUNS), ids=lambda o: o.value)
@@ -541,30 +528,29 @@ class TestRefinementPath:
 
     @pytest.mark.parametrize("min_dt,outcome", [
         (1e-12, Outcome.RAN_TO_T_END), (6e-4, Outcome.ABORTED)])
-    def test_nan_window_rerun_is_adopted(self, params, monkeypatch, quiet_probe,
-                                         min_dt, outcome):
-        # the first window leaves floating-point range and its re-run at dt/2
-        # does not: the run goes on exactly as one begun at dt/2 with doubled
-        # cadence, unless dt/2 is below min_dt, which aborts on the re-run state
+    def test_refuted_spike_rerun_is_adopted(self, params, monkeypatch, quiet_probe,
+                                            min_dt, outcome):
+        # the first window's report spikes and its re-run at dt/2 does not:
+        # the run goes on exactly as one begun at dt/2 with doubled cadence,
+        # unless dt/2 is below min_dt, which aborts on the re-run state
         t_end = 0.1 if outcome is Outcome.RAN_TO_T_END else 0.02
         ref = run(self.u0, replace(self.cfg, dt=5e-4, monitor_every=40, t_end=t_end),
                   params)
-        _fail_step(monkeypatch, lambda n, k: n == 20 and k == 1)
+        calls = Counter()
+
+        def spiking(*args, _fn=functionals.report):
+            calls["report"] += 1
+            rep = _fn(*args)
+            # the first report is u0's, the second the first window's
+            return replace(rep, kinetic=np.inf) if calls["report"] == 2 else rep
+
+        monkeypatch.setattr(functionals, "report", spiking)
         monkeypatch.setattr(evolve, "MIN_DT", min_dt)
         trace = run(self.u0, self.cfg, params)
         assert trace.outcome is outcome
         assert trace.dt_final == 5e-4
         assert trace.times == ref.times
-        assert trace.times[-1] == trace.final_time == ref.final_time
-        assert np.array_equal(trace.final_state.values, ref.final_state.values)
-
-    def test_nan_window_and_rerun_confirm_blowup(self, params, monkeypatch, quiet_probe):
-        # the third window and its re-run both leave floating-point range:
-        # blow-up, holding the state and time of the last finite tick
-        ref = run(self.u0, replace(self.cfg, t_end=0.04), params)
-        _fail_step(monkeypatch, lambda n, k: (n == 20 and k >= 3) or n == 40)
-        trace = run(self.u0, self.cfg, params)
-        assert trace.outcome is Outcome.BLOWUP_DETECTED
+        assert trace.grad_norm == ref.grad_norm
         assert trace.times[-1] == trace.final_time == ref.final_time
         assert np.array_equal(trace.final_state.values, ref.final_state.values)
 
