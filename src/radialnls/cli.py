@@ -10,10 +10,10 @@ inherits with their defaults, so each is declared once.  Values are checked
 by the library objects that use them (``build_grid``, ``EquationParams``,
 ``EvolutionConfig.validate``).  A file line with an unknown key, a malformed
 value or a value those objects reject is reported with its line number.
-Every command writes its results plus a manifest into the output
-directory.  This module is the only one that knows how results look from
-outside: JSON files are written from the result dataclasses by the one rule
-in ``_json_ready``.
+Every command returns its results as named files, which ``main`` writes
+plus a manifest into the output directory.  This module is the only one
+that knows how results look from outside: JSON files are written from the
+result dataclasses by the one rule in ``_json_ready``.
 Data files carry no timestamps; CSV floats have 17 significant digits and JSON
 floats the shortest form that round-trips, so reruns are byte-identical.
 """
@@ -174,8 +174,6 @@ def parse_config(
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "True" if value else "False"
     if isinstance(value, (float, np.floating)):
         return "%.17g" % value
     return str(value)
@@ -184,10 +182,13 @@ def _fmt(value) -> str:
 def write_csv(path: Path, header, rows) -> None:
     """Write the header line and one line per row.
 
-    rows is a sequence of rows, each cell printed by ``_fmt``, or a 2-D float
-    array, printed in one pass: one "%.17g" template for the whole file filled
-    from the Python floats of ``tolist()``, the same bytes as cell by cell.
+    rows is a list of rows, each cell printed by ``_fmt``, or a 2-D float
+    array or a tuple of 1-D columns (stacked here, one file at a time), printed
+    in one pass: one "%.17g" template for the whole file filled from the Python
+    floats of ``tolist()``, the same bytes as cell by cell.
     """
+    if isinstance(rows, tuple):
+        rows = np.column_stack(rows)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         if isinstance(rows, np.ndarray):
@@ -262,16 +263,10 @@ def _datum(cfg: RunConfig, phases: dict):
     return gaussian(cfg.grid(), cfg.amplitude, cfg.width), None
 
 
-def _cmd_ground_state(cfg: RunConfig, outdir: Path, phases: dict):
+def _cmd_ground_state(cfg: RunConfig, phases: dict):
     with _timed(phases, "descent"):
         res = minimize_quotient(cfg.params(), cfg.grid())
     grid = res.profile.grid
-    with _timed(phases, "write"):
-        write_csv(
-            outdir / "Q.csv",
-            ["r", "Q"],
-            np.column_stack((grid.r, res.profile.values.real)),
-        )
     payload = {
         "level": res.level,
         "ode_residual": res.ode_residual,
@@ -299,21 +294,18 @@ def _cmd_ground_state(cfg: RunConfig, outdir: Path, phases: dict):
             print(f"oracle disagreement: agreement_rel = {agreement:.3g} exceeds "
                   f"{ORACLE_AGREEMENT_REL}", file=sys.stderr)
             rc = 2
-    with _timed(phases, "write"):
-        write_json(outdir / "result.json", payload)
-    return rc, ["Q.csv", "result.json"]
+    return rc, {"Q.csv": (["r", "Q"], (grid.r, res.profile.values.real)),
+                "result.json": payload}
 
 
-def _cmd_functionals(cfg: RunConfig, outdir: Path, phases: dict):
+def _cmd_functionals(cfg: RunConfig, phases: dict):
     datum, _ = _datum(cfg, phases)
     with _timed(phases, "report"):
         rep = functionals.report(datum, cfg.params())
-    with _timed(phases, "write"):
-        write_json(outdir / "report.json", rep)
-    return 0, ["report.json"]
+    return 0, {"report.json": rep}
 
 
-def _cmd_evolve(cfg: RunConfig, outdir: Path, phases: dict):
+def _cmd_evolve(cfg: RunConfig, phases: dict):
     datum, ground = _datum(cfg, phases)
     with _timed(phases, "run"):
         trace = run_evolution(
@@ -321,34 +313,30 @@ def _cmd_evolve(cfg: RunConfig, outdir: Path, phases: dict):
             level=None if ground is None else ground.level,
             snapshot_times=cfg.snapshot_times,
         )
-    with _timed(phases, "write"):
-        write_csv(
-            outdir / "trace.csv",
-            ["t", "mass_drift", "energy_drift", "l4", "grad", "K_gamma", "k_bound_ok"],
-            np.column_stack((trace.times, trace.mass_drift, trace.energy_drift,
-                             trace.l4_norm, trace.grad_norm, trace.virial_K,
-                             trace.k_lower_bound_ok)),
-        )
-        snapshots = []
-        for i, snap in enumerate(trace.snapshots):
-            name = f"snapshot_{i:03d}.csv"
-            write_csv(outdir / name, ["r", "Re_u", "Im_u"],
-                      np.column_stack((datum.grid.r, snap.values.real, snap.values.imag)))
-            snapshots.append({"file": name, "t_requested": snap.t_requested, "t": snap.t})
-        write_json(outdir / "result.json", {
-            "outcome": trace.outcome, "final_time": trace.final_time,
-            "dt_final": trace.dt_final, "snapshots": snapshots,
-            "snapshots_unreached": trace.snapshots_unreached,
-        })
-    outputs = ["trace.csv", *(snap["file"] for snap in snapshots), "result.json"]
+    files = {"trace.csv": (
+        ["t", "mass_drift", "energy_drift", "l4", "grad", "K_gamma", "k_bound_ok"],
+        (trace.times, trace.mass_drift, trace.energy_drift, trace.l4_norm,
+         trace.grad_norm, trace.virial_K, trace.k_lower_bound_ok),
+    )}
+    snapshots = []
+    for i, snap in enumerate(trace.snapshots):
+        name = f"snapshot_{i:03d}.csv"
+        files[name] = (["r", "Re_u", "Im_u"],
+                       (datum.grid.r, snap.values.real, snap.values.imag))
+        snapshots.append({"file": name, "t_requested": snap.t_requested, "t": snap.t})
+    files["result.json"] = {
+        "outcome": trace.outcome, "final_time": trace.final_time,
+        "dt_final": trace.dt_final, "snapshots": snapshots,
+        "snapshots_unreached": trace.snapshots_unreached,
+    }
     if trace.outcome is not Outcome.ABORTED:
-        return 0, outputs
+        return 0, files
     print(f"numerical failure: evolution aborted at t = {trace.final_time:.6g}: "
           f"dt_final = {trace.dt_final:.3g} is below the refinement floor", file=sys.stderr)
-    return 2, outputs
+    return 2, files
 
 
-def _cmd_classify(cfg: RunConfig, outdir: Path, phases: dict):
+def _cmd_classify(cfg: RunConfig, phases: dict):
     params = cfg.params()
     datum, ground = _datum(cfg, phases)
     if ground is None:
@@ -357,12 +345,10 @@ def _cmd_classify(cfg: RunConfig, outdir: Path, phases: dict):
     if cfg.verify:
         with _timed(phases, "verify"):
             verdict = verify_empirically(verdict, datum, cfg, params)
-    with _timed(phases, "write"):
-        write_json(outdir / "verdict.json", verdict)
-    return 0, ["verdict.json"]
+    return 0, {"verdict.json": verdict}
 
 
-def _cmd_sweep(cfg: RunConfig, outdir: Path, phases: dict):
+def _cmd_sweep(cfg: RunConfig, phases: dict):
     params = cfg.params()
     spec = FamilySpec(
         kind=cfg.family,
@@ -371,23 +357,16 @@ def _cmd_sweep(cfg: RunConfig, outdir: Path, phases: dict):
     )
     ground = _ground(cfg, phases)
     with _timed(phases, "rows"):
-        header, rows = sweep_family(
-            spec, params, ground, cfg,
-            verify=cfg.verify, workers=cfg.workers,
-        )
-    with _timed(phases, "write"):
-        write_csv(outdir / "sweep.csv", header, rows)
-    return 0, ["sweep.csv"]
+        table = sweep_family(spec, params, ground, cfg, verify=cfg.verify, workers=cfg.workers)
+    return 0, {"sweep.csv": table}
 
 
-def _cmd_virial_check(cfg: RunConfig, outdir: Path, phases: dict):
+def _cmd_virial_check(cfg: RunConfig, phases: dict):
     params = cfg.params()
     u0, ground = _datum(cfg, phases)
     with _timed(phases, "probe"):
         report = rigidity_probe(u0, params, ground.level, cfg.t_probe, cfg)
-    with _timed(phases, "write"):
-        write_json(outdir / "probe.json", report)
-    return 0, ["probe.json"]
+    return 0, {"probe.json": report}
 
 
 _COMMON = ("gamma", "mu", "omega", "n", "R_max", "out")
@@ -400,9 +379,9 @@ _PROBE = ("dt", "monitor_every", "splitting_order")
 _FAMILY = ("family", "amplitude", "width")
 
 #: command -> (handler, help, the RunConfig fields it takes as flags).  A
-#: handler(cfg, outdir, phases) returns (exit code, output names) and puts
-#: the seconds of its phases in phases (descent, its own phase, write),
-#: which the manifest records as phases_s
+#: handler(cfg, phases) returns (exit code, {file name: content}), a CSV's
+#: content being (header, rows), and puts the seconds of its phases in
+#: phases, which the manifest records as phases_s
 _COMMANDS = {
     "ground-state": (_cmd_ground_state, "compute Q and the threshold level",
                      _COMMON + ("with_oracle",)),
@@ -449,7 +428,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command.  The output directory is made before any computation,
     so an unusable ``--out`` fails first; a run that ends in an error (exit 1,
-    or exit 2 by a raised RuntimeError) removes the directories it made."""
+    or exit 2 by a raised RuntimeError) removes the directories it made, and
+    writes nothing: files are written, in ``outputs`` order, once it returns."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     started = datetime.datetime.now(datetime.timezone.utc)
@@ -467,11 +447,18 @@ def main(argv=None) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         created = missing[-1] if missing else None
         phases = {}
-        rc, outputs = _COMMANDS[args.command][0](cfg, outdir, phases)
-    except (ValueError, OSError, RuntimeError) as exc:
+        rc, files = _COMMANDS[args.command][0](cfg, phases)
+        with _timed(phases, "write"):
+            for name, content in files.items():
+                if name.endswith(".csv"):
+                    write_csv(outdir / name, *content)
+                else:
+                    write_json(outdir / name, content)
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
         if created is not None:
             shutil.rmtree(created, ignore_errors=True)
         kind = ("numerical failure" if isinstance(exc, RuntimeError)
+                else "resource error" if isinstance(exc, MemoryError)
                 else "configuration error" if isinstance(exc, ConfigError)
                 else "validation error" if isinstance(exc, ValueError) else "file error")
         print(f"{kind}: {exc}", file=sys.stderr)
@@ -486,7 +473,7 @@ def main(argv=None) -> int:
         },
         "started_at": started.isoformat(),
         "duration_s": time.perf_counter() - t0,
-        "outputs": outputs,
+        "outputs": list(files),
         "phases_s": phases,
     }
     write_json(outdir / "manifest.json", manifest)

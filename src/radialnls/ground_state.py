@@ -77,11 +77,10 @@ from .radial_grid import (
 RESIDUAL_PAIRS = tuple(DEFAULT_PAIRS[:4])
 
 #: descent stops after MAX_ITER iterations, at a relative quotient change of
-#: J_REL_TOL, at a relative Sobolev gradient of GRAD_TOL, or when its full
-#: step does not lower J; NEWTON_STEPS Newton steps then polish the profile
+#: J_REL_TOL, or when its full step does not lower J; NEWTON_STEPS Newton
+#: steps then polish the profile
 MAX_ITER = 2000
 J_REL_TOL = 1e-12
-GRAD_TOL = 1e-10
 NEWTON_STEPS = 2
 
 #: DOP853 tolerances of the shooting integration and the amplitude bracket
@@ -196,8 +195,6 @@ def minimize_quotient(params: EquationParams, grid: RadialGrid) -> GroundStateRe
         # Sobolev gradient of J: (A/B) u - (A/B)^2 H^{-1}(u^3)
         g = (A / B) * u - (A / B) ** 2 * solve_helmholtz(grid, u**3, params)
         grad_rel = float(np.sqrt(integrate(grid, g**2)) / np.sqrt(M))
-        if grad_rel < GRAD_TOL:
-            break
         v = np.abs(u - g)
         Av, Bv, _ = _quotient_parts(grid, v, params)
         if not (Bv > 0.0 and Av**2 / (4.0 * Bv) < J):

@@ -125,20 +125,48 @@ class TestParseConfig:
             parse_config(command, path)
 
 
+def _failing_oracle(*args):
+    raise RuntimeError("bracket search left floating-point range")
+
+
 class TestExitCodes:
     def test_raised_numerical_failure_removes_the_directory_it_made(
             self, tmp_path, capsys, monkeypatch):
-        # the oracle raises after Q.csv is written: the new directory goes too
-        def failing(*args):
-            raise RuntimeError("bracket search left floating-point range")
-
-        monkeypatch.setattr(cli, "shoot_ode", failing)
+        # the oracle raises after the descent: the new directory goes too
+        monkeypatch.setattr(cli, "shoot_ode", _failing_oracle)
         out = tmp_path / "new" / "gs"
         rc = main(["ground-state", "--with-oracle", "--n", "512", "--r-max", "16",
                    "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err == (
             "numerical failure: bracket search left floating-point range\n")
+        assert not (tmp_path / "new").exists()
+
+    def test_raised_failure_writes_nothing_into_an_existing_out(
+            self, tmp_path, capsys, monkeypatch):
+        # no Q.csv is left behind by a ground state whose oracle then raises
+        monkeypatch.setattr(cli, "shoot_ode", _failing_oracle)
+        out = tmp_path / "gs"
+        out.mkdir()
+        rc = main(["ground-state", "--with-oracle", "--n", "512", "--r-max", "16",
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("numerical failure:")
+        assert list(out.iterdir()) == []
+
+    def test_memory_error_exits_one_with_a_resource_error(
+            self, tmp_path, capsys, monkeypatch):
+        # stands in for a grid too large to allocate, e.g. --n 99999999999
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+
+        monkeypatch.setattr(cli, "minimize_quotient", exhausted)
+        out = tmp_path / "new" / "fn"
+        rc = main(["functionals", "--n", "512", "--r-max", "16", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "resource error: Unable to allocate 745. GiB for an array\n"
+        assert "Traceback" not in err
         assert not (tmp_path / "new").exists()
 
     def test_bad_constraint_exits_one(self, tmp_path, capsys):
@@ -361,6 +389,35 @@ class TestCommandSurface:
         assert sum(manifest["phases_s"].values()) <= manifest["duration_s"]
 
 
+class TestManifestOutputs:
+    @pytest.mark.parametrize("argv,rc,outputs", [
+        pytest.param(["ground-state"], 0, ["Q.csv", "result.json"], id="ground-state"),
+        pytest.param(["functionals"], 0, ["report.json"], id="functionals"),
+        pytest.param(["evolve", "--family", "gaussian", "--amplitude", "0.3",
+                      "--t-end", "0.02", "--snapshot-times", "0.01,0.02"], 0,
+                     ["trace.csv", "snapshot_000.csv", "snapshot_001.csv", "result.json"],
+                     id="evolve"),
+        pytest.param(["classify"], 0, ["verdict.json"], id="classify"),
+        pytest.param(["sweep", "--amplitudes", "0.5"], 0, ["sweep.csv"], id="sweep"),
+        pytest.param(["virial-check", "--t-probe", "0.05"], 0, ["probe.json"],
+                     id="virial-check"),
+        pytest.param(["ground-state", "--gamma", "100", "--mu", "1.5"], 2,
+                     ["Q.csv", "result.json"], id="unconverged"),
+        pytest.param(["ground-state", "--with-oracle", "--n", "64"], 2,
+                     ["Q.csv", "result.json"], id="oracle-gap"),
+    ])
+    def test_outputs_are_the_files_written_in_order(self, tmp_path, argv, rc, outputs):
+        out = tmp_path / "o"
+        # a later flag wins, so the oracle-gap case runs at --n 64
+        command, *flags = argv
+        assert main([command, "--n", "512", "--r-max", "16", *flags,
+                     "--out", str(out)]) == rc
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == outputs
+        written = {p.name for p in out.iterdir()} - {"manifest.json"}
+        assert written == set(outputs)
+
+
 class TestWriteCsv:
     def test_float_array_prints_as_its_rows(self, tmp_path):
         # the one-pass array branch against the cell-by-cell rows branch
@@ -383,6 +440,12 @@ class TestWriteCsv:
         bulk = (tmp_path / "bulk.csv").read_text()
         assert bulk == (tmp_path / "rows.csv").read_text()
         assert bulk.splitlines()[1:] == ["0,1", "0.25,0", "1e-300,1"]
+
+    def test_columns_print_as_their_stack(self, tmp_path):
+        columns = (np.linspace(0.0, 1.0, 7), np.exp(np.arange(7.0)), [True, False] * 3 + [True])
+        write_csv(tmp_path / "cols.csv", ["a", "b", "ok"], columns)
+        write_csv(tmp_path / "bulk.csv", ["a", "b", "ok"], np.column_stack(columns))
+        assert (tmp_path / "cols.csv").read_bytes() == (tmp_path / "bulk.csv").read_bytes()
 
     def test_empty_array_writes_the_header(self, tmp_path):
         write_csv(tmp_path / "e.csv", ["r", "Q"], np.empty((0, 2)))
