@@ -3,6 +3,10 @@ inverse-power potential: ground states, variational functionals, time
 evolution, localized virial diagnostics, and the scattering/blow-up
 dichotomy below the threshold."""
 
+from time import perf_counter as _perf_counter
+
+_import_started = _perf_counter()
+
 __version__ = "0.1.0"
 
 from .radial_grid import (
@@ -47,6 +51,10 @@ from .classify import (
     sweep,
     verify_empirically,
 )
+
+#: seconds this package's import took, numpy and scipy's LAPACK included;
+#: every manifest records it as import_s
+_IMPORT_S = _perf_counter() - _import_started
 
 __all__ = [
     "EquationParams",

@@ -34,7 +34,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from . import __version__, functionals
+from . import _IMPORT_S, __version__, functionals
 from .classify import (
     FamilySpec,
     classify as classify_datum,
@@ -472,6 +472,7 @@ def main(argv=None) -> int:
             "scipy": __import__("scipy").__version__,
         },
         "started_at": started.isoformat(),
+        "import_s": _IMPORT_S,
         "duration_s": time.perf_counter() - t0,
         "outputs": list(files),
         "phases_s": phases,

@@ -50,16 +50,14 @@ gamma^(-1/(2-mu)) leaves both levels wrong by the same amount (ROADMAP item
 
 from __future__ import annotations
 
-import importlib.util
 import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
+from importlib.machinery import SOURCE_SUFFIXES
 from types import SimpleNamespace
 
 import numpy as np
-import scipy
 
 from . import functionals
 from .functionals import DEFAULT_PAIRS
@@ -68,6 +66,7 @@ from .radial_grid import (
     RadialField,
     RadialGrid,
     Tridiagonal,
+    _scipy_module,
     integrate,
     lap_gamma_diagonals,
     solve_helmholtz,
@@ -261,10 +260,7 @@ def _dop853():
     one file that class reads (scipy/integrate/_ivp/dop853_coefficients.py,
     which imports only numpy).  The file is loaded by path and kept out of
     sys.modules, so scipy.integrate never loads."""
-    path = Path(scipy.__file__).parent / "integrate" / "_ivp" / "dop853_coefficients.py"
-    spec = importlib.util.spec_from_file_location("dop853_coefficients", path)
-    coef = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(coef)
+    coef = _scipy_module("scipy.integrate._ivp.dop853_coefficients", SOURCE_SUFFIXES)
     n = coef.N_STAGES
     return SimpleNamespace(
         n_stages=n, A=coef.A[:n, :n], B=coef.B, C=coef.C[:n], E3=coef.E3,

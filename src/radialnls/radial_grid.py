@@ -12,12 +12,43 @@ preservation.
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from importlib.machinery import EXTENSION_SUFFIXES
+from pathlib import Path
+from types import ModuleType
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import get_lapack_funcs
+import scipy
+
+
+def _scipy_module(name: str, suffixes: list[str]) -> ModuleType:
+    """scipy's module `name` (dotted, under scipy) loaded straight from its
+    file: the first of its path plus one of `suffixes` that exists.  No
+    __init__ of a scipy subpackage runs, and sys.modules is left as it was
+    found.  A missing file raises ImportError naming the paths looked for."""
+    stem = Path(scipy.__file__).parent.joinpath(*name.split(".")[1:])
+    paths = [stem.with_name(stem.name + suffix) for suffix in suffixes]
+    path = next((p for p in paths if p.is_file()), None)
+    if path is None:
+        raise ImportError(f"{name} not found: none of {', '.join(map(str, paths))} exists")
+    loaded = name in sys.modules
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    if not loaded:
+        # creating a single-phase extension module, as f2py's are, adds it
+        # to sys.modules; a later import of it reuses the same routines
+        sys.modules.pop(name, None)
+    return module
+
+
+#: scipy's f2py LAPACK wrappers, the module scipy.linalg.lapack reads its
+#: routines from; loaded by path, so no command imports scipy.linalg
+_FLAPACK = _scipy_module("scipy.linalg._flapack", EXTENSION_SUFFIXES)
 
 
 @dataclass(frozen=True)
@@ -167,8 +198,12 @@ class Tridiagonal(NamedTuple):
         return out
 
     def factor(self) -> "TridiagonalLU":
-        """LU factorisation with partial pivoting (LAPACK ?gttrf); n >= 3."""
-        gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (self.diag,))
+        """LU factorisation with partial pivoting (LAPACK ?gttrf); n >= 3.
+        The double-precision routines: z for a complex diagonal, d otherwise."""
+        if np.iscomplexobj(self.diag):
+            gttrf, gttrs = _FLAPACK.zgttrf, _FLAPACK.zgttrs
+        else:
+            gttrf, gttrs = _FLAPACK.dgttrf, _FLAPACK.dgttrs
         dl, d, du, du2, ipiv, info = gttrf(self.lower, self.diag, self.upper)
         _check_info(info, "gttrf")
         return TridiagonalLU(gttrs, (dl, d, du, du2, ipiv))

@@ -464,8 +464,8 @@ class TestGroundStateCommand:
         assert result["level"] > 0.0
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest) == {
-            "command", "config", "versions", "started_at", "duration_s", "outputs",
-            "phases_s",
+            "command", "config", "versions", "started_at", "import_s", "duration_s",
+            "outputs", "phases_s",
         }
         assert manifest["command"] == "ground-state"
         assert "Q.csv" in manifest["outputs"]

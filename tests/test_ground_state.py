@@ -629,27 +629,33 @@ class TestDenseSample:
 
 
 def test_import_footprint():
-    """The package and its CLI import without scipy.interpolate,
-    scipy.integrate, scipy.optimize or multiprocessing, and none of them
-    arrives with a descent, an evolution, the shooting oracle (its tableau
-    comes from scipy's coefficient file, not from scipy.integrate) or a
-    rigidity probe."""
+    """The package and its CLI import without scipy.linalg (LAPACK's
+    tridiagonal routines come from scipy's extension file, loaded by path),
+    scipy.interpolate, scipy.integrate, scipy.optimize or multiprocessing,
+    and none of them arrives with a descent, an evolution, the shooting
+    oracle (its tableau comes from scipy's coefficient file, not from
+    scipy.integrate) or a rigidity probe.  No submodule of them is in
+    sys.modules either, so the files loaded by path stay out of it."""
     env = dict(os.environ, PYTHONPATH=str(Path(radialnls.__file__).parents[1]))
     code = """if True:
         import sys, radialnls, radialnls.cli
-        lazy = ("scipy.interpolate", "scipy.integrate", "scipy.optimize", "multiprocessing")
-        print([m for m in lazy if m in sys.modules])
+        lazy = ("scipy.linalg", "scipy.interpolate", "scipy.integrate", "scipy.optimize",
+                "multiprocessing")
+        def loaded():
+            return sorted(m for m in sys.modules
+                          if any(m == p or m.startswith(p + ".") for p in lazy))
+        print(loaded())
         from radialnls import (EquationParams, EvolutionConfig, RadialField, build_grid,
                                minimize_quotient, rigidity_probe, run, shoot_ode)
         params = EquationParams(1.0, 1.0, 1.0)
         ground = minimize_quotient(params, build_grid(512, 16.0))
         run(ground.profile, EvolutionConfig(dt=1e-3, t_end=0.01), params)
-        print([m for m in lazy if m in sys.modules])
+        print(loaded())
         shoot_ode(params, ground.profile.grid)
-        print([m for m in lazy if m in sys.modules])
+        print(loaded())
         u0 = RadialField(ground.profile.grid, 0.8 * ground.profile.values)
         rigidity_probe(u0, params, ground.level, 0.05, EvolutionConfig(dt=5e-4))
-        print([m for m in lazy if m in sys.modules])
+        print(loaded())
     """
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout

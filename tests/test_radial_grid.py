@@ -1,5 +1,10 @@
+import sys
+from importlib.machinery import EXTENSION_SUFFIXES
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings, strategies as st
 
 import radialnls
@@ -11,7 +16,7 @@ from radialnls import (
     integrate,
 )
 from radialnls.radial_grid import (
-    CrankNicolson, Tridiagonal, _OddEvenLU, lap_gamma_diagonals, r_pow,
+    CrankNicolson, Tridiagonal, _OddEvenLU, _scipy_module, lap_gamma_diagonals, r_pow,
 )
 
 from helpers import embed_field, random_smooth_field
@@ -278,10 +283,75 @@ class TestTridiagonal:
         y = op.factor().solve(op.apply(x))
         assert np.linalg.norm(y - x) <= 1e-12 * np.linalg.norm(x)
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(3, 300),
+        seed=st.integers(0, 2**32 - 1),
+        complex_matrix=st.booleans(),
+        complex_vector=st.booleans(),
+        dominant=st.booleans(),
+        zero_row=st.none() | st.floats(0.0, 1.0, exclude_max=True),
+    )
+    def test_lapack_matches_scipy_linalg(
+        self, n, seed, complex_matrix, complex_vector, dominant, zero_row
+    ):
+        """factor() and solve() run scipy's LAPACK pair loaded by path, so
+        every factor, the pivots included, and every solution equal, bit for
+        bit, those of the routines scipy.linalg.lapack hands out; a real
+        factorisation solves a complex right-hand side part by part.  A zero
+        row makes the matrix singular, which both report."""
+        from scipy.linalg.lapack import get_lapack_funcs
+
+        rng = np.random.default_rng(seed)
+
+        def draw(size, complex_entries):
+            x = rng.uniform(-1.0, 1.0, size)
+            if complex_entries:
+                x = x + 1j * rng.uniform(-1.0, 1.0, size)
+            return x
+
+        lower, diag, upper = (draw(m, complex_matrix) for m in (n - 1, n, n - 1))
+        if dominant:
+            diag += 3.0 * np.sign(rng.uniform(-1.0, 1.0, n))
+        if zero_row is not None:
+            k = int(zero_row * n)
+            diag[k] = 0.0
+            lower[k - 1 : k] = 0.0
+            upper[k : k + 1] = 0.0
+        gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (diag,))
+        *want, info = gttrf(lower, diag, upper)
+        op = Tridiagonal(lower, diag, upper)
+        if zero_row is not None:
+            assert info > 0
+            with pytest.raises(np.linalg.LinAlgError, match="singular"):
+                op.factor()
+            return
+        assert info == 0
+        lu = op.factor()
+        assert len(lu._factors) == len(want) == 5
+        for got, ref in zip(lu._factors, want):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        rhs = draw(n, complex_vector)
+        if complex_vector and not complex_matrix:
+            ref = gttrs(*want, rhs.real)[0] + 1j * gttrs(*want, rhs.imag)[0]
+        else:
+            ref = gttrs(*want, rhs)[0]
+        got = lu.solve(rhs)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
     def test_singular_raises(self):
         op = Tridiagonal(np.zeros(3), np.zeros(4), np.zeros(3))
         with pytest.raises(np.linalg.LinAlgError, match="singular"):
             op.factor()
+
+    def test_missing_scipy_file_names_the_paths(self):
+        name = "scipy.linalg._no_such_module"
+        with pytest.raises(ImportError) as excinfo:
+            _scipy_module(name, EXTENSION_SUFFIXES)
+        stem = Path(scipy.__file__).parent / "linalg" / "_no_such_module"
+        for suffix in EXTENSION_SUFFIXES:
+            assert f"{stem}{suffix}" in str(excinfo.value)
+        assert name not in sys.modules
 
 
 class TestFieldValidation:
