@@ -16,9 +16,21 @@ and positive definite,
 (Cauchy-Schwarz in H, then Hoelder), so J(w) <= B^3 / (4 ||w||_H^4)
 <= A^2 / (4 B) = J(u), with equality only at a critical point; |w| keeps
 ||w||_4 and does not raise ||w||_H.  So a step that does not lower J ends the
-descent, converged at J's round-off floor.  At most two Newton steps take the
-stationary equation's residual to round-off, as the standing-wave experiments
-need: the profile instability amplifies any stationarity defect exponentially.
+descent, converged at J's round-off floor.
+
+Nor does an iterate collapse to the zero field.  Each sits on the Nehari
+set, so A = B = 4J, and J only falls, never below the discrete level.  At
+gamma = 0 that level is sqrt(omega) times the omega = 1 level on the grid of
+spacing h sqrt(omega): about 18.9, and 18.76 at the coarsest admissible
+spacing, h sqrt(omega) = 0.3.  The potential and the Dirichlet wall only raise
+it.  A positive double omega has sqrt(omega) >= 2.2e-162, so A and B stay
+above ~1e-160.  Only the initial exp(-r^2) can be degenerate: on a grid wide
+enough for a tiny omega it underflows to zero on every node, and the descent
+refuses to start.
+
+At most two Newton steps take the stationary equation's residual to
+round-off, as the standing-wave experiments need: the profile instability
+amplifies any stationarity defect exponentially.
 
 Oracle route: bisection shooting on the amplitude of the radial profile ODE
 
@@ -41,7 +53,7 @@ clipped at zero, samples the profile onto the grid, so one integrator serves
 the sign tests and the profile.  The two routes are not independent in the
 level: the oracle starts at r0 = h/2, samples its profile onto the same grid
 and reads its level through the descent's midpoint quadrature
-(``_residuals``).  So agreement certifies the two solvers on the command's
+(``_result``).  So agreement certifies the two solvers on the command's
 grid, not the discretisation; a grid too coarse for the potential's length
 gamma^(-1/(2-mu)) leaves both levels wrong by the same amount (ROADMAP item
 2).  Both reject a grid too coarse for the core of Q, whose width is
@@ -126,16 +138,23 @@ def _quotient_parts(grid, u, params):
     return rep.h1_omega_gamma_sq, rep.quartic, rep.mass
 
 
-def _residuals(profile, params):
-    """The level and the K^{alpha,beta} residuals of a profile, from one report."""
+def _result(grid, q, params, ode_residual, **record):
+    """The GroundStateResult of the real profile q, held complex: its level
+    and K^{alpha,beta} residuals come from one report, the rest from record."""
+    profile = RadialField(grid, q.astype(complex))
     rep = functionals.report(profile, params)
-    return rep.action, {p: rep.k(p, params) for p in RESIDUAL_PAIRS}
+    return GroundStateResult(
+        profile=profile,
+        level=rep.action,
+        ode_residual=ode_residual,
+        k_residuals={p: rep.k(p, params) for p in RESIDUAL_PAIRS},
+        **record,
+    )
 
 
-def _residual(grid, u, params):
-    """The residual -omega u + Delta_gamma u + u^3 of the stationary equation
-    (real input) and its weighted L^2 norm."""
-    lap = lap_gamma_diagonals(grid, params.gamma, params.mu)
+def _residual(grid, u, params, lap):
+    """The residual -omega u + lap u + u^3 of the stationary equation (real
+    input, lap = Delta_gamma) and its weighted L^2 norm."""
     residual = -params.omega * u + lap.apply(u) + u**3
     return residual, float(np.sqrt(np.dot(grid.weights, residual**2)))
 
@@ -149,11 +168,11 @@ def _newton_polish(grid, u, params):
     NEWTON_STEPS steps, and that norm; a singular Jacobian or a step that
     breaks positivity of the core ends the iteration.
     """
-    lower, diag, upper = lap_gamma_diagonals(grid, params.gamma, params.mu)
-    residual, best_res = _residual(grid, u, params)
+    lap = lap_gamma_diagonals(grid, params.gamma, params.mu)
+    residual, best_res = _residual(grid, u, params, lap)
     best = q = u
     for _ in range(NEWTON_STEPS):
-        jacobian = Tridiagonal(lower, diag - params.omega + 3.0 * q**2, upper)
+        jacobian = Tridiagonal(lap.lower, lap.diag - params.omega + 3.0 * q**2, lap.upper)
         try:
             dq = jacobian.factor().solve(residual)
         except np.linalg.LinAlgError:
@@ -163,7 +182,7 @@ def _newton_polish(grid, u, params):
             break
         # far-field round-off may cross zero at ~1e-17 amplitude; fold it back
         q_new = np.abs(q_new)
-        residual, r_new = _residual(grid, q_new, params)
+        residual, r_new = _residual(grid, q_new, params, lap)
         if r_new < best_res:
             best, best_res = q_new, r_new
         q = q_new
@@ -189,8 +208,6 @@ def minimize_quotient(params: EquationParams, grid: RadialGrid) -> GroundStateRe
     J = A**2 / (4.0 * B)
     converged = True
     for iterations in range(1, MAX_ITER + 1):
-        if B < 1e-280 or A < 1e-280:
-            raise RuntimeError("iterate collapsed to the zero field")
         # Sobolev gradient of J: (A/B) u - (A/B)^2 H^{-1}(u^3)
         g = (A / B) * u - (A / B) ** 2 * solve_helmholtz(grid, u**3, params)
         grad_rel = float(np.sqrt(integrate(grid, g**2)) / np.sqrt(M))
@@ -207,18 +224,8 @@ def minimize_quotient(params: EquationParams, grid: RadialGrid) -> GroundStateRe
         converged = False
 
     u, res = _newton_polish(grid, u, params)
-    profile = RadialField(grid, u.astype(complex))
-    level, k_res = _residuals(profile, params)
-    return GroundStateResult(
-        profile=profile,
-        level=level,
-        ode_residual=res,
-        k_residuals=k_res,
-        iterations=iterations,
-        converged=converged,
-        method="minimize_quotient",
-        grad_norm=grad_rel,
-    )
+    return _result(grid, u, params, res, iterations=iterations, converged=converged,
+                   method="minimize_quotient", grad_norm=grad_rel)
 
 
 def _shoot_start(params, r0, a):
@@ -498,15 +505,6 @@ def shoot_ode(params: EquationParams, grid: RadialGrid) -> GroundStateResult:
     steps = []
     _shoot_classify(params, r0, r_end, a, steps)
     q = np.maximum(_dense_sample(params, steps, grid.r), 0.0)
-    profile = RadialField(grid, q.astype(complex))
-    level, k_res = _residuals(profile, params)
-    return GroundStateResult(
-        profile=profile,
-        level=level,
-        ode_residual=_residual(grid, q, params)[1],
-        k_residuals=k_res,
-        iterations=iterations,
-        converged=True,
-        method="shoot_ode",
-        shoot_amplitude=a,
-    )
+    lap = lap_gamma_diagonals(grid, params.gamma, params.mu)
+    return _result(grid, q, params, _residual(grid, q, params, lap)[1], iterations=iterations,
+                   converged=True, method="shoot_ode", shoot_amplitude=a)

@@ -21,7 +21,6 @@ agree to round-off.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 
 import numpy as np
@@ -38,19 +37,11 @@ from .radial_grid import (
 )
 
 #: degree-7 bridge coefficients on [1, 3] (ascending powers), exact rationals
-BRIDGE = (
-    Fraction(-151, 28),
-    Fraction(405, 16),
-    Fraction(-189, 4),
-    Fraction(765, 16),
-    Fraction(-105, 4),
-    Fraction(127, 16),
-    Fraction(-5, 4),
-    Fraction(9, 112),
-)
-_BRIDGE = tuple(float(c) for c in BRIDGE)
+#: held as (numerator, denominator); int / int is correctly rounded
+BRIDGE = ((-151, 28), (405, 16), (-189, 4), (765, 16), (-105, 4), (127, 16), (-5, 4), (9, 112))
+_BRIDGE = tuple(p / q for p, q in BRIDGE)
 #: plateau value chi(3) = 23/7
-PLATEAU = float(Fraction(23, 7))
+PLATEAU = 23 / 7
 
 #: the remainder terms of the decomposed I'', supported in r >= R
 REMAINDER_TERMS = ("R1", "R2", "R3", "R4")
@@ -315,7 +306,7 @@ def rigidity_probe(
 
     every = cfg.monitor_every
     I_at = {}  # step index -> I at that step
-    ticks = {}  # tick step -> the quantities recorded at that monitor tick
+    tick_steps, terms = [], {}  # the monitor ticks and one column per quantity
     u = u0.values.astype(complex)
     k_prev = 0
     # the ticks are the multiples of monitor_every and the last step; I is
@@ -334,7 +325,8 @@ def rigidity_probe(
             f = RadialField(grid, u)
             du = node_gradient(grid, u)
             d2 = I_double_prime(f, cutoff, params, du)
-            ticks[k] = {
+            tick_steps.append(k)
+            for key, value in {
                 "I": I_at[k],
                 "Iprime": I_prime(f, cutoff, du),
                 "Ipp": d2.total,
@@ -343,10 +335,9 @@ def rigidity_probe(
                 "remainder_sum": sum(d2.terms[key] for key in REMAINDER_TERMS),
                 "remainder_bound": C * tail_integral(f, R, params, du),
                 "h1_norm_sq": functionals.report(f, params).h1_omega_gamma_sq,
-            }
+            }.items():
+                terms.setdefault(key, []).append(value)
 
-    tick_steps = list(ticks)
-    terms = {key: [row[key] for row in ticks.values()] for key in ticks[tick_steps[0]]}
     ipp = np.array(terms["Ipp"])
     ipp_dec = np.array(terms["Ipp_decomposed"])
     forms_gap = float(
@@ -363,13 +354,13 @@ def rigidity_probe(
             np.abs(terms["Iprime"]) / (R * np.array(terms["h1_norm_sq"]))
         )
     )
-    # discrete second difference of I at tick points
-    errs = []
-    for k, ipp_k in zip(tick_steps, ipp):
-        if 1 <= k <= n_steps - 1:
-            d2_num = (I_at[k + 1] - 2.0 * I_at[k] + I_at[k - 1]) / cfg.dt**2
-            errs.append(abs(d2_num - ipp_k) / max(abs(ipp_k), 1e-300))
-    sd_err = float(max(errs))
+    # discrete second difference of I at every tick but the last, n_steps,
+    # which has no step after it
+    sd_err = float(max(
+        abs((I_at[k + 1] - 2.0 * I_at[k] + I_at[k - 1]) / cfg.dt**2 - ipp_k)
+        / max(abs(ipp_k), 1e-300)
+        for k, ipp_k in zip(tick_steps[:-1], ipp)
+    ))
 
     ipp_ok = bool(min_ipp >= 0.5 * delta0)
     return RigidityReport(

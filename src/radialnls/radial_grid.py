@@ -241,7 +241,6 @@ def r_pow(grid: RadialGrid, mu: float) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=32)
 def lap_gamma_diagonals(grid: RadialGrid, gamma: float, mu: float) -> Tridiagonal:
     """Tridiagonal Delta_gamma = Delta - gamma/r^mu.
 
@@ -255,9 +254,6 @@ def lap_gamma_diagonals(grid: RadialGrid, gamma: float, mu: float) -> Tridiagona
     upper = area[1:n] * inv[:-1]
     diag = -(area[:n] + area[1 : n + 1]) * inv
     diag = diag - gamma / r_pow(grid, mu)
-    lower.setflags(write=False)
-    diag.setflags(write=False)
-    upper.setflags(write=False)
     return Tridiagonal(lower, diag, upper)
 
 

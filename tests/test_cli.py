@@ -551,18 +551,20 @@ class TestUnconvergedGroundState:
         assert sorted(p.name for p in out.iterdir()) == ["Q.csv", "manifest.json", "result.json"]
 
     @pytest.mark.parametrize("argv", [
-        ["functionals"],
-        ["evolve", "--t-end", "0.01"],
-        ["classify"],
-        ["sweep", "--amplitudes", "0.5"],
-        ["virial-check", "--t-probe", "0.05"],
+        ["functionals", *UNCONVERGED],
+        ["evolve", "--t-end", "0.01", *UNCONVERGED],
+        ["classify", *UNCONVERGED],
+        ["sweep", "--amplitudes", "0.5", *UNCONVERGED],
+        ["virial-check", "--t-probe", "0.05", *UNCONVERGED],
+        # exp(-r^2) underflows to zero on every node: the descent cannot start
+        ["ground-state", "--omega", "1e-6", "--n", "16", "--r-max", "1000"],
     ])
     def test_other_commands_exit_two_before_writing(self, tmp_path, capsys, argv):
         out = tmp_path / "o"
-        assert main([*argv, *UNCONVERGED, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(
-            f"numerical failure: ground state did not converge in {MAX_ITER} descent iterations")
+        assert main([*argv, "--out", str(out)]) == 2
+        cause = ("initial iterate degenerate; cannot start descent\n" if argv[0] == "ground-state"
+                 else f"ground state did not converge in {MAX_ITER} descent iterations")
+        assert capsys.readouterr().err.startswith(f"numerical failure: {cause}")
         assert not out.exists()
 
 

@@ -28,13 +28,13 @@ from radialnls.classify import gaussian
 from radialnls.functionals import NEHARI_PAIR
 from radialnls.ground_state import (
     MAX_CORE_SPACING,
+    RESIDUAL_PAIRS,
     SHOOT_ATOL,
     SHOOT_BRACKET,
     SHOOT_RTOL,
     _dense_sample,
     _newton_polish,
     _quotient_parts,
-    _residuals,
     _shoot_accel,
     _shoot_classify,
     _shoot_start,
@@ -321,6 +321,8 @@ class TestFullStep:
         u = u * np.sqrt(A / B)
         A, B, _ = _quotient_parts(grid, u, params)
         J = A**2 / (4.0 * B)
+        # on the Nehari set, which keeps the descent's iterates off the zero field
+        assert A == pytest.approx(B, rel=1e-12) and A == pytest.approx(4.0 * J, rel=1e-12)
         g = (A / B) * u - (A / B) ** 2 * solve_helmholtz(grid, u**3, params)
         Av, Bv, _ = _quotient_parts(grid, np.abs(u - g), params)
         assert Bv > 0.0
@@ -448,7 +450,7 @@ def _bit_exhaustion_level(params, grid):
     steps = []
     _shoot_classify(params, r0, r_end, a, steps)
     q = np.maximum(_dense_sample(params, steps, grid.r), 0.0)
-    return _residuals(RadialField(grid, q.astype(complex)), params)[0]
+    return report(RadialField(grid, q.astype(complex)), params).action
 
 
 class TestStopRule:
@@ -631,16 +633,17 @@ class TestDenseSample:
 def test_import_footprint():
     """The package and its CLI import without scipy.linalg (LAPACK's
     tridiagonal routines come from scipy's extension file, loaded by path),
-    scipy.interpolate, scipy.integrate, scipy.optimize or multiprocessing,
-    and none of them arrives with a descent, an evolution, the shooting
-    oracle (its tableau comes from scipy's coefficient file, not from
+    scipy.interpolate, scipy.integrate, scipy.optimize, multiprocessing,
+    fractions or decimal (the bridge coefficients are integer pairs), and
+    none of them arrives with a descent, an evolution, the shooting oracle
+    (its tableau comes from scipy's coefficient file, not from
     scipy.integrate) or a rigidity probe.  No submodule of them is in
     sys.modules either, so the files loaded by path stay out of it."""
     env = dict(os.environ, PYTHONPATH=str(Path(radialnls.__file__).parents[1]))
     code = """if True:
         import sys, radialnls, radialnls.cli
         lazy = ("scipy.linalg", "scipy.interpolate", "scipy.integrate", "scipy.optimize",
-                "multiprocessing")
+                "multiprocessing", "fractions", "decimal")
         def loaded():
             return sorted(m for m in sys.modules
                           if any(m == p or m.startswith(p + ".") for p in lazy))
@@ -684,9 +687,9 @@ class TestValidatePohozaev:
     def test_negative_control(self, ground_default, params_default):
         # a non-stationary field has residuals far from zero
         fake = gaussian(ground_default.profile.grid, 2.0, 1.5)
-        _, res = _residuals(fake, params_default)
-        h1 = report(fake, params_default).h1_omega_gamma_sq
-        assert any(abs(v) > 1e-2 * h1 for v in res.values())
+        rep = report(fake, params_default)
+        h1 = rep.h1_omega_gamma_sq
+        assert any(abs(rep.k(p, params_default)) > 1e-2 * h1 for p in RESIDUAL_PAIRS)
 
 
 class TestScalingLawFreeEquation:

@@ -180,7 +180,8 @@ class TestExactBridgeBounds:
     and f vanishes at an endpoint exactly to the divided order.
     """
 
-    d = [list(localized_virial.BRIDGE)]  # chi on the bridge and its derivatives
+    # chi on the bridge and its derivatives
+    d = [[Fraction(p, q) for p, q in localized_virial.BRIDGE]]
     for _ in range(4):
         d.append(_deriv(d[-1]))
     x = [Fraction(0), Fraction(1)]
@@ -213,7 +214,9 @@ class TestExactBridgeBounds:
         # a C^3 join to x^2 at 1 and a C^4 join to the plateau 23/7 at 3
         assert [_value(q, 1) for q in self.d[:4]] == [1, 2, 2, 0]
         assert [_value(q, 3) for q in self.d] == [Fraction(23, 7), 0, 0, 0, 0]
+        # the floats the cutoff evaluates are the exact rationals, rounded once
         assert PLATEAU == float(Fraction(23, 7))
+        assert localized_virial._BRIDGE == tuple(float(c) for c in self.d[0])
 
     @pytest.mark.parametrize("name", list(INEQUALITIES))
     def test_inequality_on_the_bridge(self, name):
