@@ -287,7 +287,7 @@ def _cmd_ground_state(cfg: RunConfig, phases: dict):
             "level": oracle.level,
             "amplitude": oracle.shoot_amplitude,
             "agreement_rel": agreement,
-            "bisections": oracle.iterations,
+            "iterations": oracle.iterations,
             "ode_residual": oracle.ode_residual,
         }
         if not agreement <= ORACLE_AGREEMENT_REL:  # a NaN gap fails too
@@ -425,11 +425,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def main(argv=None) -> int:
     """Run one command.  The output directory is made before any computation,
     so an unusable ``--out`` fails first; a run that ends in an error (exit 1,
     or exit 2 by a raised RuntimeError) removes the directories it made, and
-    writes nothing: files are written, in ``outputs`` order, once it returns."""
+    writes nothing: files are written, in ``outputs`` order, once it returns.
+    numpy's overflow and invalid-value warnings are off: an overflowing input
+    turns into inf or nan, which the finiteness checks name as the error."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     started = datetime.datetime.now(datetime.timezone.utc)

@@ -32,20 +32,30 @@ At most two Newton steps take the stationary equation's residual to
 round-off, as the standing-wave experiments need: the profile instability
 amplifies any stationarity defect exponentially.
 
-Oracle route: bisection shooting on the amplitude of the radial profile ODE
+Oracle route: shooting on the amplitude of the radial profile ODE
 
     Q'' + (2/r) Q' - omega Q - (gamma/r^mu) Q + Q^3 = 0,
 
 started at r = h/2 from the local expansion forced by the singular potential.
 Small amplitudes turn back up and large ones cross zero, so a geometric search
 finds the bracket.
-Each sign test is one DOP853 integration over Python floats (the tableau and
-step-size rule of scipy's solve_ivp, Hairer-Norsett-Wanner I, Sec. II.5) that
-stops at the first zero crossing or upturn.  The tableau is read on the
+Each sign test ("shot") is one DOP853 integration over Python floats (the
+tableau and step-size rule of scipy's solve_ivp, Hairer-Norsett-Wanner I,
+Sec. II.5) that stops at the first zero crossing or upturn and returns the
+radius r_e of that event.  The tableau is read on the
 first shot from scipy's DOP853 coefficient file, loaded by path, so no
 command loads scipy.integrate, and the whole loop of a sign test (attempts,
 error norm, step-size rule and events) runs as one function generated from
-that tableau, with the floats of a loop over it.  The bisection stops once
+that tableau, with the floats of a loop over it.  Near the separatrix
+amplitude a*, |a - a*| is about C exp(-Phi(r_e)), where
+Phi(r) = 2 int_{r0}^r sqrt(omega + gamma t^-mu) dt is the tail's WKB decay
+exponent; at small mu the potential dominates omega over the whole domain,
+so the rate 2 sqrt(omega) alone would mislead.  The bracket is refined by
+Anderson-Bjorck regula falsi on psi(a) = sign(a) exp(-Phi(r_e(a)))
+(BIT 13, 1973), after geometric midpoints while the bracket spans more than
+a factor 1.5, and falls back to bisection before the shot count could pass
+SHOOT_MAX_SHOTS; psi only steers the search, so its accuracy moves the shot
+count, never the bracket.  The search stops once
 the bracket is within SHOOT_RTOL relative, the resolution of that sign
 test.  The same loop runs once more at the final amplitude and
 records its accepted steps, and DOP853's own dense output of those steps,
@@ -81,6 +91,7 @@ from .radial_grid import (
     _scipy_module,
     integrate,
     lap_gamma_diagonals,
+    r_pow,
     solve_helmholtz,
 )
 
@@ -99,6 +110,10 @@ NEWTON_STEPS = 2
 SHOOT_RTOL = 1e-12
 SHOOT_ATOL = 1e-14
 SHOOT_BRACKET = (0.5, 30.0)
+
+#: most refinement shots a bracket takes: the search bisects once the shots
+#: taken plus the halvings still needed reach it
+SHOOT_MAX_SHOTS = 48
 
 #: largest grid spacing, in units of the core width 1/sqrt(omega), that both
 #: routes accept.  At gamma = 0 (n 4096, R 32) the level's relative error
@@ -210,7 +225,7 @@ def minimize_quotient(params: EquationParams, grid: RadialGrid) -> GroundStateRe
     for iterations in range(1, MAX_ITER + 1):
         # Sobolev gradient of J: (A/B) u - (A/B)^2 H^{-1}(u^3)
         g = (A / B) * u - (A / B) ** 2 * solve_helmholtz(grid, u**3, params)
-        grad_rel = float(np.sqrt(integrate(grid, g**2)) / np.sqrt(M))
+        M_g = M  # the mass of the u that g belongs to, for grad_rel
         v = np.abs(u - g)
         Av, Bv, _ = _quotient_parts(grid, v, params)
         if not (Bv > 0.0 and Av**2 / (4.0 * Bv) < J):
@@ -222,6 +237,7 @@ def minimize_quotient(params: EquationParams, grid: RadialGrid) -> GroundStateRe
             break
     else:
         converged = False
+    grad_rel = float(np.sqrt(integrate(grid, g**2)) / np.sqrt(M_g))
 
     u, res = _newton_polish(grid, u, params)
     return _result(grid, u, params, res, iterations=iterations, converged=converged,
@@ -286,12 +302,12 @@ def _dop853_shot():
 
     shot(r, q, p, fp, h_abs, r_end, omega, gamma, mu, steps) runs the DOP853
     attempts, the error norm and solve_ivp's step-size rule from the start
-    (r, q, q', q'') and the first step size h_abs, and returns the sign of
-    ``_shoot_classify``; when `steps` is a list it records each accepted step
-    there.  Zero entries are dropped and each weighted sum keeps the tableau's
-    left-to-right order, so every float equals that of a loop over the
-    tableau: a sum started at 0.0 differs only in the sign of a zero sum,
-    which q + h * sum absorbs.  q'' is ``_shoot_accel``'s expression, and at
+    (r, q, q', q'') and the first step size h_abs, and returns the sign and
+    event radius of ``_shoot_classify``; when `steps` is a list it records
+    each accepted step there.  Zero entries are dropped and each weighted
+    sum keeps the tableau's left-to-right order, so every float equals that
+    of a loop over the tableau: a sum started at 0.0 differs only in the sign
+    of a zero sum, which q + h * sum absorbs.  q'' is ``_shoot_accel``'s expression, and at
     the end of a step it is taken at r_new, which can differ from r + h.  The
     builtins min, max and abs of the rule are written as comparisons with
     their NaN and tie behaviour: min(x, y) is x unless y < x, max(x, y) is x
@@ -354,7 +370,7 @@ def _dop853_shot():
         "        rejected = False",
         "        while True:",
         "            if h_abs < min_step:",
-        "                return +1  # solve_ivp's failed status records no event",
+        "                return +1, r  # solve_ivp's failed status records no event",
         "            r_new = r + h_abs",
         "            if r_end < r_new:",
         "                r_new = r_end",
@@ -364,11 +380,11 @@ def _dop853_shot():
         "        if steps is not None:",
         f"            steps.append((r, h, q, p, q_new, ({kq}), ({kp})))",
         "        if q >= 0.0 and q_new <= 0.0:",
-        "            return -1",
+        "            return -1, (r + h * q / (q - q_new) if q != q_new else r)",
         f"        if p <= 0.0 and kq{n} >= 0.0:",
-        "            return +1",
+        f"            return +1, (r + h * p / (p - kq{n}) if p != kq{n} else r)",
         "        if r_new >= r_end:",
-        "            return +1",
+        "            return +1, r_end",
         f"        r, q, p, fp = r_new, q_new, kq{n}, kp{n}",
     ]
     namespace = {"ulp": math.ulp, "sqrt": math.sqrt}
@@ -377,7 +393,8 @@ def _dop853_shot():
 
 
 def _shoot_classify(params, r0, r_end, a, steps=None):
-    """+1 when the profile stays positive / turns back up, -1 when it crosses zero.
+    """(sign, r_event): +1 when the profile stays positive / turns back up,
+    -1 when it crosses zero, and the radius where it did.
 
     One DOP853 integration over Python floats with solve_ivp's tolerances and
     step-size rule, stopped at the first event: q falling through 0 (-1) or q'
@@ -385,8 +402,11 @@ def _shoot_classify(params, r0, r_end, a, steps=None):
     solve_ivp's select_initial_step does; the loop is the generated function
     ``_dop853_shot()``.  If both events happen in one step the crossing came
     first, because q' changes sign once per step and q cannot fall after its
-    minimum.  A step-size underflow and reaching r_end both count as +1; a
-    start value q(r0) < 0 has already crossed zero and counts as -1.  A list
+    minimum.  The event radius is the root of the chord of q (crossing) or q'
+    (upturn) over the event step, so it lies in that step.  A step-size
+    underflow counts as +1 at the radius reached and reaching r_end as +1 at
+    r_end; a start value q(r0) < 0 has already crossed zero and counts as -1
+    at r0.  A list
     passed as `steps` receives each accepted step, the last one included, as
     (r, h, q, q', q at r + h, the stage derivatives of q, those of q').
     """
@@ -401,7 +421,7 @@ def _shoot_classify(params, r0, r_end, a, steps=None):
     r = r0
     q, p = _shoot_start(params, r0, a)
     if q < 0.0:
-        return -1
+        return -1, r0
     fp = accel(r, q, p)
 
     # select_initial_step of solve_ivp, error-estimator order 7
@@ -411,7 +431,7 @@ def _shoot_classify(params, r0, r_end, a, steps=None):
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, length)
     if not h0 > 0.0:
-        return +1  # the start derivative leaves float range: the step underflows
+        return +1, r  # the start derivative leaves float range: the step underflows
     p1 = p + h0 * fp
     d2 = rms((p1 - p) / sq, (accel(r + h0, q + h0 * p, p1) - fp) / sp) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
@@ -453,28 +473,41 @@ def _dense_sample(params, steps, x):
 
 
 def shoot_ode(params: EquationParams, grid: RadialGrid) -> GroundStateResult:
-    """Shooting/bisection oracle for the ground state.
+    """Shooting oracle for the ground state.
 
     The bracket search starts from SHOOT_BRACKET.  While the low end crosses
     zero the bracket moves down (to lo/8, lo); while the high end turns back
     up it moves up (to hi, 2 hi); a RuntimeError names the last bracket if
     the amplitude drops below the smallest normal float or the start values
-    leave float range first.  Bisection runs until the
+    leave float range first.  Refinement shots then run until the
     bracket width is at most SHOOT_RTOL times its low end, the relative
-    tolerance of the sign test, so that no halving fixes digits the
+    tolerance of the sign test, so that no shot fixes digits the
     integrator does not resolve; each sign test is the scalar DOP853 loop of
-    ``_shoot_classify``.  The search leaves a normal lo < hi <= 60 lo (the start
-    bracket (0.5, 30), or (lo, 2 lo), or (lo/8, lo)), so the bisection takes
-    at most ceil(log2(59 / SHOOT_RTOL)) = 46 halvings.  The same loop runs
+    ``_shoot_classify``.  Each shot takes, by the first rule that applies:
+    the midpoint once the shots taken plus the halvings still needed,
+    ceil(log2((hi - lo) / (SHOOT_RTOL lo))), reach SHOOT_MAX_SHOTS; the
+    geometric midpoint while hi > 1.5 lo; else the Anderson-Bjorck regula
+    falsi point on psi (module docstring), clamped to half a SHOOT_RTOL lo
+    inside the bracket, or the midpoint where psi gives none.  The search
+    leaves a normal lo < hi <= 60 lo (the start bracket (0.5, 30), or
+    (lo, 2 lo), or (lo/8, lo)), which bisection alone closes in
+    ceil(log2(59 / SHOOT_RTOL)) = 46 halvings.  A shot raises the sum of
+    shots taken and halvings needed by at most one, and a midpoint shot does
+    not raise it, so no sign sequence costs more than SHOOT_MAX_SHOTS = 48
+    shots (16-19 on the threshold benchmark points).  The same loop runs
     once more at the final amplitude and records its accepted steps; their
     DOP853 dense output, clipped at zero, is the profile on the grid (0 past
-    the last step).  ``iterations`` of the result counts the bisections.
+    the last step).  ``iterations`` of the result counts the refinement shots.
     A grid with h sqrt(omega) > MAX_CORE_SPACING is rejected with a ValueError.
     """
     _require_resolved_core(params, grid)
     r0 = grid.h / 2.0
     r_end = grid.r_max
     accel = _shoot_accel(params)
+    # Phi = 2 int_{r0}^r sqrt(omega + gamma t^-mu) dt on the nodes (trapezoid)
+    rate = 2.0 * np.sqrt(params.omega + params.gamma / r_pow(grid, params.mu))
+    phi = np.concatenate(([0.0], np.cumsum(0.5 * grid.h * (rate[1:] + rate[:-1]))))
+    psi = {}  # amplitude -> sign * exp(-Phi(r_event)), about (a* - a) / const near a*
 
     def sign(a):
         q0, dq0 = _shoot_start(params, r0, a)
@@ -483,7 +516,9 @@ def shoot_ode(params: EquationParams, grid: RadialGrid) -> GroundStateResult:
                 f"shooting bracket search: amplitude {a} or its start values "
                 f"leave the normal float range; last bracket ({lo}, {hi})"
             )
-        return _shoot_classify(params, r0, r_end, a)
+        s, r_event = _shoot_classify(params, r0, r_end, a)
+        psi[a] = s * math.exp(-float(np.interp(r_event, grid.r, phi)))
+        return s
 
     lo, hi = SHOOT_BRACKET
     if sign(lo) > 0:
@@ -493,14 +528,39 @@ def shoot_ode(params: EquationParams, grid: RadialGrid) -> GroundStateResult:
         lo, hi = lo / 8.0, lo
         while sign(lo) < 0:
             lo, hi = lo / 8.0, lo
-    iterations = 0
+    f_lo, f_hi = psi[lo], psi[hi]
+    iterations, side = 0, 0
     while hi - lo > SHOOT_RTOL * lo:
         mid = 0.5 * (lo + hi)
-        iterations += 1
-        if _shoot_classify(params, r0, r_end, mid) > 0:
-            lo = mid
+        falsi = False
+        if iterations + math.ceil(math.log2((hi - lo) / (SHOOT_RTOL * lo))) >= SHOOT_MAX_SHOTS:
+            a = mid
+        elif hi > 1.5 * lo:
+            a = math.sqrt(lo) * math.sqrt(hi)  # lo * hi may underflow
+        elif f_lo == f_hi:
+            a = mid  # both weights underflowed
         else:
-            hi = mid
+            margin = 0.5 * SHOOT_RTOL * lo
+            a = min(max(lo + (hi - lo) * (f_lo / (f_lo - f_hi)), lo + margin), hi - margin)
+            falsi = lo < a < hi
+            if not falsi:
+                a = mid
+        iterations += 1
+        s = sign(a)
+        f = psi[a]
+        # Anderson-Bjorck: a falsi point that replaces the same end as the
+        # shot before it scales the kept end's psi by m = 1 - f / f_replaced,
+        # or halves it when m <= 0
+        if s > 0:
+            if falsi and side > 0:
+                m = 1.0 - f / f_lo if f_lo else 0.5
+                f_hi *= m if m > 0.0 else 0.5
+            lo, f_lo, side = a, f, +1
+        else:
+            if falsi and side < 0:
+                m = 1.0 - f / f_hi if f_hi else 0.5
+                f_lo *= m if m > 0.0 else 0.5
+            hi, f_hi, side = a, f, -1
     a = 0.5 * (lo + hi)
     steps = []
     _shoot_classify(params, r0, r_end, a, steps)

@@ -1,6 +1,7 @@
 import argparse
 import json
 import re
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -242,6 +243,21 @@ class TestExitCodes:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("argv", [
+        ["ground-state", "--gamma", "1e300"],
+        ["evolve", "--amplitude", "1e200", "--n", "64", "--r-max", "16", "--t-end", "0.01"],
+    ])
+    def test_overflowing_input_prints_one_line(self, tmp_path, capsys, argv):
+        """An input that overflows on the way to the finiteness checks ends
+        in their message alone: numpy warns of no overflow on stderr."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(argv + ["--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "validation error: integrand contains non-finite entries\n")
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ["functionals", "--n", "abc"],
@@ -478,9 +494,9 @@ class TestGroundStateCommand:
                      "--out", str(out)]) == 0
         oracle = json.loads((out / "result.json").read_text())["oracle"]
         assert set(oracle) == {
-            "level", "amplitude", "agreement_rel", "bisections", "ode_residual",
+            "level", "amplitude", "agreement_rel", "iterations", "ode_residual",
         }
-        assert isinstance(oracle["bisections"], int) and oracle["bisections"] > 0
+        assert isinstance(oracle["iterations"], int) and oracle["iterations"] > 0
         assert oracle["ode_residual"] >= 0.0
 
     def test_oracle_disagreement_exits_two(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -31,6 +32,7 @@ from radialnls.ground_state import (
     RESIDUAL_PAIRS,
     SHOOT_ATOL,
     SHOOT_BRACKET,
+    SHOOT_MAX_SHOTS,
     SHOOT_RTOL,
     _dense_sample,
     _newton_polish,
@@ -90,9 +92,9 @@ def _loop_step(r, h, r_new, q, p, fp, omega, gamma, mu):
 
 
 def _reference_classify(params, r0, r_end, a, steps=None):
-    """The sign test as a plain loop over `_loop_step`, with solve_ivp's
-    step-size rule written with abs, min and max: the reference for the
-    generated loop of ``_shoot_classify``."""
+    """The sign test and its event radius as a plain loop over `_loop_step`,
+    with solve_ivp's step-size rule written with abs, min and max: the
+    reference for the generated loop of ``_shoot_classify``."""
     accel = _shoot_accel(params)
     err_exp = -1.0 / (DOP853.error_estimator_order + 1)
     gamma, mu, omega = float(params.gamma), float(params.mu), float(params.omega)
@@ -104,7 +106,7 @@ def _reference_classify(params, r0, r_end, a, steps=None):
     r = r0
     q, p = _shoot_start(params, r0, a)
     if q < 0.0:
-        return -1
+        return -1, r0
     fp = accel(r, q, p)
     length = r_end - r
     sq, sp = atol + abs(q) * rtol, atol + abs(p) * rtol
@@ -112,7 +114,7 @@ def _reference_classify(params, r0, r_end, a, steps=None):
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, length)
     if not h0 > 0.0:
-        return +1
+        return +1, r
     p1 = p + h0 * fp
     d2 = rms((p1 - p) / sq, (accel(r + h0, q + h0 * p, p1) - fp) / sp) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
@@ -126,7 +128,7 @@ def _reference_classify(params, r0, r_end, a, steps=None):
         rejected = False
         while True:
             if h_abs < min_step:
-                return +1
+                return +1, r
             r_new = min(r + h_abs, r_end)
             h = r_new - r
             h_abs = h
@@ -152,12 +154,13 @@ def _reference_classify(params, r0, r_end, a, steps=None):
             rejected = True
         if steps is not None:
             steps.append((r, h, q, p, q_new, kq, kp))
+        # the event radius: the root of the chord of q (crossing) or q' (upturn)
         if q >= 0.0 and q_new <= 0.0:
-            return -1
+            return -1, (r + h * q / (q - q_new) if q != q_new else r)
         if p <= 0.0 and p_new >= 0.0:
-            return +1
+            return +1, (r + h * p / (p - p_new) if p != p_new else r)
         if r_new >= r_end:
-            return +1
+            return +1, r_end
         r, q, p, fp = r_new, q_new, p_new, fp_new
 
 
@@ -402,7 +405,7 @@ class TestShootOde:
     def test_bracket_search_stops_at_float_range(self, sign, monkeypatch):
         """A sign test that never changes sign drives the bracket to 0 or to
         overflowing start values; the search then names its last bracket."""
-        monkeypatch.setattr(ground_state, "_shoot_classify", lambda *args: sign)
+        monkeypatch.setattr(ground_state, "_shoot_classify", lambda *args: (sign, 1.0))
         with pytest.raises(RuntimeError, match=re.escape("last bracket (")):
             shoot_ode(EquationParams(gamma=1.0, mu=1.0, omega=1.0), build_grid(1024, 32.0))
 
@@ -422,13 +425,14 @@ class TestShootOde:
 
     @pytest.mark.parametrize("gamma, n, amplitude, level", [
         (1.0, 4096, 5.894779341479392, 36.9768186623876),
-        (0.0, 2048, 4.337388366953945, 18.897176143571315),
+        (0.0, 2048, 4.337388366953945, 18.89717614305791),
     ])
     def test_pinned_values(self, gamma, n, amplitude, level):
         # the amplitude that a bisection of solve_ivp sign tests under the
-        # same stop rule gives (43 bisections at both points), and the level
-        # of the clipped dense sample at it; the scalar loop must reproduce
-        # them
+        # same stop rule gives (43 bisections at both points), which the
+        # event-radius search meets to 1e-12, and the level of the clipped
+        # dense sample at the oracle's amplitude; the level is pinned below
+        # the resolution that test_level_matches_bit_exhaustion documents
         res = shoot_ode(EquationParams(gamma=gamma, mu=1.0, omega=1.0), build_grid(n, 32.0))
         assert res.shoot_amplitude == pytest.approx(amplitude, rel=1e-12, abs=0.0)
         assert res.level == pytest.approx(level, rel=1e-12, abs=0.0)
@@ -439,10 +443,10 @@ def _bit_exhaustion_level(params, grid):
     longer a new float, from SHOOT_BRACKET (which must hold the separatrix)."""
     r0, r_end = grid.h / 2.0, grid.r_max
     lo, hi = SHOOT_BRACKET
-    assert _shoot_classify(params, r0, r_end, lo) > 0 > _shoot_classify(params, r0, r_end, hi)
+    assert _shoot_classify(params, r0, r_end, lo)[0] > 0 > _shoot_classify(params, r0, r_end, hi)[0]
     while 0.5 * (lo + hi) not in (lo, hi):
         mid = 0.5 * (lo + hi)
-        if _shoot_classify(params, r0, r_end, mid) > 0:
+        if _shoot_classify(params, r0, r_end, mid)[0] > 0:
             lo = mid
         else:
             hi = mid
@@ -453,66 +457,101 @@ def _bit_exhaustion_level(params, grid):
     return report(RadialField(grid, q.astype(complex)), params).action
 
 
+def _replay(tests, shots, amplitude):
+    """Replay the sign tests (amplitude, sign) of one oracle call, whose last
+    `shots` refine the bracket the others found: each refinement shot lies
+    strictly inside a bracket wider than SHOOT_RTOL relative, the final
+    bracket is not, and the amplitude is its midpoint."""
+    search, refinement = tests[:-shots], tests[-shots:]
+    lo = max(a for a, sign in search if sign > 0)
+    hi = min(a for a, sign in search if sign < 0)
+    for a, sign in refinement:
+        assert hi - lo > SHOOT_RTOL * lo and lo < a < hi
+        lo, hi = (a, hi) if sign > 0 else (lo, a)
+    assert hi - lo <= SHOOT_RTOL * lo
+    assert amplitude == 0.5 * (lo + hi)
+
+
+def _synthetic_oracle(monkeypatch, a_star, radius):
+    """shoot_ode with a synthetic sign test whose separatrix is at a_star and
+    whose event radius is radius(a); the bracket must meet the stop rule
+    within SHOOT_MAX_SHOTS refinement shots.  The recording shot runs at
+    amplitude 1, where the profile ODE turns back up, since it only feeds the
+    profile."""
+    tests = []
+
+    def synthetic(params, r0, r_end, a, steps=None):
+        if steps is None:
+            tests.append((a, +1 if a < a_star else -1))
+            return tests[-1][1], radius(a)
+        return _shoot_classify(params, r0, r_end, 1.0, steps)
+
+    monkeypatch.setattr(ground_state, "_shoot_classify", synthetic)
+    res = shoot_ode(EquationParams(1.0, 1.0, 1.0), build_grid(1024, 32.0))
+    assert 0 < res.iterations <= SHOOT_MAX_SHOTS
+    _replay(tests, res.iterations, res.shoot_amplitude)
+
+
 class TestStopRule:
     def test_bisection_stops_at_the_integrators_resolution(
         self, params_default, grid_default, monkeypatch
     ):
-        """Replaying the sign tests: every bisection halves a bracket wider than
-        SHOOT_RTOL relative, the final bracket is not, and the amplitude is its
-        midpoint."""
+        """Replaying the sign tests of the oracle at the default point: the
+        event-radius search refines the bracket in at most 25 shots."""
         tests = []
 
         def recording(params, r0, r_end, a, steps=None):
-            sign = _shoot_classify(params, r0, r_end, a, steps)
+            event = _shoot_classify(params, r0, r_end, a, steps)
             if steps is None:
-                tests.append((a, sign))
-            return sign
+                tests.append((a, event[0]))
+            return event
 
         monkeypatch.setattr(ground_state, "_shoot_classify", recording)
         res = shoot_ode(params_default, grid_default)
-        assert res.iterations <= 45
-        search, bisection = tests[: -res.iterations], tests[-res.iterations:]
-        lo = max(a for a, sign in search if sign > 0)
-        hi = min(a for a, sign in search if sign < 0)
-        for a, sign in bisection:
-            assert hi - lo > SHOOT_RTOL * lo and a == 0.5 * (lo + hi)
-            lo, hi = (a, hi) if sign > 0 else (lo, a)
-        assert hi - lo <= SHOOT_RTOL * lo
-        assert res.shoot_amplitude == 0.5 * (lo + hi)
+        assert res.iterations <= 25
+        _replay(tests, res.iterations, res.shoot_amplitude)
 
     @pytest.mark.parametrize("a_star", [
         0.5 + 1e-7, 1.0, 5.9, 30.0 - 1e-4, 30.0 + 1e-7, 60.0, 0.49999,
         0.0625 - 1e-9, 0.0625 + 1e-9, 1e-7, 1e4, 5e-308,
     ])
     def test_terminates_within_46_halvings(self, a_star, monkeypatch):
-        """The bracket search leaves 0 < lo < hi <= 60 lo, so the loop ends
-        after at most ceil(log2(59 / SHOOT_RTOL)) = 46 halvings, whatever the
-        separatrix position: a synthetic sign test with its separatrix at
-        a_star, near the bracket ends and the search's steps.  The recording
-        shot runs at amplitude 1, where the profile ODE turns back up, since
-        it only feeds the profile."""
-        tests = []
+        """The bracket search leaves 0 < lo < hi <= 60 lo, which bisection
+        closes in at most ceil(log2(59 / SHOOT_RTOL)) = 46 halvings; the
+        search bisects once its shots plus the halvings still needed reach
+        SHOOT_MAX_SHOTS = 48, so it never takes more, whatever the separatrix
+        position: a synthetic separatrix at a_star, near the bracket ends and
+        the search's steps, with a constant event radius."""
+        _synthetic_oracle(monkeypatch, a_star, lambda a: 10.0)
 
-        def synthetic(params, r0, r_end, a, steps=None):
-            if steps is None:
-                tests.append(a)
-                return +1 if a < a_star else -1
-            return _shoot_classify(params, r0, r_end, 1.0, steps)
-
-        monkeypatch.setattr(ground_state, "_shoot_classify", synthetic)
-        res = shoot_ode(EquationParams(1.0, 1.0, 1.0), build_grid(1024, 32.0))
-        assert 0 < res.iterations <= 46
-        lo = max([a for a in tests if a < a_star])
-        hi = min([a for a in tests if a >= a_star])
-        assert hi - lo <= SHOOT_RTOL * lo
-        assert res.shoot_amplitude == 0.5 * (lo + hi)
+    @settings(max_examples=150, deadline=None)
+    @given(
+        log_a_star=st.floats(-300.0, 30.0),
+        kind=st.sampled_from(["constant", "random", "rising"]),
+        scale=st.floats(0.0, 40.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_terminates_whatever_the_event_radius(self, log_a_star, kind, scale, seed):
+        """The event radius only steers the search: with a constant radius, a
+        random one, or one that rises away from the separatrix, against the
+        profile ODE's, the loop still meets the stop rule within
+        SHOOT_MAX_SHOTS shots, each strictly inside its bracket."""
+        a_star = 10.0**log_a_star
+        rng = random.Random(seed)
+        radius = {
+            "constant": lambda a: scale,
+            "random": lambda a: rng.uniform(0.0, 40.0),
+            "rising": lambda a: scale * min(1.0, abs(math.log(a / a_star)) * 1e6),
+        }[kind]
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _synthetic_oracle(monkeypatch, a_star, radius)
 
     def test_subnormal_separatrix_raises(self, monkeypatch):
         """Below the smallest normal float SHOOT_RTOL * lo underflows and a
         one-ulp bracket would never meet the stop rule, so the downward
         search raises before its low end turns subnormal."""
         monkeypatch.setattr(ground_state, "_shoot_classify",
-                            lambda params, r0, r_end, a, steps=None: +1 if a < 1e-315 else -1)
+                            lambda params, r0, r_end, a, steps=None: (+1 if a < 1e-315 else -1, r0))
         with pytest.raises(RuntimeError, match="normal float range"):
             shoot_ode(EquationParams(1.0, 1.0, 1.0), build_grid(1024, 32.0))
 
@@ -520,9 +559,9 @@ class TestStopRule:
         ((1.0, 1.0, 1.0), 4096), ((0.0, 1.0, 1.0), 2048), ((3.9, 1.19, 0.26), 4096),
     ])
     def test_level_matches_bit_exhaustion(self, point, n):
-        # the last ~12 halvings fix digits the sign test does not resolve;
-        # the level moves by at most 3.5e-11 relative over the threshold
-        # workload's points
+        # past SHOOT_RTOL a shot fixes digits the sign test does not
+        # resolve; over 51 points in the threshold ranges the level moves by
+        # at most 6.0e-11 relative
         params, grid = EquationParams(*point), build_grid(n, 32.0)
         level = shoot_ode(params, grid).level
         assert level == pytest.approx(_bit_exhaustion_level(params, grid), rel=1e-10, abs=0.0)
@@ -544,9 +583,25 @@ class TestShootClassify:
         for a in amplitudes:
             ref = _solve_ivp_shot(params, r0, r_end, a)
             expected = -1 if ref.t_events[0].size else +1
-            if _shoot_classify(params, r0, r_end, a) != expected:
+            if _shoot_classify(params, r0, r_end, a)[0] != expected:
                 mismatched.append(a)
         assert mismatched == []
+
+    @pytest.mark.parametrize("point", [(1.0, 1.0, 1.0), (3.9, 1.19, 0.26), (0.1, 0.05, 0.3)])
+    def test_event_radius(self, point, grid_default):
+        """The event radius, the root of the chord of q or q' over the step
+        that ends the shot, lies in that step and within 0.02 of solve_ivp's
+        event time, at 30 amplitudes a*(1 +- 2^-k) about the separatrix."""
+        params = EquationParams(*point)
+        r0, r_end = grid_default.h / 2.0, grid_default.r_max
+        a_star = shoot_ode(params, grid_default).shoot_amplitude
+        for a in [a_star * (1.0 + s * 2.0**-k) for k in range(1, 16) for s in (1, -1)]:
+            steps = []
+            sign, r_event = _shoot_classify(params, r0, r_end, a, steps)
+            r, h = steps[-1][:2]
+            assert r <= r_event <= r + h
+            (t_event,) = _solve_ivp_shot(params, r0, r_end, a).t_events[0 if sign < 0 else 1]
+            assert abs(r_event - t_event) <= 0.02
 
     def test_negative_start_counts_as_crossing(self, params_default, grid_default):
         """At a = 1e8 the start value q(r0) is already below zero.  solve_ivp
@@ -557,15 +612,16 @@ class TestShootClassify:
             ref = _solve_ivp_shot(params_default, r0, r_end, 1e8)
         assert ref.status == -1 and ref.t_events[0].size == 0
         assert _shoot_start(params_default, r0, 1e8)[0] < 0.0
-        assert _shoot_classify(params_default, r0, r_end, 1e8) == -1
+        assert _shoot_classify(params_default, r0, r_end, 1e8) == (-1, r0)
 
 
 def _assert_same_shot(params, r0, r_end, a):
-    """The generated loop and the reference loop give the same sign and record
-    the same steps; a NaN (a stage that left float range) must match a NaN."""
+    """The generated loop and the reference loop give the same sign and event
+    radius and record the same steps; a NaN (a stage that left float range)
+    must match a NaN."""
     got, ref = [], []
-    sign = _shoot_classify(params, r0, r_end, a, got)
-    assert sign == _reference_classify(params, r0, r_end, a, ref)
+    event = _shoot_classify(params, r0, r_end, a, got)
+    assert event == _reference_classify(params, r0, r_end, a, ref)
     assert all(len(kq) == len(kp) == 13 for *_, kq, kp in got)
     assert all(x == y or (x != x and y != y) for x, y in zip(_flat(got), _flat(ref), strict=True))
 
