@@ -326,7 +326,8 @@ def _cmd_evolve(cfg: RunConfig, phases: dict):
         snapshots.append({"file": name, "t_requested": snap.t_requested, "t": snap.t})
     files["result.json"] = {
         "outcome": trace.outcome, "final_time": trace.final_time,
-        "dt_final": trace.dt_final, "snapshots": snapshots,
+        "dt_final": trace.dt_final, "events": trace.events,
+        "stepper_builds": trace.stepper_builds, "snapshots": snapshots,
         "snapshots_unreached": trace.snapshots_unreached,
     }
     if trace.outcome is not Outcome.ABORTED:

@@ -25,7 +25,14 @@ between sub-steps and between steps (the first-same-as-last form of Strang
 splitting), and splits a half-rotation back out only at the end of the
 call.  Callers step in runs between the states they read: `run` a monitor
 window, `localized_virial.rigidity_probe` the stretch between two steps at
-which it evaluates I.
+which it evaluates I.  Each builds Delta_gamma once and hands it to every
+stepper it prepares, so a new dt costs only its Crank-Nicolson preparation.
+
+`run` chooses dt by a step-size controller (Hairer-Norsett-Wanner I,
+section II.4) on a step-doubling error probe at each window start: it
+shrinks dt when the probe fails, halves it when a spiking window's re-run
+is adopted and grows it back, never past the configured dt, after a quiet
+window.  Every change is a DtEvent in the trace; see `run`.
 
 An optional absorbing layer multiplies by d = exp(-W(r) dt) once per step,
 with W a cubic ramp supported on the outer shell; it only removes outgoing
@@ -52,6 +59,7 @@ from .radial_grid import (
     EquationParams,
     RadialField,
     RadialGrid,
+    Tridiagonal,
     lap_gamma_diagonals,
 )
 
@@ -64,6 +72,12 @@ _W0 = 1.0 - 2.0 * _W1
 DECAY_RIPPLE = 1.05
 DECAY_NET_DROP = 0.98
 
+#: decay test: the relative energy drift must stay at or below this in the
+#: window.  The flow conserves energy (the absorber only drains it), so a
+#: gain of that size means the run no longer resolves the flow, as in a
+#: collapse arrested at grid scale, whose L^4 norm can wander down
+DECAY_ENERGY_GAIN = 1.0
+
 #: blow-up test: a window ending with a gradient norm above this factor
 #: times the initial one is re-run at dt/2 to confirm or refute blow-up
 BLOWUP_GRAD_FACTOR = 10.0
@@ -74,11 +88,21 @@ K_BOUND_TOL = 1e-6
 #: peak of the cubic-ramp absorbing potential at R_max
 ABSORB_STRENGTH = 5.0
 
-#: relative step-doubling error above which a window start halves dt
+#: relative step-doubling error above which a window start shrinks dt
 LOCAL_ERROR_TOL = 1e-6
 
-#: smallest dt a run starts from or refines to; a halving below it aborts
+#: smallest dt a run starts from or refines to; a shrink below it aborts
 MIN_DT = 1e-12
+
+#: exponent k of the step-size factor 0.9 (tol/err)^k: the step-doubling
+#: error of one step scales as dt^3 at order 2, and order 4 takes the same
+#: k: on 0.9 Q on the default grid the error went as dt^2.6-2.9 at order 2
+#: and dt^2.3-2.6 at order 4, for dt from 2e-3 to 1.25e-4
+CONTROLLER_EXPONENT = 1.0 / 3.0
+
+#: a growth of dt below this ratio is skipped: each dt change prepares new
+#: steppers, which costs about as much as a few steps
+MIN_GROWTH = 1.25
 
 #: below this |theta|, cos theta rounds to 1 and sin theta to theta
 _SMALL_ANGLE = 2.0**-27
@@ -136,6 +160,26 @@ class EvolutionConfig:
             raise ValueError("splitting_order must be 2 or 4")
 
 
+@dataclass(frozen=True)
+class DtEvent:
+    """One change of dt in a run, or the confirmation of blow-up.
+
+    cause is "probe" (the window-start error probe failed), "spike" (a
+    spiking window's re-run at dt/2 was adopted), "grow" (after a window
+    that passed its probe and did not spike), "abort" (a shrink that would
+    take dt below MIN_DT; the run stops and dt_new is that value) or
+    "blowup" (the re-run confirmed blow-up; dt_new == dt_old).  t is the
+    time of the state the new dt steps from, err the probe's relative
+    step-doubling error at the start of the window that caused it.
+    """
+
+    t: float
+    cause: str
+    dt_old: float
+    dt_new: float
+    err: float
+
+
 class Snapshot(NamedTuple):
     """State at the first monitor tick at or past a requested time."""
 
@@ -157,6 +201,8 @@ class EvolutionTrace:
     final_time: float = 0.0
     final_state: RadialField | None = None
     dt_final: float = 0.0
+    events: list = dataclass_field(default_factory=list)  # DtEvent records
+    stepper_builds: int = 0
     snapshots: list = dataclass_field(default_factory=list)  # Snapshot records
     snapshots_unreached: list = dataclass_field(default_factory=list)  # sorted times
 
@@ -193,14 +239,15 @@ def _rotate(u: np.ndarray, s) -> np.ndarray:
 
 
 class _Stepper:
-    """Prebuilt splitting stepper for a fixed (grid, params, dt, order).
+    """Prebuilt splitting stepper for a fixed (Delta_gamma, dt, order).
 
-    Crank-Nicolson solves and merged rotation angles are set up once; see
-    the module docstring for the merging rule.
+    `lap` is the caller's Delta_gamma (radial_grid.lap_gamma_diagonals),
+    built once per run; the Crank-Nicolson solves and merged rotation angles
+    of dt are set up here, once.  See the module docstring for the merging
+    rule.
     """
 
-    def __init__(self, grid, params, dt, order=2, absorb_w=None):
-        lap = lap_gamma_diagonals(grid, params.gamma, params.mu)
+    def __init__(self, lap: Tridiagonal, dt, order=2, absorb_w=None):
         taus = [dt] if order == 2 else [_W1 * dt, _W0 * dt, _W1 * dt]
         propagators = {tau: CrankNicolson(lap, tau) for tau in set(taus)}
         self._cn = [propagators[tau] for tau in taus]
@@ -274,17 +321,27 @@ def run(
     requested times still pending when the run stops land, sorted, in
     trace.snapshots_unreached.
 
-    The flow advances in windows of `monitor_every` steps, and one rule
-    refines them.  A step-doubling error probe above LOCAL_ERROR_TOL at the
-    window start halves dt and doubles the cadence before the window runs.
-    A window that ends with a gradient norm above BLOWUP_GRAD_FACTOR times
-    the initial one is run again from its start at dt/2, and the re-run
-    state is adopted.  Blow-up is confirmed when it ends with a gradient
-    norm above the limit and above the window start's.  Otherwise the spike
-    was a step-size artifact and dt is halved.  A halving that takes dt
-    below MIN_DT aborts.  Every window records the monitor tick of the
-    state it adopts, so trace.times[-1] == trace.final_time on every
-    outcome.
+    The flow advances in windows, and one controller sets dt, always
+    through the same bookkeeping: every change is a DtEvent in
+    trace.events, and dt never exceeds cfg.dt.  With f = 0.9 (tol/err)^k
+    for the relative step-doubling error err of one step at the window
+    start (tol = LOCAL_ERROR_TOL, k = CONTROLLER_EXPONENT):
+    - a probe with err > tol shrinks dt to dt max(1/2, f) and probes again;
+    - a window that ends with a gradient norm above BLOWUP_GRAD_FACTOR
+      times the initial one is run again from its start at dt/2.  Blow-up
+      is confirmed when the re-run ends with a gradient norm above the
+      limit and above the window start's.  Otherwise the spike was a
+      step-size artifact: the re-run state is adopted and dt halved;
+    - after any other window dt grows to min(cfg.dt, dt min(2, f)), unless
+      that is less than MIN_GROWTH times dt.
+    A shrink below MIN_DT aborts.  A window takes round(monitor_every
+    cfg.dt / dt) steps, so it keeps its length in time, and the last one
+    takes the whole steps left to t_end, rounded up: it ends at most one
+    step past t_end.  The run holds two steppers, at dt and dt/2, and
+    counts their preparations in trace.stepper_builds.  Every window
+    records the monitor tick of the state it adopts, so trace.times[-1] ==
+    trace.final_time on every outcome, and trace.dt_final is the dt_new of
+    the last event (cfg.dt without one).
     """
     grid = u0.grid
     cfg.validate(grid)
@@ -305,29 +362,39 @@ def run(
     if cfg.absorb:
         absorb_w = absorbing_profile(grid, cfg.absorb_width, ABSORB_STRENGTH)
 
-    dt = cfg.dt
-    every = cfg.monitor_every
+    lap = lap_gamma_diagonals(grid, params.gamma, params.mu)
     trace = EvolutionTrace()
     u = u0.values.astype(complex)
     t = 0.0
+    dt, every, steppers = None, None, {}
 
-    def make_stepper(dt_):
-        return _Stepper(grid, params, dt_, cfg.splitting_order, absorb_w)
+    def use(dt_new):
+        """Step at dt_new: keep the live steppers it still needs (at dt_new
+        and dt_new/2), drop the others, then prepare the missing ones."""
+        nonlocal dt, every
+        dt = dt_new
+        every = round(cfg.monitor_every * (cfg.dt / dt))
+        kept = {d: steppers[d] for d in (dt, dt / 2.0) if d in steppers}
+        steppers.clear()
+        for d in (dt, dt / 2.0):
+            if d not in kept:
+                kept[d] = _Stepper(lap, d, cfg.splitting_order, absorb_w)
+                trace.stepper_builds += 1
+        steppers.update(kept)
 
-    stepper = make_stepper(dt)
-    half_stepper = make_stepper(dt / 2.0)
-
-    def refine():
-        """Halve dt and double the cadence; False once dt is below MIN_DT.
-        The old half-step stepper is the new stepper."""
-        nonlocal dt, every, stepper, half_stepper
-        dt /= 2.0
-        every *= 2
-        if dt < MIN_DT:
+    def change_dt(cause, dt_new, err):
+        """Record the event and step at dt_new from now on; False when
+        dt_new is below MIN_DT, which records an abort instead."""
+        nonlocal dt
+        aborts = dt_new < MIN_DT
+        trace.events.append(DtEvent(t, "abort" if aborts else cause, dt, dt_new, err))
+        if aborts:
+            dt = dt_new
             return False
-        stepper, half_stepper = half_stepper, make_stepper(dt / 2.0)
+        use(dt_new)
         return True
 
+    use(cfg.dt)
     pending_snapshots = sorted(snapshot_times)
 
     def append_tick(u_vals, t_now, rep):
@@ -356,32 +423,38 @@ def run(
         n_window = int(min(every, max(steps_left, 1)))
 
         # local error probe by step doubling at the window start
-        u_one = stepper.step(u)
-        u_two = half_stepper.step(u, 2)
-        err = float(
-            np.sqrt(np.dot(grid.weights, np.abs(u_one - u_two) ** 2))
-            / max(np.sqrt(np.dot(grid.weights, np.abs(u_two) ** 2)), 1e-300)
-        )
+        u_one = steppers[dt].step(u)
+        u_two = steppers[dt / 2.0].step(u, 2)
+        err = _relative_error(grid, u_one, u_two)
+        factor = _step_factor(err)
         if err > LOCAL_ERROR_TOL:
-            if not refine():
+            if not change_dt("probe", dt * max(0.5, factor), err):
                 outcome = Outcome.ABORTED
             continue
 
         t_new = t + n_window * dt
-        u_new = stepper.step(u, n_window)
+        u_new = steppers[dt].step(u, n_window)
         rep_new = functionals.report(RadialField(grid, u_new), params)
+        spike = None
         if np.sqrt(rep_new.kinetic) > grad_limit:
             # spiking window: confirm from its start at dt/2
-            u_new = half_stepper.step(u, 2 * n_window)
+            u_new = steppers[dt / 2.0].step(u, 2 * n_window)
             rep_new = functionals.report(RadialField(grid, u_new), params)
-            if np.sqrt(rep_new.kinetic) > max(grad_limit, np.sqrt(rep.kinetic)):
-                outcome = Outcome.BLOWUP_DETECTED
-            elif not refine():
-                outcome = Outcome.ABORTED
+            confirmed = np.sqrt(rep_new.kinetic) > max(grad_limit, np.sqrt(rep.kinetic))
+            spike = "blowup" if confirmed else "spike"
         u, t, rep = u_new, t_new, rep_new
         append_tick(u, t, rep)
-        if outcome is None and _decay_detected(trace, cfg, monitor_bound):
+        if spike == "blowup":
+            trace.events.append(DtEvent(t, "blowup", dt, dt, err))
+            outcome = Outcome.BLOWUP_DETECTED
+        elif spike == "spike" and not change_dt("spike", dt / 2.0, err):
+            outcome = Outcome.ABORTED
+        elif _decay_detected(trace, cfg, monitor_bound):
             outcome = Outcome.DECAY_DETECTED
+        elif spike is None and t < cfg.t_end - 1e-14:
+            grown = min(cfg.dt, dt * min(2.0, factor))
+            if grown >= MIN_GROWTH * dt:
+                change_dt("grow", grown, err)
 
     trace.outcome = outcome or Outcome.RAN_TO_T_END
     trace.final_time = t
@@ -391,9 +464,27 @@ def run(
     return trace
 
 
+def _relative_error(grid, u_one, u_two) -> float:
+    """||u_one - u_two|| / ||u_two|| in the weighted L^2 norm, 0 for u_two = 0.
+
+    One square root of the ratio: scaling both fields and the weights by
+    powers of two leaves it bit for bit unchanged."""
+    num = np.dot(grid.weights, np.abs(u_one - u_two) ** 2)
+    den = np.dot(grid.weights, np.abs(u_two) ** 2)
+    return float(np.sqrt(num / den)) if den > 0.0 else 0.0
+
+
+def _step_factor(err: float) -> float:
+    """The controller's factor 0.9 (tol/err)^k; +inf for err = 0."""
+    if err == 0.0:
+        return np.inf
+    return 0.9 * (LOCAL_ERROR_TOL / err) ** CONTROLLER_EXPONENT
+
+
 def _decay_detected(trace, cfg, monitor_bound):
     """Trailing-window test: L^4 norm decays up to small ripple with a net
-    drop, and the virial functional stayed above its floor.
+    drop, the virial functional stayed above its floor and the energy did
+    not grow by more than DECAY_ENERGY_GAIN.
 
     The floor is the threshold-gap bound when a level was supplied and
     plain positivity otherwise; a dispersing solution has K_gamma > 0 once
@@ -411,6 +502,8 @@ def _decay_detected(trace, cfg, monitor_bound):
     if not all(k > 0.0 for k in trace.virial_K[i0:]):
         return False
     if monitor_bound and not all(trace.k_lower_bound_ok[i0:]):
+        return False
+    if max(trace.energy_drift[i0:], default=0.0) > DECAY_ENERGY_GAIN:
         return False
     l4 = trace.l4_norm[i0:]
     running_min = l4[0]

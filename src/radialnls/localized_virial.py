@@ -32,6 +32,7 @@ from .radial_grid import (
     RadialField,
     RadialGrid,
     integrate,
+    lap_gamma_diagonals,
     node_gradient,
     r_pow,
 )
@@ -302,7 +303,8 @@ def rigidity_probe(
     R = select_cutoff_radius(u0, params, delta0)
     cutoff = build_cutoff(R, grid)
     C = remainder_bound_constant(params)
-    stepper = _Stepper(grid, params, cfg.dt, cfg.splitting_order, None)
+    lap = lap_gamma_diagonals(grid, params.gamma, params.mu)
+    stepper = _Stepper(lap, cfg.dt, cfg.splitting_order)
 
     every = cfg.monitor_every
     I_at = {}  # step index -> I at that step

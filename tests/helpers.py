@@ -9,11 +9,19 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from radialnls import EquationParams, RadialField, RadialGrid, ScalingPair, integrate, report
-from radialnls.radial_grid import node_gradient
+from radialnls.evolve import _Stepper
+from radialnls.radial_grid import lap_gamma_diagonals, node_gradient
 
 #: probe and floor constants under which every window refines until dt
 #: passes the floor, so a run aborts
 ABORTING = dict(LOCAL_ERROR_TOL=1e-30, MIN_DT=1e-5)
+
+
+def make_stepper(grid: RadialGrid, params: EquationParams, dt: float, order: int = 2,
+                 absorb_w=None) -> _Stepper:
+    """evolve._Stepper of dt on the Delta_gamma of (grid, params)."""
+    lap = lap_gamma_diagonals(grid, params.gamma, params.mu)
+    return _Stepper(lap, dt, order, absorb_w)
 
 
 def random_smooth_field(

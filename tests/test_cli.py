@@ -619,12 +619,30 @@ class TestEvolveCommand:
         assert (out / "snapshot_000.csv").exists()
         result = json.loads((out / "result.json").read_text())
         assert result["outcome"] == "ran_to_t_end"
-        # ticks fall every 0.01, so the requested time is a tick time
+        # the snapshot holds the first tick at or past the requested time
         (snap,) = result["snapshots"]
         assert snap["file"] == "snapshot_000.csv"
         assert snap["t_requested"] == 0.05
-        assert snap["t"] == pytest.approx(0.05)
+        ticks = [float(line.split(",")[0]) for line in lines[1:]]
+        assert snap["t"] == min(t for t in ticks if t >= 0.05)
         assert result["snapshots_unreached"] == []
+
+    def test_result_lists_dt_events(self, tmp_path):
+        # 0.9 Q on a coarse grid: the probe shrinks dt at t = 0, and once the
+        # error falls dt grows back; each change is one event record
+        out = tmp_path / "ev"
+        rc = main(["evolve", "--n", "512", "--r-max", "16", "--t-end", "0.2",
+                   "--out", str(out)])
+        assert rc == 0
+        result = json.loads((out / "result.json").read_text())
+        events = result["events"]
+        causes = [e["cause"] for e in events]
+        assert causes[0] == "probe" and "grow" in causes
+        assert all(sorted(e) == ["cause", "dt_new", "dt_old", "err", "t"] for e in events)
+        assert [e["dt_old"] for e in events[1:]] == [e["dt_new"] for e in events[:-1]]
+        assert max(e["dt_new"] for e in events) <= 1e-3
+        assert result["dt_final"] == events[-1]["dt_new"]
+        assert result["stepper_builds"] >= 2 + len(events)
 
     def test_unreached_snapshot_times_listed(self, tmp_path):
         # blow-up is detected at t = 0.1, before the second requested time

@@ -1,3 +1,4 @@
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -18,14 +19,14 @@ from radialnls import (
 )
 from radialnls import evolve, functionals
 from radialnls.evolve import (
-    _SMALL_ANGLE, _W0, _W1, DECAY_NET_DROP, DECAY_RIPPLE, EvolutionTrace,
+    _SMALL_ANGLE, _W0, _W1, DECAY_ENERGY_GAIN, DECAY_NET_DROP, DECAY_RIPPLE, EvolutionTrace,
     Snapshot, _decay_detected, _k_bound_ok, _rotate, _Stepper, absorbing_profile,
 )
 from radialnls.radial_grid import CrankNicolson, lap_gamma_diagonals
 from radialnls.classify import gaussian
 from radialnls.functionals import VIRIAL_PAIR
 
-from helpers import ABORTING, embed_field, random_smooth_field
+from helpers import ABORTING, embed_field, make_stepper, random_smooth_field
 
 
 @pytest.fixture(scope="module")
@@ -46,16 +47,16 @@ class TestStep:
         u = np.zeros(grid_small.n, dtype=complex)
         u[3] = np.nan
         with pytest.raises(RuntimeError, match="state left floating-point range"):
-            _Stepper(grid_small, params, 1e-3).step(u)
+            make_stepper(grid_small, params, 1e-3).step(u)
 
     def test_zero(self, grid_small, params):
-        out = _Stepper(grid_small, params, 1e-3).step(np.zeros(grid_small.n, dtype=complex))
+        out = make_stepper(grid_small, params, 1e-3).step(np.zeros(grid_small.n, dtype=complex))
         assert np.all(out == 0.0)
 
     def test_linear_regime(self, grid_small, params, rng):
         f = random_smooth_field(grid_small, rng)
         tiny = 1e-6 * f.values
-        nonlinear = _Stepper(grid_small, params, 1e-3).step(tiny)
+        nonlinear = make_stepper(grid_small, params, 1e-3).step(tiny)
         lap = lap_gamma_diagonals(grid_small, params.gamma, params.mu)
         linear = CrankNicolson(lap, 1e-3)(tiny)
         assert np.max(np.abs(nonlinear - linear)) < 1e-14
@@ -63,7 +64,7 @@ class TestStep:
     def test_mass_preserved_per_step(self, grid_small, params, rng):
         f = random_smooth_field(grid_small, rng, complex_phase=True)
         m0 = integrate(grid_small, np.abs(f.values) ** 2)
-        out = _Stepper(grid_small, params, 1e-3).step(f.values)
+        out = make_stepper(grid_small, params, 1e-3).step(f.values)
         m1 = integrate(grid_small, np.abs(out) ** 2)
         assert m1 == pytest.approx(m0, rel=1e-12)
 
@@ -74,7 +75,7 @@ class TestStep:
         t_final = 0.05
 
         def evolve_to(dt):
-            stepper = _Stepper(grid, params, dt)
+            stepper = make_stepper(grid, params, dt)
             u = u0
             for _ in range(int(round(t_final / dt))):
                 u = stepper.step(u)
@@ -204,8 +205,8 @@ class TestFusedAdvance:
     )
     def test_matches_repeated_step(self, params, seed, amplitude, n_steps,
                                    dt, order, absorb):
-        stepper = _Stepper(self.grid, params, dt, order,
-                           self.absorb_w if absorb else None)
+        stepper = make_stepper(self.grid, params, dt, order,
+                              self.absorb_w if absorb else None)
         u = self.datum(seed, amplitude)
         stepwise = u
         for _ in range(n_steps):
@@ -222,7 +223,7 @@ class TestFusedAdvance:
         order=st.sampled_from([2, 4]),
     )
     def test_conserves_mass(self, params, seed, amplitude, n_steps, dt, order):
-        stepper = _Stepper(self.grid, params, dt, order)
+        stepper = make_stepper(self.grid, params, dt, order)
         u = self.datum(seed, amplitude)
         m0 = integrate(self.grid, np.abs(u) ** 2)
         m1 = integrate(self.grid, np.abs(stepper.step(u, n_steps)) ** 2)
@@ -231,7 +232,7 @@ class TestFusedAdvance:
     def test_does_not_mutate_input(self, params):
         u = self.datum(7, 1.0)
         before = u.copy()
-        _Stepper(self.grid, params, 1e-3, 4, self.absorb_w).step(u, 3)
+        make_stepper(self.grid, params, 1e-3, 4, self.absorb_w).step(u, 3)
         assert np.array_equal(u, before)
 
 
@@ -427,17 +428,19 @@ class TestDetectors:
         assert trace.snapshots_unreached == [0.25]
 
     def test_snapshot_records_tick_time(self, ground_small_state, params):
-        # ticks fall every 0.02: the snapshot asked for at 0.13 holds the
-        # state of the tick at 0.14 and says so
+        # the snapshot asked for at 0.13 holds the state of the first tick
+        # at or past it (near 0.14: windows last about 0.02) and says so
         grid = ground_small_state.profile.grid
         u0 = RadialField(grid, 0.5 * ground_small_state.profile.values)
         cfg = EvolutionConfig(dt=1e-3, t_end=0.2, monitor_every=20,
                               decay_window=np.inf)
-        (snap,) = run(u0, cfg, params, snapshot_times=(0.13,)).snapshots
+        trace = run(u0, cfg, params, snapshot_times=(0.13,))
+        (snap,) = trace.snapshots
         assert isinstance(snap, Snapshot)
         assert snap.t_requested == 0.13
-        assert snap.t == pytest.approx(0.14)
-        cfg.t_end = 0.14
+        assert snap.t == min(t for t in trace.times if t >= 0.13)
+        assert snap.t == pytest.approx(0.14, abs=1e-3)
+        cfg.t_end = snap.t
         state = run(u0, cfg, params).final_state.values
         assert np.array_equal(snap.values, state)
 
@@ -496,24 +499,37 @@ class TestRefinementPath:
         assert trace.times[-1] == trace.final_time
 
     def test_refinement_prepares_one_stepper(self, params, monkeypatch):
-        # c Q at 1.2 halves dt three times before blow-up is confirmed: the
-        # run prepares steppers at dt and dt/2, and each refinement promotes
-        # the half-step one and prepares only the next half step
+        # c Q at 1.2 shrinks dt three times before blow-up is confirmed, the
+        # last time by the clipped factor 1/2.  The run holds steppers at dt
+        # and dt/2, never more, and a dt change prepares only those it does
+        # not hold: a halving promotes the half-step one and prepares the
+        # next half step
         grid = build_grid(1024, 16.0)
         ground = minimize_quotient(params, grid)
         u0 = RadialField(grid, 1.2 * ground.profile.values)
-        built = Counter()
+        built, live, most_live = Counter(), weakref.WeakSet(), [0]
         init = _Stepper.__init__
 
         def counted(self, *args):
-            built[args[2]] += 1
+            built[args[1]] += 1
             init(self, *args)
+            live.add(self)
+            most_live[0] = max(most_live[0], len(live))
 
         monkeypatch.setattr(_Stepper, "__init__", counted)
-        trace = run(u0, EvolutionConfig(dt=1e-3, t_end=3.0), params, level=ground.level)
+        cfg = EvolutionConfig(dt=1e-3, t_end=3.0)
+        trace = run(u0, cfg, params, level=ground.level)
         assert trace.outcome is Outcome.BLOWUP_DETECTED
-        assert trace.dt_final == 1.25e-4
-        assert built == {1e-3 / 2**k: 1 for k in range(5)}
+        assert [e.cause for e in trace.events] == ["probe"] * 3 + ["blowup"]
+        assert trace.events[2].dt_new == trace.events[2].dt_old / 2.0
+        held, expected = {cfg.dt, cfg.dt / 2.0}, Counter({cfg.dt: 1, cfg.dt / 2.0: 1})
+        for event in trace.events:
+            needed = {event.dt_new, event.dt_new / 2.0}
+            expected.update(needed - held)
+            held = needed
+        assert built == expected
+        assert trace.stepper_builds == sum(built.values()) == 7
+        assert most_live == [2]
 
     def test_one_report_per_tick(self, params, monkeypatch, quiet_probe):
         calls = Counter()
@@ -531,8 +547,9 @@ class TestRefinementPath:
     def test_refuted_spike_rerun_is_adopted(self, params, monkeypatch, quiet_probe,
                                             min_dt, outcome):
         # the first window's report spikes and its re-run at dt/2 does not:
-        # the run goes on exactly as one begun at dt/2 with doubled cadence,
-        # unless dt/2 is below min_dt, which aborts on the re-run state
+        # with growth off, the run goes on exactly as one begun at dt/2 with
+        # doubled cadence, unless dt/2 is below min_dt, which aborts on the
+        # re-run state
         t_end = 0.1 if outcome is Outcome.RAN_TO_T_END else 0.02
         ref = run(self.u0, replace(self.cfg, dt=5e-4, monitor_every=40, t_end=t_end),
                   params)
@@ -546,13 +563,135 @@ class TestRefinementPath:
 
         monkeypatch.setattr(functionals, "report", spiking)
         monkeypatch.setattr(evolve, "MIN_DT", min_dt)
+        monkeypatch.setattr(evolve, "MIN_GROWTH", np.inf)
         trace = run(self.u0, self.cfg, params)
         assert trace.outcome is outcome
+        cause = "spike" if outcome is Outcome.RAN_TO_T_END else "abort"
+        assert [(e.t, e.cause, e.dt_old, e.dt_new) for e in trace.events] == [
+            (0.02, cause, 1e-3, 5e-4)]
         assert trace.dt_final == 5e-4
         assert trace.times == ref.times
         assert trace.grad_norm == ref.grad_norm
         assert trace.times[-1] == trace.final_time == ref.final_time
         assert np.array_equal(trace.final_state.values, ref.final_state.values)
+
+
+#: one run per outcome whose dt passes through a value that is not cfg.dt
+#: over a power of two before it ends: the probe's third shrink (fourth for
+#: blow-up) is by a factor above 1/2
+NON_POWER_OF_TWO_RUNS = {
+    **{o: OUTCOME_RUNS[o] for o in (Outcome.RAN_TO_T_END, Outcome.DECAY_DETECTED,
+                                    Outcome.BLOWUP_DETECTED)},
+    Outcome.ABORTED: (512, 8.0, 5.0, dict(dt=1e-3, t_end=1.0), dict(MIN_DT=7e-5)),
+}
+
+
+def _dt_at_ticks(trace, cfg):
+    """The dt each window stepped at, read off the events: an event at the
+    window's start time applies to it, one at its end time to the next."""
+    dts, k = [], 0
+    dt = cfg.dt
+    for t in trace.times[:-1]:
+        while k < len(trace.events) and trace.events[k].t <= t:
+            dt = trace.events[k].dt_new
+            k += 1
+        dts.append(dt)
+    return dts
+
+
+class TestStepSizeController:
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("absorb", [False, True], ids=["conservative", "absorb"])
+    def test_quiet_probe_steps_window_by_window(self, params, monkeypatch, order, absorb):
+        # with the probe quiet dt never moves: the run is one _Stepper.step
+        # call per window of monitor_every steps, the last one cut at
+        # t_end, bit for bit
+        monkeypatch.setattr(evolve, "LOCAL_ERROR_TOL", np.inf)
+        grid = build_grid(256, 16.0)
+        u0 = gaussian(grid, 1.0, 1.0)
+        cfg = EvolutionConfig(dt=1e-3, t_end=0.1, monitor_every=7, absorb=absorb,
+                              absorb_width=4.0, splitting_order=order,
+                              decay_window=np.inf)
+        trace = run(u0, cfg, params)
+        absorb_w = (absorbing_profile(grid, 4.0, evolve.ABSORB_STRENGTH)
+                    if absorb else None)
+        stepper = make_stepper(grid, params, cfg.dt, order, absorb_w)
+        u, t, times = u0.values.astype(complex), 0.0, [0.0]
+        for n in [7] * 14 + [2]:
+            u = stepper.step(u, n)
+            t += n * cfg.dt
+            times.append(t)
+        assert trace.outcome is Outcome.RAN_TO_T_END
+        assert trace.events == []
+        assert trace.stepper_builds == 2
+        assert trace.dt_final == cfg.dt
+        assert trace.times == times
+        assert np.array_equal(trace.final_state.values, u)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        amplitude=st.floats(0.2, 6.0),
+        dt=st.floats(2e-4, 2e-3),
+        order=st.sampled_from([2, 4]),
+        monitor_every=st.integers(3, 30),
+    )
+    def test_every_dt_change_is_an_event(self, params, amplitude, dt, order,
+                                         monitor_every):
+        # dt never exceeds cfg.dt, the events chain from cfg.dt to dt_final,
+        # and every window stepped at the dt the events say, a whole number
+        # of steps and at most round(monitor_every cfg.dt / dt) of them
+        grid = build_grid(256, 8.0)
+        cfg = EvolutionConfig(dt=dt, t_end=0.2, monitor_every=monitor_every,
+                              splitting_order=order, decay_window=np.inf)
+        trace = run(gaussian(grid, amplitude, 1.0), cfg, params)
+        chain = [cfg.dt] + [e.dt_new for e in trace.events]
+        assert [e.dt_old for e in trace.events] == chain[:-1]
+        assert trace.dt_final == chain[-1]
+        assert max(chain) == cfg.dt
+        for event in trace.events:
+            assert event.cause in ("probe", "spike", "grow", "abort", "blowup")
+            assert (event.dt_new == event.dt_old) == (event.cause == "blowup")
+            assert (event.dt_new > event.dt_old) == (event.cause == "grow")
+        assert trace.times[-1] == trace.final_time
+        for t0, t1, dt_w in zip(trace.times, trace.times[1:], _dt_at_ticks(trace, cfg)):
+            steps = (t1 - t0) / dt_w
+            assert steps == pytest.approx(round(steps), abs=1e-6)
+            assert 1 <= round(steps) <= round(monitor_every * (cfg.dt / dt_w))
+        if trace.outcome is Outcome.RAN_TO_T_END:
+            # the last window takes the whole steps left: at most one past t_end
+            assert cfg.t_end - 1e-12 <= trace.final_time < cfg.t_end + trace.dt_final
+
+    def test_grows_back_to_cfg_dt(self, params):
+        # 0.9 Q on a coarse grid: the first probe shrinks dt, and once the
+        # error falls dt grows back, capped at cfg.dt
+        grid = build_grid(512, 16.0)
+        ground = minimize_quotient(params, grid)
+        u0 = RadialField(grid, 0.9 * ground.profile.values)
+        cfg = EvolutionConfig(dt=1e-3, t_end=0.2)
+        trace = run(u0, cfg, params, level=ground.level)
+        causes = [e.cause for e in trace.events]
+        assert causes[0] == "probe" and "grow" in causes
+        assert max(e.dt_new for e in trace.events) <= cfg.dt
+        grow = trace.events[causes.index("grow")]
+        assert grow.dt_new == min(cfg.dt, grow.dt_old * min(
+            2.0, 0.9 * (evolve.LOCAL_ERROR_TOL / grow.err) ** evolve.CONTROLLER_EXPONENT))
+
+    @pytest.mark.parametrize("outcome", list(NON_POWER_OF_TWO_RUNS), ids=lambda o: o.value)
+    def test_last_tick_is_final_time_after_non_power_of_two_dt(self, params, monkeypatch,
+                                                               outcome):
+        n, r_max, amplitude, kwargs, constants = NON_POWER_OF_TWO_RUNS[outcome]
+        _set_constants(monkeypatch, constants)
+        u0 = gaussian(build_grid(n, r_max), amplitude, 1.0)
+        cfg = EvolutionConfig(**{"decay_window": np.inf, **kwargs})
+        trace = run(u0, cfg, params)
+        assert trace.outcome is outcome
+        stepped = [e.dt_new for e in trace.events if e.cause != "abort"]
+        assert any(not np.log2(cfg.dt / dt).is_integer() for dt in stepped)
+        assert trace.times[-1] == trace.final_time
+        assert trace.dt_final == trace.events[-1].dt_new
+        if outcome is Outcome.ABORTED:
+            assert trace.events[-1].cause == "abort"
+            assert trace.dt_final < evolve.MIN_DT
 
 
 def _decay_detected_full_scan(trace, cfg, monitor_bound):
@@ -654,6 +793,17 @@ class TestDecayWindow:
         cfg = EvolutionConfig(decay_window=2.0)
         assert _decay_detected(trace, cfg, True)
         assert _decay_detected_full_scan(trace, cfg, True)
+
+    @pytest.mark.parametrize("gain,decays", [(DECAY_ENERGY_GAIN, True),
+                                             (2.0 * DECAY_ENERGY_GAIN, False)])
+    def test_energy_gain_blocks_decay(self, gain, decays):
+        # an L^4 norm that decays, while at one tick in the window the
+        # energy has grown by `gain` of its initial size
+        trace = EvolutionTrace(times=[0.0, 0.5, 1.0, 1.5, 2.0, 2.5],
+                               virial_K=[1.0] * 6, k_lower_bound_ok=[True] * 6,
+                               l4_norm=[1.0, 0.99, 0.98, 0.97, 0.96, 0.95],
+                               energy_drift=[0.0, 0.0, gain, 0.0, 0.0, 0.0])
+        assert _decay_detected(trace, EvolutionConfig(decay_window=2.0), True) is decays
 
     @pytest.mark.parametrize("ticks", [10**3, 10**5])
     def test_reads_only_its_window(self, ticks):

@@ -808,9 +808,9 @@ class TestScaleCovariance:
         assert np.array_equal(
             2.0 * CrankNicolson(lap, tau)(u), CrankNicolson(lap_scaled, tau / 4.0)(2.0 * u)
         )
-        step = _Stepper(grid, params, tau, order).step(u, 3)
+        step = _Stepper(lap, tau, order).step(u, 3)
         assert np.array_equal(
-            2.0 * step, _Stepper(half, scaled, tau / 4.0, order).step(2.0 * u, 3)
+            2.0 * step, _Stepper(lap_scaled, tau / 4.0, order).step(2.0 * u, 3)
         )
 
     def test_run_scales_exactly_at_mu_one(self):

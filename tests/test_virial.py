@@ -31,7 +31,7 @@ from radialnls.localized_virial import (
     tail_integral,
 )
 
-from helpers import random_smooth_field
+from helpers import make_stepper, random_smooth_field
 
 
 @pytest.fixture(scope="module")
@@ -281,8 +281,8 @@ class TestIPrime:
         c = build_cutoff(5.0, grid32)
         dt = 2.5e-4
         u = RadialField(grid32, 0.9 * ground32.profile.values)
-        um = RadialField(grid32, _Stepper(grid32, params, -dt).step(u.values))
-        up = RadialField(grid32, _Stepper(grid32, params, dt).step(u.values))
+        um = RadialField(grid32, make_stepper(grid32, params, -dt).step(u.values))
+        up = RadialField(grid32, make_stepper(grid32, params, dt).step(u.values))
         di_num = (I_value(up, c) - I_value(um, c)) / (2.0 * dt)
         di = I_prime(u, c)
         scale = max(abs(di), I_value(u, c))
@@ -550,7 +550,7 @@ def _stepwise_probe(u0, params, level, T, cfg):
     R = select_cutoff_radius(u0, params, delta0)
     cutoff = build_cutoff(R, grid)
     C = remainder_bound_constant(params)
-    stepper = _Stepper(grid, params, cfg.dt, cfg.splitting_order)
+    stepper = make_stepper(grid, params, cfg.dt, cfg.splitting_order)
     n_steps = int(round(T / cfg.dt))
     u = u0.values.astype(complex)
     I_series = [I_value(u0, cutoff)]
